@@ -309,7 +309,7 @@ class TextBaseline:
     def save(self, path: str) -> None:
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True)
+            json.dump(self.to_json_dict(), f, sort_keys=True, allow_nan=False)
             f.write("\n")
         os.replace(tmp, path)
 

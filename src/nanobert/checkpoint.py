@@ -55,7 +55,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "tokenizer_ref": os.path.basename(_tokenizer_sibling(path)) if ckpt.tokenizer else None,
         "label_names": ckpt.label_names,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(struct.pack("<Q", len(blob)))

@@ -229,7 +229,7 @@ def _sanitize(obj):
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_sanitize(obj), f, indent=2, sort_keys=True)
+        json.dump(_sanitize(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -34,6 +34,7 @@ from .optim import (
     REGRESSION_METRICS,
     AdamW,
     TrainingConfig,
+    check_step_finite,
     clip_global_norm,
     warmup_learning_rate,
 )
@@ -238,7 +239,8 @@ def train(
             grads = encoder_backward(cfg, params, cache, d_h)
             grads["head.w"] = pooled.T @ d_logits
             grads["head.b"] = d_logits.sum(axis=0)
-            clip_global_norm(grads, config.max_grad_norm)
+            grad_norm = clip_global_norm(grads, config.max_grad_norm)
+            check_step_finite(loss, grad_norm, epoch, step + 1)
             lr = warmup_learning_rate(config.learning_rate, optimizer.t, config.warmup_steps)
             optimizer.step(params, grads, lr)
             loss_sum += loss * len(sel)
@@ -268,7 +270,7 @@ def train(
         with open(os.path.join(output_dir, "metrics_log.jsonl"), "w", encoding="utf-8") as f:
             for entry in history:
                 f.write(json.dumps({k: _jsonable(v) for k, v in entry.items()},
-                                   sort_keys=True) + "\n")
+                                   sort_keys=True, allow_nan=False) + "\n")
         selection = {
             "metric": metric,
             "greater_is_better": greater,
@@ -277,7 +279,7 @@ def train(
             "best_value": _jsonable(best_value),
         }
         with open(os.path.join(output_dir, "selection.json"), "w", encoding="utf-8") as f:
-            json.dump(selection, f, indent=2, sort_keys=True)
+            json.dump(selection, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
 

@@ -134,7 +134,7 @@ def _sum_leading(d: np.ndarray) -> np.ndarray:
 
 def _dropout_mask(rng: Rng, shape, p: float) -> np.ndarray:
     # inverted dropout: scale kept units by 1/(1-p) so eval needs no rescale
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    return np.multiply(rng.random(shape) >= p, 1.0 / (1.0 - p))
 
 
 def _attention_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int,

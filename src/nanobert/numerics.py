@@ -8,6 +8,13 @@ caches, which keeps each pair self-contained and directly checkable with
 
 All arrays are ``numpy.float64``. Non-finite values are a contract
 violation and are rejected at the few places they could first appear.
+
+Two idioms keep the elementwise hot path cheap. Integer powers are written
+as products (``x * x * x``, not ``x**3``): NumPy sends ``**`` through
+``pow``, which is tens of times slower on large arrays. Large elementwise
+temporaries are reused in place (``np.exp(e, out=e)``, ``xc /= std``)
+instead of allocating a fresh array per operation; the in-place forms
+perform the same roundings in the same order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     if x.size == 0:
         raise ValueError("softmax of an empty array")
     ensure_finite(x, "softmax input")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -142,10 +150,20 @@ def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
     """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return gamma * xhat + beta
+    xc, std = _center_and_std(x, eps)
+    xc /= std
+    xc *= gamma
+    xc += beta
+    return xc
+
+
+def _center_and_std(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """x - mean and sqrt(var + eps) over the last axis; var = mean(xc * xc),
+    the same sums ``np.var`` takes, without recomputing the mean."""
+    xc = x - np.mean(x, axis=-1, keepdims=True)
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var += eps
+    return xc, np.sqrt(var, out=var)
 
 
 def layer_norm_backward(
@@ -156,33 +174,60 @@ def layer_norm_backward(
     With xhat the normalized input and m the last-axis width:
     dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
     """
-    mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat, std = _center_and_std(x, eps)
+    inv_std = np.divide(1.0, std, out=std)
+    xhat *= inv_std
     reduce_axes = tuple(range(d_out.ndim - 1))
-    d_gamma = np.sum(d_out * xhat, axis=reduce_axes)
+    prod = d_out * xhat
+    d_gamma = np.sum(prod, axis=reduce_axes)
     d_beta = np.sum(d_out, axis=reduce_axes)
-    d_xhat = d_out * gamma
-    dx = inv_std * (
-        d_xhat
-        - np.mean(d_xhat, axis=-1, keepdims=True)
-        - xhat * np.mean(d_xhat * xhat, axis=-1, keepdims=True)
-    )
+    dx = d_out * gamma  # d_xhat, turned into dx in place below
+    mean_dxhat_xhat = np.mean(np.multiply(dx, xhat, out=prod), axis=-1, keepdims=True)
+    dx -= np.mean(dx, axis=-1, keepdims=True)
+    xhat *= mean_dxhat_xhat
+    dx -= xhat
+    dx *= inv_std
     return dx, d_gamma, d_beta
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    y = _gelu_tanh(x, x * x)
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return y
+
+
+def _gelu_tanh(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """tanh(c (x + 0.044715 x^3)) in a fresh buffer, given x2 = x * x."""
+    t = x2 * x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu_backward(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d_out * gelu'(x), where gelu'(x) = 0.5 (1 + t)
+    + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2) and t is the forward tanh."""
     x = np.asarray(x, dtype=np.float64)
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    return d_out * local
+    x2 = x * x
+    t = _gelu_tanh(x, x2)
+    local = np.multiply(t, t)
+    np.subtract(1.0, local, out=local)
+    local *= x
+    local *= 0.5
+    local *= _GELU_C
+    x2 *= 3.0 * _GELU_A
+    x2 += 1.0
+    local *= x2
+    t += 1.0
+    t *= 0.5
+    local += t
+    local *= d_out
+    return local
 
 
 def embedding_lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:

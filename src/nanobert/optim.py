@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -106,6 +107,16 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for g in grads.values():
             g *= scale
     return norm
+
+
+def check_step_finite(loss: float, grad_norm: float, epoch: int, step: int) -> None:
+    """Stop a diverging run: raise if a step's loss or pre-clip gradient norm
+    is not finite, before the update can carry it into the parameters."""
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise ValueError(
+            f"training diverged at epoch {epoch}, step {step}: "
+            f"loss {loss}, gradient norm before clipping {grad_norm}"
+        )
 
 
 class AdamW:

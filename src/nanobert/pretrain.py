@@ -20,7 +20,13 @@ import numpy as np
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
 from .model import ModelConfig, encoder_backward, encoder_forward_with_cache, init_params
-from .optim import AdamW, TrainingConfig, clip_global_norm, warmup_learning_rate
+from .optim import (
+    AdamW,
+    TrainingConfig,
+    check_step_finite,
+    clip_global_norm,
+    warmup_learning_rate,
+)
 from .rng import Rng
 from .tokenizer import CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, TokenizerModel
 
@@ -250,7 +256,8 @@ def run_pretraining(
             if result is None:
                 continue  # nothing was masked; no signal, no update
             loss, grads = result
-            clip_global_norm(grads, config.max_grad_norm)
+            grad_norm = clip_global_norm(grads, config.max_grad_norm)
+            check_step_finite(loss, grad_norm, epoch, step_in_epoch + 1)
             lr = warmup_learning_rate(config.learning_rate, optimizer.t, config.warmup_steps)
             optimizer.step(params, grads, lr)
             if global_step % config.logging_steps == 0:

@@ -233,6 +233,21 @@ class TestTrain:
         assert result.best_value == min(e["rmse"] for e in result.history)
         assert {"mse", "rmse", "pearson_r"} <= set(result.history[0])
 
+    def test_diverging_regression_raises(self, tmp_path):
+        # AdamW moves every weight by about the learning rate per step, so
+        # the predictions grow until the gradient norm overflows
+        train_set, dev_set = regression_task()
+        base = base_model(train_set.texts + dev_set.texts)
+        model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        config = TrainingConfig(num_train_epochs=20, train_batch_size=8,
+                                learning_rate=1e4, metric_for_best_model="rmse",
+                                max_length=8, seed=9)
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"diverged at epoch \d+, step \d+"):
+            train(config, model, train_set, dev_set, output_dir=str(out))
+        assert not out.exists()
+
     def test_all_nan_metric_keeps_final_epoch(self, caplog):
         # a single-text dev set makes pearson_r undefined every epoch
         train_set, _ = regression_task()

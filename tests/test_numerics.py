@@ -125,6 +125,85 @@ class TestGelu:
         assert abs(nn.gelu(np.array([1.0]))[0] - expected) < 1e-12
 
 
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_A = 0.044715
+# shapes the encoder feeds these primitives: [B, T, N], [B, T, F], [B, A, T, T]
+TRAINING_SHAPES = [(16, 64, 64), (16, 64, 256), (4, 16, 64), (16, 4, 64, 64), (3, 5, 7)]
+
+
+class TestTextbookForms:
+    """The in-place primitives give the same bits as the plain formulas,
+    except GELU, whose x**3 now runs as x*x*x and may move by one ulp."""
+
+    @pytest.mark.parametrize("shape", TRAINING_SHAPES)
+    def test_softmax_bit_identical(self, shape):
+        x = Rng(11).normal(shape, scale=4.0)
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        assert np.array_equal(nn.softmax(x, axis=-1), e / np.sum(e, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("shape", TRAINING_SHAPES)
+    def test_layer_norm_bit_identical(self, shape):
+        rng = Rng(12)
+        x = rng.normal(shape, scale=3.0) + 1.5
+        gamma, beta = 1.0 + rng.normal(shape[-1], 0.2), rng.normal(shape[-1], 0.2)
+        d_out = rng.normal(shape)
+        mu = np.mean(x, axis=-1, keepdims=True)
+        var = np.var(x, axis=-1, keepdims=True)
+        assert np.array_equal(nn.layer_norm(x, gamma, beta),
+                              gamma * ((x - mu) / np.sqrt(var + nn.LAYER_NORM_EPS)) + beta)
+
+        inv_std = 1.0 / np.sqrt(var + nn.LAYER_NORM_EPS)
+        xhat = (x - mu) * inv_std
+        axes = tuple(range(d_out.ndim - 1))
+        d_xhat = d_out * gamma
+        want = (
+            inv_std * (d_xhat - np.mean(d_xhat, axis=-1, keepdims=True)
+                       - xhat * np.mean(d_xhat * xhat, axis=-1, keepdims=True)),
+            np.sum(d_out * xhat, axis=axes),
+            np.sum(d_out, axis=axes),
+        )
+        for got, ref in zip(nn.layer_norm_backward(d_out, x, gamma), want):
+            assert np.array_equal(got, ref)
+
+    def test_inputs_left_untouched(self):
+        rng = Rng(13)
+        x, d_out = rng.normal((4, 6, 8)), rng.normal((4, 6, 8))
+        gamma, beta = 1.0 + rng.normal(8, 0.2), rng.normal(8, 0.2)
+        before = [a.copy() for a in (x, d_out, gamma, beta)]
+        nn.softmax(x)
+        nn.layer_norm(x, gamma, beta)
+        nn.layer_norm_backward(d_out, x, gamma)
+        nn.gelu(x)
+        nn.gelu_backward(d_out, x)
+        for a, b in zip((x, d_out, gamma, beta), before):
+            assert np.array_equal(a, b)
+
+    def test_gelu_within_ulps_of_pow_formula(self):
+        # One rounding moves (x**3 -> x*x*x); 1 + tanh cancels for x << 0,
+        # so the error is measured against the size of the terms, not of the
+        # result: |x| forward, 1 + |x| (1 + 3a x^2) for the derivative.
+        x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), [0.0, -0.0, 1e-300, -1e-300]])
+        t = np.tanh(GELU_C * (x + GELU_A * x**3))
+        old = 0.5 * x * (1.0 + t)
+        old_local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * GELU_C * (1.0 + 3.0 * GELU_A * x**2)
+        ax = np.abs(x)
+        assert np.all(np.abs(nn.gelu(x) - old) <= 4 * np.spacing(ax))
+        d_out = np.linspace(-2.0, 2.0, x.size)
+        term = 1.0 + ax * (1.0 + 3.0 * GELU_A * x * x)
+        got = nn.gelu_backward(d_out, x)
+        assert np.all(np.abs(got - d_out * old_local) <= 4 * np.spacing(np.abs(d_out) * term))
+        assert nn.gelu(np.array([0.0]))[0] == 0.0
+        assert nn.gelu_backward(np.array([1.0]), np.array([0.0]))[0] == 0.5
+
+    def test_gelu_finite_where_tanh_saturates(self):
+        x = np.array([-1e5, -1e3, -30.0, -20.0, 20.0, 30.0, 1e3, 1e5])
+        y = nn.gelu(x)
+        d = nn.gelu_backward(np.ones_like(x), x)
+        assert np.isfinite(y).all() and np.isfinite(d).all()
+        assert np.array_equal(y[x > 0], x[x > 0]) and np.all(y[x < 0] == 0.0)
+        assert np.array_equal(d, (x > 0).astype(np.float64))
+
+
 class TestEmbedding:
     def test_lookup_rows(self):
         table = np.arange(12.0).reshape(4, 3)

@@ -1,9 +1,17 @@
 """AdamW mechanics, clipping, warmup, and config validation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from nanobert.optim import AdamW, TrainingConfig, clip_global_norm, warmup_learning_rate
+from nanobert.optim import (
+    AdamW,
+    TrainingConfig,
+    check_step_finite,
+    clip_global_norm,
+    warmup_learning_rate,
+)
 
 
 class TestTrainingConfig:
@@ -96,6 +104,22 @@ class TestClipping:
         norm = clip_global_norm(grads, max_norm=1.0)
         assert norm == pytest.approx(0.3)
         assert grads["a"][0] == 0.3
+
+    def test_overflowing_gradients_report_infinite_norm(self):
+        grads = {"a": np.array([1e200, 1.0])}
+        with np.errstate(over="ignore"):
+            assert clip_global_norm(grads, max_norm=1.0) == math.inf
+
+
+class TestCheckStepFinite:
+    def test_finite_step_passes(self):
+        check_step_finite(2.5, 1e30, epoch=1, step=1)
+
+    @pytest.mark.parametrize("loss, norm", [(math.inf, 1.0), (math.nan, 1.0),
+                                            (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_names_epoch_and_step(self, loss, norm):
+        with pytest.raises(ValueError, match="diverged at epoch 3, step 7"):
+            check_step_finite(loss, norm, epoch=3, step=7)
 
 
 class TestWarmup:
