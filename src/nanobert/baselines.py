@@ -245,25 +245,14 @@ class Ridge:
 def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = None,
                          batch_size: int = 64) -> np.ndarray:
     """Encoder hidden states averaged over real (non-pad) positions."""
-    if model.tokenizer is None:
-        raise ValueError("model carries no tokenizer; cannot encode text")
-    cfg = model.model_config
-    if max_length is None:
-        max_length = cfg.max_positions
-    max_length = min(max_length, cfg.max_positions)
+    ids, masks = model.encode_texts(texts, max_length)
     out = []
-    for start in range(0, len(texts), batch_size):
-        ids, masks = [], []
-        for text in texts[start : start + batch_size]:
-            enc = model.tokenizer.encode(text, max_length)
-            ids.append(enc.ids)
-            masks.append(enc.attention_mask)
-        ids = np.asarray(ids, dtype=np.int64)
-        masks = np.asarray(masks, dtype=np.int64)
-        h = encoder_forward(cfg, model.params, ids, masks)
-        weights = masks.astype(np.float64)
-        pooled = (h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True)
-        out.append(pooled)
+    for start in range(0, ids.shape[0], batch_size):
+        batch_masks = masks[start : start + batch_size]
+        h = encoder_forward(model.model_config, model.params, ids[start : start + batch_size],
+                            batch_masks)
+        weights = batch_masks.astype(np.float64)
+        out.append((h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True))
     return np.concatenate(out, axis=0)
 
 

@@ -41,6 +41,19 @@ class Checkpoint:
             label_names=list(self.label_names) if self.label_names else None,
         )
 
+    def encode_texts(self, texts, max_length: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Padded int64 ids and attention masks, [len(texts), L], for raw texts.
+
+        L is ``max_length``, defaulting to and capped at the position table.
+        """
+        if self.tokenizer is None:
+            raise ValueError("model carries no tokenizer; cannot encode text")
+        limit = self.model_config.max_positions
+        max_length = limit if max_length is None else min(max_length, limit)
+        encodings = [self.tokenizer.encode(text, max_length) for text in texts]
+        return (np.asarray([e.ids for e in encodings], dtype=np.int64),
+                np.asarray([e.attention_mask for e in encodings], dtype=np.int64))
+
 
 def _tokenizer_sibling(path: str) -> str:
     return path + ".tokenizer.json"
@@ -97,8 +110,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     ref = header.get("tokenizer_ref")
     if ref:
         sibling = os.path.join(os.path.dirname(path) or ".", ref)
-        if os.path.exists(sibling):
-            tokenizer = TokenizerModel.load(sibling)
+        if not os.path.exists(sibling):
+            raise ValueError(f"{path}: the tokenizer it names is missing: {sibling}")
+        tokenizer = TokenizerModel.load(sibling)
     return Checkpoint(
         model_config=config,
         params=params,

@@ -21,12 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import numerics as nn
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
 from .data import LabeledDataset, load_csv, split
-from .finetune import HeadConfig, attach_head, evaluate, predict, train
-from .metrics import pearson_r, rmse
+from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig
 from .pretrain import run_pretraining
@@ -233,6 +231,12 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
+def _headline(metrics: dict) -> str:
+    """The defined metrics of a metrics.json body as one summary line."""
+    return ", ".join(f"{k}={v:.4f}" for k, v in sorted(metrics["metrics"].items())
+                     if v is not None and not math.isnan(v))
+
+
 def _training_config(section: dict, seed: int, **forced) -> TrainingConfig:
     kwargs = dict(section)
     for listing, internal in (("per_device_train_batch_size", "train_batch_size"),
@@ -403,10 +407,8 @@ def cmd_finetune(args) -> int:
         "head": {"num_labels": num_labels, "task": task},
         "training": _listing_training_dict(training),
     })
-    headline = ", ".join(f"{k}={v:.4f}" for k, v in sorted(metrics["metrics"].items())
-                         if v is not None and not math.isnan(v))
     print(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
-          f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {headline}")
+          f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {_headline(metrics)}")
     return 0
 
 
@@ -449,9 +451,7 @@ def cmd_evaluate(args) -> int:
         "output_dir": out, "checkpoint": config["checkpoint"],
         "data": data_cfg, "eval": eval_cfg,
     })
-    headline = ", ".join(f"{k}={v:.4f}" for k, v in sorted(metrics["metrics"].items())
-                         if v is not None and not math.isnan(v))
-    print(f"evaluated {metrics['num_examples']} examples: {headline}")
+    print(f"evaluated {metrics['num_examples']} examples: {_headline(metrics)}")
     return 0
 
 
@@ -516,9 +516,7 @@ def cmd_baseline(args) -> int:
         "output_dir": out, "seed": config["seed"],
         "baseline": base_cfg, "data": config["data"],
     })
-    headline = ", ".join(f"{k}={v:.4f}" for k, v in sorted(metrics["metrics"].items())
-                         if v is not None and not math.isnan(v))
-    print(f"{algorithm} on {metrics['num_examples']} test examples: {headline} "
+    print(f"{algorithm} on {metrics['num_examples']} test examples: {_headline(metrics)} "
           f"(model -> {model_path})")
     return 0
 
@@ -544,22 +542,9 @@ def _run_bow_baseline(config, base_cfg, algorithm, out):
     model_path = os.path.join(out, "baseline_model.json")
     pipeline.save(model_path)
 
-    preds = pipeline.predict(test_set.texts)
-    from .metrics import classification_report, report_to_json_dict
-    rep = classification_report(test_set.label_array(), preds)
-    metrics = {
-        "task": "classification",
-        "algorithm": algorithm,
-        "split": "test",
-        "num_examples": len(test_set),
-        "metrics": {
-            "accuracy": rep.accuracy,
-            "precision": rep.weighted_precision,
-            "recall": rep.weighted_recall,
-            "f1": rep.weighted_f1,
-        },
-        "report": report_to_json_dict(rep, label_names=train_set.label_names),
-    }
+    metrics = task_metrics("classification", test_set.label_array(),
+                           pipeline.predict(test_set.texts), train_set.label_names)
+    metrics.update(algorithm=algorithm, split="test")
     return metrics, model_path
 
 
@@ -582,23 +567,12 @@ def _run_ridge_baseline(config, base_cfg, out):
     l2 = base_cfg.get("l2")
     ridge = Ridge(l2=1.0 if l2 is None else l2).fit(X_train, train_set.label_array())
 
-    preds = ridge.predict(X_test)
-    y = test_set.label_array()
-    try:
-        r = pearson_r(y, preds)
-    except ValueError:
-        r = float("nan")
     os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "baseline_model.json")
     _write_json(model_path, {"algorithm": "ridge", "checkpoint": ckpt_path,
                              **ridge.to_json_dict()})
-    metrics = {
-        "task": "regression",
-        "algorithm": "ridge",
-        "split": "test",
-        "num_examples": len(test_set),
-        "metrics": {"mse": nn.mse(preds, y), "rmse": rmse(y, preds), "pearson_r": r},
-    }
+    metrics = task_metrics("regression", test_set.label_array(), ridge.predict(X_test))
+    metrics.update(algorithm="ridge", split="test")
     return metrics, model_path
 
 

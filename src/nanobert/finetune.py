@@ -36,10 +36,10 @@ from .optim import (
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
+    naming_step,
     warmup_learning_rate,
 )
 from .rng import Rng
-from .tokenizer import TokenizerModel
 
 logger = logging.getLogger(__name__)
 
@@ -109,40 +109,65 @@ def select_best_epoch(values, greater_is_better: bool = True) -> int:
     return best
 
 
-def _encode_texts(tokenizer: TokenizerModel, texts, max_length: int):
-    ids, masks = [], []
-    for text in texts:
-        enc = tokenizer.encode(text, max_length)
-        ids.append(enc.ids)
-        masks.append(enc.attention_mask)
-    return np.asarray(ids, dtype=np.int64), np.asarray(masks, dtype=np.int64)
+def _check_head_fits(params: dict, dataset: LabeledDataset) -> None:
+    """Reject a dataset whose label kind or class count the head cannot score."""
+    if head_task(params) == REGRESSION:
+        if dataset.label_kind != "real":
+            raise ValueError("regression head requires real-valued labels")
+        return
+    if dataset.label_kind != "class":
+        raise ValueError("classification head requires class-labeled data")
+    num_labels = params["head.w"].shape[1]
+    if dataset.num_classes != num_labels:
+        raise ValueError(
+            f"model head has {num_labels} classes but the dataset has {dataset.num_classes}"
+        )
 
 
-def _batched_logits(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
-    out = []
+def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
+    """Class ids (K >= 2) or real values (K = 1), scored batch by batch."""
+    task = head_task(params)
+    logits = []
     for start in range(0, ids.shape[0], batch_size):
         h = encoder_forward(cfg, params, ids[start : start + batch_size],
                             masks[start : start + batch_size])
-        out.append(pool_first_token(h) @ params["head.w"] + params["head.b"])
-    return np.concatenate(out, axis=0)
-
-
-def _dev_metrics(cfg, params, ids, masks, labels, task: str, batch_size: int) -> dict:
-    logits = _batched_logits(cfg, params, ids, masks, batch_size)
+        logits.append(pool_first_token(h) @ params["head.w"] + params["head.b"])
+    logits = np.concatenate(logits, axis=0)
     if task == CLASSIFICATION:
-        rep = classification_report(labels, np.argmax(logits, axis=1))
+        return np.argmax(logits, axis=1).astype(np.int64)
+    return logits[:, 0].astype(np.float64)
+
+
+def task_metrics(task: str, labels: np.ndarray, preds: np.ndarray,
+                 label_names: list[str] | None = None) -> dict:
+    """The metrics.json body for predictions against labels.
+
+    Classification carries the weighted headline metrics plus the full
+    per-class report; regression carries mse/rmse/pearson_r, with pearson_r
+    NaN where it is undefined (constant labels or predictions).
+    """
+    if task == CLASSIFICATION:
+        rep = classification_report(labels, preds)
         return {
-            "accuracy": rep.accuracy,
-            "precision": rep.weighted_precision,
-            "recall": rep.weighted_recall,
-            "f1": rep.weighted_f1,
+            "task": CLASSIFICATION,
+            "num_examples": len(labels),
+            "metrics": {
+                "accuracy": rep.accuracy,
+                "precision": rep.weighted_precision,
+                "recall": rep.weighted_recall,
+                "f1": rep.weighted_f1,
+            },
+            "report": report_to_json_dict(rep, label_names=label_names),
         }
-    preds = logits[:, 0]
     try:
         r = pearson_r(labels, preds)
     except ValueError:
         r = float("nan")
-    return {"mse": nn.mse(preds, labels), "rmse": rmse(labels, preds), "pearson_r": r}
+    return {
+        "task": REGRESSION,
+        "num_examples": len(labels),
+        "metrics": {"mse": nn.mse(preds, labels), "rmse": rmse(labels, preds), "pearson_r": r},
+    }
 
 
 def _jsonable(value):
@@ -177,7 +202,6 @@ def train(
     """
     cfg = model.model_config
     task = head_task(model.params)
-    num_labels = model.params["head.w"].shape[1]
 
     valid = CLASSIFICATION_METRICS if task == CLASSIFICATION else REGRESSION_METRICS
     if config.metric_for_best_model not in valid:
@@ -187,22 +211,10 @@ def train(
         )
     if train_set.label_kind != dev_set.label_kind:
         raise ValueError("train and dev sets carry different label kinds")
-    if task == CLASSIFICATION:
-        if train_set.label_kind != "class":
-            raise ValueError("classification head requires class-labeled data")
-        if train_set.num_classes != num_labels:
-            raise ValueError(
-                f"model head has {num_labels} classes but the dataset has "
-                f"{train_set.num_classes}"
-            )
-    elif train_set.label_kind != "real":
-        raise ValueError("regression head requires real-valued labels")
-    if model.tokenizer is None:
-        raise ValueError("model carries no tokenizer; cannot encode text")
+    _check_head_fits(model.params, train_set)
 
-    max_length = min(config.max_length, cfg.max_positions)
-    train_ids, train_masks = _encode_texts(model.tokenizer, train_set.texts, max_length)
-    dev_ids, dev_masks = _encode_texts(model.tokenizer, dev_set.texts, max_length)
+    train_ids, train_masks = model.encode_texts(train_set.texts, config.max_length)
+    dev_ids, dev_masks = model.encode_texts(dev_set.texts, config.max_length)
     y_train = train_set.label_array()
     y_dev = dev_set.label_array()
 
@@ -223,22 +235,23 @@ def train(
                                shuffle=True, seed=config.seed, epoch=epoch)
         for step, sel in enumerate(blocks):
             dropout_rng = root.spawn("dropout", epoch, step) if cfg.dropout > 0 else None
-            h, cache = encoder_forward_with_cache(
-                cfg, params, train_ids[sel], train_masks[sel], dropout_rng=dropout_rng
-            )
-            pooled = pool_first_token(h)
-            logits = pooled @ params["head.w"] + params["head.b"]
-            if task == CLASSIFICATION:
-                loss, d_logits = nn.softmax_cross_entropy(logits, y_train[sel])
-            else:
-                preds = logits[:, 0]
-                loss = nn.mse(preds, y_train[sel])
-                d_logits = nn.mse_backward(preds, y_train[sel])[:, None]
-            d_h = np.zeros_like(h)
-            d_h[:, 0, :] = d_logits @ params["head.w"].T
-            grads = encoder_backward(cfg, params, cache, d_h)
-            grads["head.w"] = pooled.T @ d_logits
-            grads["head.b"] = d_logits.sum(axis=0)
+            with naming_step(epoch, step + 1):
+                h, cache = encoder_forward_with_cache(
+                    cfg, params, train_ids[sel], train_masks[sel], dropout_rng=dropout_rng
+                )
+                pooled = pool_first_token(h)
+                logits = pooled @ params["head.w"] + params["head.b"]
+                if task == CLASSIFICATION:
+                    loss, d_logits = nn.softmax_cross_entropy(logits, y_train[sel])
+                else:
+                    preds = logits[:, 0]
+                    loss = nn.mse(preds, y_train[sel])
+                    d_logits = nn.mse_backward(preds, y_train[sel])[:, None]
+                d_h = np.zeros_like(h)
+                d_h[:, 0, :] = d_logits @ params["head.w"].T
+                grads = encoder_backward(cfg, params, cache, d_h)
+                grads["head.w"] = pooled.T @ d_logits
+                grads["head.b"] = d_logits.sum(axis=0)
             grad_norm = clip_global_norm(grads, config.max_grad_norm)
             check_step_finite(loss, grad_norm, epoch, step + 1)
             lr = warmup_learning_rate(config.learning_rate, optimizer.t, config.warmup_steps)
@@ -247,8 +260,9 @@ def train(
             seen += len(sel)
 
         entry = {"epoch": epoch, "train_loss": loss_sum / seen}
-        entry.update(_dev_metrics(cfg, params, dev_ids, dev_masks, y_dev,
-                                  task, config.eval_batch_size))
+        with naming_step(epoch, step + 1):  # scores the parameters the last step left
+            dev_preds = _predictions(cfg, params, dev_ids, dev_masks, config.eval_batch_size)
+        entry.update(task_metrics(task, y_dev, dev_preds)["metrics"])
         history.append(entry)
         v = float(entry[metric])
         if not math.isnan(v) and (
@@ -290,64 +304,17 @@ def train(
 def predict(model: Checkpoint, texts, *, max_length: int | None = None,
             batch_size: int = 64) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1) for raw texts."""
-    if model.tokenizer is None:
-        raise ValueError("model carries no tokenizer; cannot encode text")
-    task = head_task(model.params)
-    if max_length is None:
-        max_length = model.model_config.max_positions
-    max_length = min(max_length, model.model_config.max_positions)
-    ids, masks = _encode_texts(model.tokenizer, texts, max_length)
-    logits = _batched_logits(model.model_config, model.params, ids, masks, batch_size)
-    if task == CLASSIFICATION:
-        return np.argmax(logits, axis=1).astype(np.int64)
-    return logits[:, 0].astype(np.float64)
+    ids, masks = model.encode_texts(texts, max_length)
+    return _predictions(model.model_config, model.params, ids, masks, batch_size)
 
 
 def evaluate(model: Checkpoint, dataset: LabeledDataset, *,
              max_length: int | None = None, batch_size: int = 64) -> dict:
-    """Metrics for a labeled dataset, shaped for metrics.json.
-
-    Classification output carries the headline weighted metrics plus the
-    full per-class report; regression carries mse/rmse/pearson_r.
-    """
-    task = head_task(model.params)
-    num_labels = model.params["head.w"].shape[1]
-    if task == CLASSIFICATION:
-        if dataset.label_kind != "class":
-            raise ValueError("classification head requires class-labeled data")
-        if dataset.num_classes != num_labels:
-            raise ValueError(
-                f"model head has {num_labels} classes but the dataset has "
-                f"{dataset.num_classes}"
-            )
-    elif dataset.label_kind != "real":
-        raise ValueError("regression head requires real-valued labels")
-
+    """Metrics for a labeled dataset, shaped for metrics.json by ``task_metrics``."""
+    _check_head_fits(model.params, dataset)
     preds = predict(model, dataset.texts, max_length=max_length, batch_size=batch_size)
-    y = dataset.label_array()
-    if task == CLASSIFICATION:
-        rep = classification_report(y, preds)
-        names = model.label_names or dataset.label_names
-        return {
-            "task": CLASSIFICATION,
-            "num_examples": len(dataset),
-            "metrics": {
-                "accuracy": rep.accuracy,
-                "precision": rep.weighted_precision,
-                "recall": rep.weighted_recall,
-                "f1": rep.weighted_f1,
-            },
-            "report": report_to_json_dict(rep, label_names=names),
-        }
-    try:
-        r = pearson_r(y, preds)
-    except ValueError:
-        r = float("nan")
-    return {
-        "task": REGRESSION,
-        "num_examples": len(dataset),
-        "metrics": {"mse": nn.mse(preds, y), "rmse": rmse(y, preds), "pearson_r": r},
-    }
+    return task_metrics(head_task(model.params), dataset.label_array(), preds,
+                        label_names=model.label_names or dataset.label_names)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Post-norm transformer encoder over token ids.
 
-Forward comes in two flavors: ``encoder_forward`` for inference and
-``encoder_forward_with_cache`` for training, which records every
-intermediate needed by ``encoder_backward``. Gradients are assembled by
-hand from the primitive backward functions in ``numerics``; there is no
-tape.
+One forward body, ``encoder_forward``, serves scoring and training. It
+records the intermediates ``encoder_backward`` needs only into a cache the
+caller passes in, so scoring holds one layer's buffers at a time;
+``encoder_forward_with_cache`` is the training entry that supplies the
+cache. Gradients are assembled by hand from the primitive backward
+functions in ``numerics``; there is no tape.
 
 Padding is excluded from attention with a large negative additive bias on
 pad keys (kept finite so backward never sees NaN), which makes outputs at
@@ -189,14 +190,15 @@ def _layer_params(params: dict, i: int) -> dict:
     return {key[len(p):]: val for key, val in params.items() if key.startswith(p)}
 
 
-def encoder_forward_with_cache(
-    config: ModelConfig,
-    params: dict[str, np.ndarray],
-    ids: np.ndarray,
-    attention_mask: np.ndarray,
-    dropout_rng: Rng | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Training forward pass. Dropout fires only when a rng is supplied."""
+def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
+                    ids: np.ndarray, attention_mask: np.ndarray,
+                    dropout_rng: Rng | None = None, cache: dict | None = None) -> np.ndarray:
+    """[B, T] ids -> [B, T, N] hidden states.
+
+    Dropout fires only when a rng is supplied. Intermediates for
+    ``encoder_backward`` are recorded only into a ``cache`` dict passed in;
+    without one, each layer's buffers are freed as the next layer runs.
+    """
     ids = np.asarray(ids)
     mask = np.asarray(attention_mask, dtype=np.float64)
     if ids.shape != mask.shape or ids.ndim != 2:
@@ -211,7 +213,8 @@ def encoder_forward_with_cache(
     if p > 0.0:
         emb_mask = _dropout_mask(dropout_rng, x.shape, p)
         x = x * emb_mask
-    cache: dict = {"ids": ids, "key_bias": key_bias, "emb_mask": emb_mask, "layers": []}
+    if cache is not None:
+        cache.update(ids=ids, key_bias=key_bias, emb_mask=emb_mask, layers=[])
 
     for i in range(config.num_layers):
         lp = _layer_params(params, i)
@@ -231,15 +234,23 @@ def encoder_forward_with_cache(
             f_out = f_out * amask2
         r2 = h1 + f_out
         x = nn.layer_norm(r2, lp["ln2.gamma"], lp["ln2.beta"])
-        cache["layers"].append({"attn": attn_cache, "amask1": amask1, "amask2": amask2,
-                                "r1": r1, "h1": h1, "u": u, "g": g, "r2": r2})
-    return x, cache
+        if cache is not None:
+            cache["layers"].append({"attn": attn_cache, "amask1": amask1, "amask2": amask2,
+                                    "r1": r1, "h1": h1, "u": u, "g": g, "r2": r2})
+    return x
 
 
-def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
-                    ids: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
-    """Inference forward pass: dropout off, [B, T] ids -> [B, T, N]."""
-    return encoder_forward_with_cache(config, params, ids, attention_mask, dropout_rng=None)[0]
+def encoder_forward_with_cache(
+    config: ModelConfig,
+    params: dict[str, np.ndarray],
+    ids: np.ndarray,
+    attention_mask: np.ndarray,
+    dropout_rng: Rng | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Training forward pass: hidden states plus the cache ``encoder_backward`` reads."""
+    cache: dict = {}
+    h = encoder_forward(config, params, ids, attention_mask, dropout_rng, cache)
+    return h, cache
 
 
 def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray],

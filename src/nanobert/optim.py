@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -117,6 +118,16 @@ def check_step_finite(loss: float, grad_norm: float, epoch: int, step: int) -> N
             f"training diverged at epoch {epoch}, step {step}: "
             f"loss {loss}, gradient norm before clipping {grad_norm}"
         )
+
+
+@contextlib.contextmanager
+def naming_step(epoch: int, step: int):
+    """Re-raise a numeric failure inside a training step (a forward pass that
+    overflows into softmax, say) with the epoch and step that hit it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"training diverged at epoch {epoch}, step {step}: {exc}") from exc
 
 
 class AdamW:

@@ -19,12 +19,19 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
-from .model import ModelConfig, encoder_backward, encoder_forward_with_cache, init_params
+from .model import (
+    ModelConfig,
+    encoder_backward,
+    encoder_forward,
+    encoder_forward_with_cache,
+    init_params,
+)
 from .optim import (
     AdamW,
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
+    naming_step,
     warmup_learning_rate,
 )
 from .rng import Rng
@@ -113,26 +120,24 @@ def chunk_corpus(tokenizer: TokenizerModel, text: str, max_length: int) -> tuple
     return np.asarray(ids_rows, dtype=np.int64), np.asarray(mask_rows, dtype=np.int64)
 
 
-def _mlm_forward(config: ModelConfig, params: dict, batch: MaskedBatch,
-                 dropout_rng: Rng | None):
-    h, cache = encoder_forward_with_cache(
-        config, params, batch.input_ids, batch.attention_mask, dropout_rng=dropout_rng
-    )
+def _mlm_head(params: dict, batch: MaskedBatch, h: np.ndarray):
+    """Labeled positions, their hidden states, targets and tied-projection
+    logits; None when nothing is labeled."""
     rows, cols = np.nonzero(batch.labels != IGNORE_LABEL)
     if rows.size == 0:
         return None
     h_masked = h[rows, cols]
-    targets = batch.labels[rows, cols]
     logits = h_masked @ params["tok_emb"].T + params["mlm_bias"]
-    return h, cache, rows, cols, h_masked, targets, logits
+    return rows, cols, h_masked, batch.labels[rows, cols], logits
 
 
 def mlm_loss(config: ModelConfig, params: dict, batch: MaskedBatch) -> float:
     """Mean cross-entropy over labeled positions; 0.0 when none are labeled."""
-    out = _mlm_forward(config, params, batch, dropout_rng=None)
+    h = encoder_forward(config, params, batch.input_ids, batch.attention_mask)
+    out = _mlm_head(params, batch, h)
     if out is None:
         return 0.0
-    _, _, _, _, _, targets, logits = out
+    _, _, _, targets, logits = out
     loss, _ = nn.softmax_cross_entropy(logits, targets)
     return loss
 
@@ -144,10 +149,13 @@ def mlm_loss_and_grads(config: ModelConfig, params: dict, batch: MaskedBatch,
     The tied embedding receives two contributions: the output-projection
     gradient at labeled positions and the usual lookup scatter.
     """
-    out = _mlm_forward(config, params, batch, dropout_rng)
+    h, cache = encoder_forward_with_cache(
+        config, params, batch.input_ids, batch.attention_mask, dropout_rng=dropout_rng
+    )
+    out = _mlm_head(params, batch, h)
     if out is None:
         return None
-    h, cache, rows, cols, h_masked, targets, logits = out
+    rows, cols, h_masked, targets, logits = out
     loss, d_logits = nn.softmax_cross_entropy(logits, targets)
     d_h = np.zeros_like(h)
     d_h[rows, cols] = d_logits @ params["tok_emb"]
@@ -251,7 +259,8 @@ def run_pretraining(
             dropout_rng = None
             if model_config.dropout > 0.0:
                 dropout_rng = root.spawn("dropout", epoch, step_in_epoch)
-            result = mlm_loss_and_grads(model_config, params, batch, dropout_rng)
+            with naming_step(epoch, step_in_epoch + 1):
+                result = mlm_loss_and_grads(model_config, params, batch, dropout_rng)
             global_step += 1
             if result is None:
                 continue  # nothing was masked; no signal, no update
@@ -263,7 +272,8 @@ def run_pretraining(
             if global_step % config.logging_steps == 0:
                 loss_log.append({"step": global_step, "epoch": epoch, "loss": loss})
 
-        dev = _dev_loss(model_config, params, dev_batches)
+        with naming_step(epoch, step_in_epoch + 1):  # scores the parameters the last step left
+            dev = _dev_loss(model_config, params, dev_batches)
         dev_losses.append(dev)
         if dev < best_loss:
             best_loss = dev

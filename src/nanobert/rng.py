@@ -16,6 +16,7 @@ changes no value.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -146,11 +147,19 @@ class Rng:
         return z.reshape(shape)
 
     def spawn(self, *keys) -> "Rng":
-        """Child stream keyed by integers or short strings, independent of
-        this stream's position."""
+        """Child stream keyed by integers or strings, independent of this
+        stream's position.
+
+        A string of up to 8 UTF-8 bytes is read as a little-endian integer;
+        a longer one is hashed in full, so keys sharing their first 8 bytes
+        still give different streams.
+        """
         s = self._seed
         for k in keys:
             if isinstance(k, str):
-                k = int.from_bytes(k.encode("utf-8")[:8].ljust(8, b"\0"), "little")
+                raw = k.encode("utf-8")
+                if len(raw) > 8:
+                    raw = hashlib.blake2b(raw, digest_size=8).digest()
+                k = int.from_bytes(raw.ljust(8, b"\0"), "little")
             s = _mix64_int(((s + _GOLDEN) & _MASK64) ^ (int(k) & _MASK64))
         return Rng(s)

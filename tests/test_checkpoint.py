@@ -106,6 +106,14 @@ class TestRejection:
         with pytest.raises(ValueError, match="expected"):
             load_checkpoint(path)
 
+    def test_missing_tokenizer_named_in_header(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_checkpoint(with_tokenizer=True), str(path))
+        sibling = tmp_path / "model.ckpt.tokenizer.json"
+        sibling.unlink()
+        with pytest.raises(ValueError, match=f"tokenizer .* missing: {sibling}"):
+            load_checkpoint(str(path))
+
 
 def test_copy_is_deep_for_params():
     ckpt = make_checkpoint()

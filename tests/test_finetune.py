@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import tiny_config
+from nanobert import cli
 from nanobert.checkpoint import Checkpoint, load_checkpoint
 from nanobert.data import LabeledDataset
 from nanobert.finetune import (
@@ -19,6 +20,7 @@ from nanobert.finetune import (
     head_task,
     predict,
     select_best_epoch,
+    task_metrics,
     train,
 )
 from nanobert.model import init_params
@@ -235,18 +237,21 @@ class TestTrain:
 
     def test_diverging_regression_raises(self, tmp_path):
         # AdamW moves every weight by about the learning rate per step, so
-        # the predictions grow until the gradient norm overflows
+        # the predictions grow until the gradient norm overflows; at 1e40
+        # the forward pass overflows first, inside softmax, and with one
+        # step per epoch it is the dev pass that overflows
         train_set, dev_set = regression_task()
         base = base_model(train_set.texts + dev_set.texts)
         model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
-        config = TrainingConfig(num_train_epochs=20, train_batch_size=8,
-                                learning_rate=1e4, metric_for_best_model="rmse",
-                                max_length=8, seed=9)
-        out = tmp_path / "run"
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match=r"diverged at epoch \d+, step \d+"):
-            train(config, model, train_set, dev_set, output_dir=str(out))
-        assert not out.exists()
+        for learning_rate, batch_size in ((1e4, 8), (1e40, 8), (1e40, len(train_set))):
+            config = TrainingConfig(num_train_epochs=20, train_batch_size=batch_size,
+                                    learning_rate=learning_rate, metric_for_best_model="rmse",
+                                    max_length=8, seed=9)
+            out = tmp_path / f"run-{learning_rate:g}-{batch_size}"
+            with np.errstate(all="ignore"), \
+                    pytest.raises(ValueError, match=r"diverged at epoch \d+, step \d+"):
+                train(config, model, train_set, dev_set, output_dir=str(out))
+            assert not out.exists()
 
     def test_all_nan_metric_keeps_final_epoch(self, caplog):
         # a single-text dev set makes pearson_r undefined every epoch
@@ -313,6 +318,32 @@ class TestPredictEvaluate:
                               [f"c{i}" for i in range(5)])
         with pytest.raises(ValueError, match="2 classes.*5"):
             evaluate(model, five, max_length=8)
+
+
+class TestTaskMetrics:
+    def test_classification_body(self):
+        out = task_metrics("classification", np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]),
+                           label_names=["no", "yes"])
+        assert out["task"] == "classification"
+        assert out["num_examples"] == 4
+        assert out["metrics"] == {"accuracy": 0.75, "precision": pytest.approx(5 / 6),
+                                  "recall": 0.75, "f1": pytest.approx(11 / 15)}
+        assert out["report"]["yes"]["precision"] == pytest.approx(2 / 3)
+        assert out["report"]["no"]["support"] == 2
+
+    def test_regression_body(self):
+        out = task_metrics("regression", np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 5.0]))
+        assert out == {"task": "regression", "num_examples": 3,
+                       "metrics": {"mse": pytest.approx(4 / 3), "rmse": pytest.approx(2 / math.sqrt(3)),
+                                   "pearson_r": pytest.approx(12 / math.sqrt(156))}}
+
+    def test_constant_predictions_give_nan_then_null(self, tmp_path):
+        out = task_metrics("regression", np.array([1.0, 2.0, 4.0]), np.full(3, 2.0))
+        assert out["metrics"]["mse"] == pytest.approx(5 / 3)
+        assert math.isnan(out["metrics"]["pearson_r"])
+        path = tmp_path / "metrics.json"
+        cli._write_json(str(path), out)  # how every command writes metrics.json
+        assert json.loads(path.read_text())["metrics"]["pearson_r"] is None
 
 
 class TestGridSearch:

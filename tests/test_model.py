@@ -1,6 +1,7 @@
 """Encoder forward/backward: hand oracles, invariances, gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ class TestEncoderForward:
         ids = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="every position masked"):
             encoder_forward(cfg, params, ids, np.zeros((1, 4)))
+
+    def test_matches_training_forward_without_dropout(self):
+        cfg = tiny_config(num_layers=2, dropout=0.1)
+        params = init_params(cfg, Rng(11))
+        ids = Rng(12).integers(cfg.vocab_size, (3, 7))
+        mask = np.ones((3, 7))
+        mask[1, 4:] = 0.0
+        h, _ = encoder_forward_with_cache(cfg, params, ids, mask)
+        assert np.array_equal(encoder_forward(cfg, params, ids, mask), h)
+
+    def test_scoring_keeps_no_training_cache(self):
+        # the cache holds every layer's intermediates; scoring holds one
+        # layer's at a time, so six layers peak at well under half
+        cfg = tiny_config(num_layers=6, max_positions=16)
+        params = init_params(cfg, Rng(13))
+        ids = Rng(14).integers(cfg.vocab_size, (8, 16))
+        mask = np.ones((8, 16))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(cfg, params, ids, mask)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(encoder_forward) < 0.5 * peak(encoder_forward_with_cache)
 
     def test_pool_first_token(self):
         h = Rng(9).normal((2, 5, 3))

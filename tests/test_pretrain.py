@@ -302,3 +302,12 @@ class TestRunPretraining:
         bad = tiny_config(vocab_size=tok.vocab_size + 1, max_positions=16)
         with pytest.raises(ValueError, match="does not match"):
             run_pretraining(train, corpus, tok, bad)
+
+    def test_overflowing_forward_names_epoch_and_step(self):
+        # each update moves the weights by ~1e40, so within a few steps a
+        # forward pass overflows inside softmax, before any loss is formed
+        corpus, tok, cfg, train = self.small_setup()
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"diverged at epoch 1, step \d+: softmax") as info:
+            run_pretraining(train.with_overrides(learning_rate=1e40), corpus, tok, cfg)
+        assert "NaN or Inf" in str(info.value.__cause__)

@@ -1,5 +1,6 @@
 """The SplitMix64 stream: frozen values, and scalar and array draws as one stream."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -35,7 +36,10 @@ def reference_spawn_seed(seed: int, *keys) -> int:
     s = seed
     for k in keys:
         if isinstance(k, str):
-            k = int.from_bytes(k.encode("utf-8")[:8].ljust(8, b"\0"), "little")
+            raw = k.encode("utf-8")
+            if len(raw) > 8:  # long keys are hashed in full
+                raw = hashlib.blake2b(raw, digest_size=8).digest()
+            k = int.from_bytes(raw.ljust(8, b"\0"), "little")
         z = ((s + GOLDEN) & MASK64) ^ (k & MASK64)
         s = int(reference_mix64(np.array([z], dtype=np.uint64))[0])
     return s
@@ -158,3 +162,10 @@ class TestOneStream:
         r.random(skip)  # a child does not depend on the parent's position
         child = r.spawn(*keys)
         assert child.u64(2).tolist() == reference_raw(reference_spawn_seed(seed, *keys), 0, 2).tolist()
+
+    def test_long_keys_differ_past_their_eighth_byte(self):
+        a, b = Rng(7).spawn("dropout_attn"), Rng(7).spawn("dropout_ffn")
+        assert a.u64(4).tolist() != b.u64(4).tolist()
+        # keys of up to 8 bytes keep their little-endian reading
+        key = int.from_bytes(b"devsplit", "little")
+        assert Rng(7).spawn("devsplit").u64(3).tolist() == Rng(7).spawn(key).u64(3).tolist()
