@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end run through the command line: generate the bundled datasets,
-# pretrain, finetune, evaluate against a count baseline, and predict.
+# pretrain, finetune (and re-run it from its resolved config), evaluate
+# against a count baseline, and predict.
 # Writes everything under demos/out/. Sized to finish in a couple of minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,6 +29,12 @@ python3 -m nanobert finetune --output-dir "$OUT/finetune" \
     --set training.learning_rate=2e-3 --set training.warmup_steps=20 \
     --set training.metric_for_best_model=accuracy \
     --set training.max_length=64
+
+# a run directory re-runs from its resolved config to the same checkpoint
+python3 -m nanobert finetune --config "$OUT/finetune/resolved_config.json" \
+    --output-dir "$OUT/finetune_rerun"
+cmp "$OUT/finetune/best.ckpt" "$OUT/finetune_rerun/best.ckpt"
+echo "finetune re-ran from its resolved_config.json to a byte-identical best.ckpt"
 
 python3 -m nanobert evaluate --output-dir "$OUT/eval" \
     --set checkpoint.path="$OUT/finetune/best.ckpt" \

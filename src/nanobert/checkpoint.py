@@ -8,7 +8,8 @@ the same directory followed by an atomic rename, so a crash cannot leave a
 half-written checkpoint behind.
 
 The tokenizer travels as a sibling JSON file named in the header, keeping
-the binary format independent of the tokenizer schema.
+the binary format independent of the tokenizer schema. It is written before
+the checkpoint, so a checkpoint never names a tokenizer that is not there.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +70,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "label_names": ckpt.label_names,
     }
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
+    if ckpt.tokenizer is not None:
+        ckpt.tokenizer.save(_tokenizer_sibling(path))
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(struct.pack("<Q", len(blob)))
@@ -76,8 +79,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         for name in names:
             f.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes())
     os.replace(tmp, path)
-    if ckpt.tokenizer is not None:
-        ckpt.tokenizer.save(_tokenizer_sibling(path))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -113,6 +114,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         if not os.path.exists(sibling):
             raise ValueError(f"{path}: the tokenizer it names is missing: {sibling}")
         tokenizer = TokenizerModel.load(sibling)
+        if tokenizer.vocab_size != config.vocab_size:
+            raise ValueError(
+                f"{path}: tokenizer {sibling} has {tokenizer.vocab_size} tokens, "
+                f"but the model's vocabulary has {config.vocab_size}"
+            )
     return Checkpoint(
         model_config=config,
         params=params,

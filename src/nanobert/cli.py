@@ -2,21 +2,21 @@
 
 One JSON config per run; ``--set key=value`` overrides nested keys with
 JSON-literal values. Every command writes a resolved_config.json next to
-its outputs so a run directory is enough to re-execute the run exactly.
-Training-section key names follow the common trainer convention
-(num_train_epochs, per_device_train_batch_size, ...), mapped internally
-onto TrainingConfig.
+its outputs, and ``--config <run>/resolved_config.json`` re-executes the
+run exactly. Training-section keys are TrainingConfig's fields, with the
+batch sizes under the common trainer names (per_device_train_batch_size,
+per_device_eval_batch_size).
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,119 +24,87 @@ from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
 from .data import LabeledDataset, load_csv, split
-from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
+from .finetune import HeadConfig, attach_head, evaluate, jsonable, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig
 from .pretrain import run_pretraining
 from .rng import Rng
 from .tokenizer import TokenizerModel, train_bpe
 
-_TRAINING_KEYS = {
-    "num_train_epochs": None,
-    "per_device_train_batch_size": None,
-    "per_device_eval_batch_size": None,
-    "learning_rate": None,
-    "warmup_steps": None,
-    "weight_decay": None,
-    "logging_steps": None,
-    "metric_for_best_model": None,
-    "greater_is_better": None,
-    "max_length": None,
-    "max_grad_norm": None,
-    "fp16": None,
-    "mask_prob": None,
-    "mask_token_ratio": None,
-    "random_token_ratio": None,
+_ANY = object()  # an allowed key with no default
+
+# TrainingConfig field -> the trainer-convention name configs use for it
+_LISTING_NAMES = {"train_batch_size": "per_device_train_batch_size",
+                  "eval_batch_size": "per_device_eval_batch_size"}
+_FIELD_NAMES = {listing: name for name, listing in _LISTING_NAMES.items()}
+
+
+def _training_table(**defaults) -> dict:
+    """Every TrainingConfig field under its listing name; TrainingConfig's own
+    defaults apply to the ones not given here."""
+    table = {_LISTING_NAMES.get(f.name, f.name): _ANY for f in fields(TrainingConfig)}
+    table.update(defaults)
+    return table
+
+
+_TASK_DATA = {
+    "train": _ANY, "dev": _ANY, "test": _ANY,
+    "text_column": "text", "label_column": "label", "label_kind": "class",
+    "test_size": _ANY, "dev_size": _ANY, "stratify": None,
 }
 
-_TASK_DATA_KEYS = {
-    "train": None, "dev": None, "test": None,
-    "text_column": None, "label_column": None, "label_kind": None,
-    "test_size": None, "dev_size": None, "stratify": None,
-}
-
-SCHEMAS = {
+# Per command, every key it accepts and its default (_ANY: none). A None
+# default is kept in the config, so resolved_config.json records it.
+COMMANDS = {
     "train-tokenizer": {
-        "output_dir": None, "seed": None,
-        "data": {"corpus": None},
-        "tokenizer": {"vocab_size": None, "lowercase": None},
-    },
-    "pretrain": {
-        "output_dir": None, "seed": None,
-        "data": {"corpus": None},
-        "tokenizer": {"path": None, "vocab_size": None, "lowercase": None},
-        "model": {"num_layers": None, "hidden_size": None, "num_heads": None,
-                  "ffn_size": None, "max_positions": None, "dropout": None},
-        "training": _TRAINING_KEYS,
-        "pretrain": {"dev_fraction": None, "patience": None, "min_delta": None},
-    },
-    "finetune": {
-        "output_dir": None, "seed": None,
-        "checkpoint": {"path": None},
-        "head": {"num_labels": None, "task": None},
-        "training": _TRAINING_KEYS,
-        "data": _TASK_DATA_KEYS,
-    },
-    "evaluate": {
-        "output_dir": None,
-        "checkpoint": {"path": None},
-        "data": {"test": None, "text_column": None, "label_column": None,
-                 "label_kind": None},
-        "eval": {"batch_size": None, "max_length": None},
-    },
-    "predict": {
-        "output_dir": None,
-        "checkpoint": {"path": None},
-        "data": {"input": None, "text_column": None},
-        "predict": {"batch_size": None, "max_length": None},
-    },
-    "baseline": {
-        "output_dir": None, "seed": None,
-        "baseline": {"algorithm": None, "alpha": None, "l2": None,
-                     "learning_rate": None, "epochs": None, "min_df": None,
-                     "checkpoint": None, "batch_size": None, "max_length": None},
-        "data": _TASK_DATA_KEYS,
-    },
-}
-
-DEFAULTS = {
-    "train-tokenizer": {
-        "seed": 11,
+        "output_dir": _ANY, "seed": 11,
+        "data": {"corpus": _ANY},
         "tokenizer": {"vocab_size": 200, "lowercase": True},
     },
     "pretrain": {
-        "seed": 11,
+        "output_dir": _ANY, "seed": 11,
+        "data": {"corpus": _ANY},
         "tokenizer": {"path": None, "vocab_size": 200, "lowercase": True},
-        "model": {"num_layers": 4, "hidden_size": 128, "num_heads": 4,
-                  "ffn_size": 512, "max_positions": None, "dropout": 0.1},
-        "training": {"num_train_epochs": 5, "per_device_train_batch_size": 16,
-                     "per_device_eval_batch_size": 32, "learning_rate": 1e-4,
-                     "warmup_steps": 100, "logging_steps": 10, "max_length": 128},
+        "model": {"num_layers": 4, "hidden_size": 128, "num_heads": 4, "ffn_size": 512,
+                  "max_positions": None, "dropout": 0.1, "vocab_size": _ANY},
+        "training": _training_table(
+            num_train_epochs=5, per_device_train_batch_size=16, per_device_eval_batch_size=32,
+            learning_rate=1e-4, warmup_steps=100, logging_steps=10, max_length=128),
         "pretrain": {"dev_fraction": 0.1, "patience": 2, "min_delta": 1e-3},
     },
     "finetune": {
-        "seed": 11,
+        "output_dir": _ANY, "seed": 11,
+        "checkpoint": {"path": _ANY},
         "head": {"num_labels": None, "task": None},
-        "data": {"text_column": "text", "label_column": "label",
-                 "label_kind": "class", "stratify": None},
+        "training": _training_table(),
+        "data": _TASK_DATA,
     },
     "evaluate": {
-        "data": {"text_column": "text", "label_column": "label", "label_kind": "class"},
+        "output_dir": _ANY,
+        "checkpoint": {"path": _ANY},
+        "data": {"test": _ANY, "text_column": "text", "label_column": "label",
+                 "label_kind": "class"},
         "eval": {"batch_size": 64, "max_length": None},
     },
     "predict": {
-        "data": {"text_column": "text"},
+        "output_dir": _ANY,
+        "checkpoint": {"path": _ANY},
+        "data": {"input": _ANY, "text_column": "text"},
         "predict": {"batch_size": 64, "max_length": None},
     },
     "baseline": {
-        "seed": 11,
+        "output_dir": _ANY, "seed": 11,
         "baseline": {"algorithm": "naive_bayes", "alpha": 1.0, "l2": None,
                      "learning_rate": 0.5, "epochs": 500, "min_df": 1,
                      "checkpoint": None, "batch_size": 64, "max_length": None},
-        "data": {"text_column": "text", "label_column": "label",
-                 "label_kind": "class", "stratify": None},
+        "data": _TASK_DATA,
     },
 }
+
+
+def _defaults(table: dict) -> dict:
+    return {key: _defaults(value) if isinstance(value, dict) else value
+            for key, value in table.items() if value is not _ANY}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -149,12 +117,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_keys(config: dict, schema: dict, prefix: str = "") -> None:
+def _check_keys(config: dict, table: dict, prefix: str = "") -> None:
     for key, value in config.items():
         path = f"{prefix}{key}"
-        if key not in schema:
+        if key not in table:
             raise ValueError(f"unknown config key {path!r}")
-        sub = schema[key]
+        sub = table[key]
         if isinstance(sub, dict):
             if not isinstance(value, dict):
                 raise ValueError(f"config key {path!r} must be a section (JSON object)")
@@ -184,9 +152,19 @@ def _apply_set(config: dict, keys: list[str], value) -> None:
     node[keys[-1]] = value
 
 
+def _check_written(key: str, written, actual) -> None:
+    """A value a resolved config records must match the one this run derives."""
+    if written != actual:
+        raise ValueError(f"config key {key!r} is {written!r}, but this run has {actual!r}")
+
+
 def resolve_config(command: str, args) -> dict:
-    """defaults <- config file <- --set overrides <- dedicated flags."""
-    config = copy.deepcopy(DEFAULTS[command])
+    """defaults <- config file <- --set overrides <- dedicated flags.
+
+    A resolved_config.json is accepted as is: its ``command`` must name this
+    command, and its ``version`` is ignored.
+    """
+    config = _defaults(COMMANDS[command])
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             loaded = json.load(f)
@@ -200,7 +178,9 @@ def resolve_config(command: str, args) -> dict:
         config["output_dir"] = args.output_dir
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
-    _check_keys(config, SCHEMAS[command])
+    _check_written("command", config.pop("command", command), command)
+    config.pop("version", None)
+    _check_keys(config, COMMANDS[command])
     return config
 
 
@@ -213,21 +193,9 @@ def _require(config: dict, *keys):
     return node
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_sanitize(obj), f, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(jsonable(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -237,27 +205,21 @@ def _headline(metrics: dict) -> str:
                      if v is not None and not math.isnan(v))
 
 
-def _training_config(section: dict, seed: int, **forced) -> TrainingConfig:
-    kwargs = dict(section)
-    for listing, internal in (("per_device_train_batch_size", "train_batch_size"),
-                              ("per_device_eval_batch_size", "eval_batch_size")):
-        if listing in kwargs:
-            kwargs[internal] = kwargs.pop(listing)
-    kwargs.update(forced)
+def _training_config(section: dict, seed: int) -> TrainingConfig:
+    kwargs = {_FIELD_NAMES.get(key, key): value for key, value in section.items()}
+    _check_written("training.seed", kwargs.pop("seed", seed), seed)
     return TrainingConfig(seed=seed, **kwargs)
 
 
 def _listing_training_dict(config: TrainingConfig) -> dict:
-    out = config.to_dict()
-    out["per_device_train_batch_size"] = out.pop("train_batch_size")
-    out["per_device_eval_batch_size"] = out.pop("eval_batch_size")
-    return out
+    return {_LISTING_NAMES.get(key, key): value for key, value in config.to_dict().items()}
 
 
-def _write_resolved(output_dir: str, command: str, sections: dict) -> None:
-    record = {"command": command, "version": __version__}
-    record.update(sections)
-    _write_json(os.path.join(output_dir, "resolved_config.json"), record)
+def _write_resolved(command: str, config: dict, **resolved) -> None:
+    """The config as run, with the sections ``resolved`` replaces, re-runnable
+    through --config."""
+    _write_json(os.path.join(config["output_dir"], "resolved_config.json"),
+                {"command": command, "version": __version__, **config, **resolved})
 
 
 def _read_text(path: str) -> str:
@@ -267,9 +229,9 @@ def _read_text(path: str) -> str:
 
 def _load_task_splits(data_cfg: dict, seed: int, *, need_dev: bool, need_test: bool):
     """Train/dev/test from explicit files, or carved out of the train CSV."""
-    kind = data_cfg.get("label_kind", "class")
-    text_col = data_cfg.get("text_column", "text")
-    label_col = data_cfg.get("label_column", "label")
+    kind = data_cfg["label_kind"]
+    text_col = data_cfg["text_column"]
+    label_col = data_cfg["label_column"]
     train_path = _require(data_cfg, "train")
     train_set = load_csv(train_path, text_col, label_col, label_kind=kind)
     names = train_set.label_names
@@ -285,7 +247,7 @@ def _load_task_splits(data_cfg: dict, seed: int, *, need_dev: bool, need_test: b
     carve_test = data_cfg.get("test_size") if test_set is None else None
     carve_dev = data_cfg.get("dev_size") if dev_set is None else None
     if carve_test or carve_dev:
-        stratify = data_cfg.get("stratify")
+        stratify = data_cfg["stratify"]
         if stratify is None:
             stratify = kind == "class"
         train_set, carved_dev, carved_test = split(
@@ -306,16 +268,12 @@ def cmd_train_tokenizer(args) -> int:
     config = resolve_config("train-tokenizer", args)
     out = _require(config, "output_dir")
     corpus = _read_text(_require(config, "data", "corpus"))
-    tok_cfg = config["tokenizer"]
     tokenizer = train_bpe([corpus], vocab_size=_require(config, "tokenizer", "vocab_size"),
-                          lowercase=tok_cfg.get("lowercase", True))
+                          lowercase=config["tokenizer"]["lowercase"])
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "tokenizer.json")
     tokenizer.save(path)
-    _write_resolved(out, "train-tokenizer", {
-        "output_dir": out, "seed": config["seed"],
-        "data": config["data"], "tokenizer": tok_cfg,
-    })
+    _write_resolved("train-tokenizer", config)
     print(f"trained tokenizer with {tokenizer.vocab_size} tokens -> {path}")
     return 0
 
@@ -326,15 +284,17 @@ def cmd_pretrain(args) -> int:
     corpus = _read_text(_require(config, "data", "corpus"))
 
     tok_cfg = config["tokenizer"]
-    if tok_cfg.get("path"):
+    if tok_cfg["path"]:
         tokenizer = TokenizerModel.load(tok_cfg["path"])
     else:
         tokenizer = train_bpe([corpus], vocab_size=tok_cfg["vocab_size"],
-                              lowercase=tok_cfg.get("lowercase", True))
+                              lowercase=tok_cfg["lowercase"])
 
     training = _training_config(config["training"], config["seed"])
     model_cfg = dict(config["model"])
-    if model_cfg.get("max_positions") is None:
+    _check_written("model.vocab_size", model_cfg.pop("vocab_size", tokenizer.vocab_size),
+                   tokenizer.vocab_size)
+    if model_cfg["max_positions"] is None:
         model_cfg["max_positions"] = training.max_length
     model = ModelConfig(vocab_size=tokenizer.vocab_size, **model_cfg)
 
@@ -345,12 +305,8 @@ def cmd_pretrain(args) -> int:
         min_delta=pre["min_delta"],
     )
 
-    _write_resolved(out, "pretrain", {
-        "output_dir": out, "seed": config["seed"],
-        "data": config["data"], "tokenizer": tok_cfg,
-        "model": model.to_dict(), "training": _listing_training_dict(training),
-        "pretrain": pre,
-    })
+    _write_resolved("pretrain", config, model=model.to_dict(),
+                    training=_listing_training_dict(training))
     _write_json(os.path.join(out, "metrics.json"), {
         "task": "pretrain",
         "num_examples": None,
@@ -373,20 +329,19 @@ def cmd_finetune(args) -> int:
     out = _require(config, "output_dir")
     model = load_checkpoint(_require(config, "checkpoint", "path"))
 
-    data_cfg = config["data"]
     train_set, dev_set, test_set = _load_task_splits(
-        data_cfg, config["seed"], need_dev=True, need_test=False)
+        config["data"], config["seed"], need_dev=True, need_test=False)
 
     head_cfg = config["head"]
-    task = head_cfg.get("task")
+    task = head_cfg["task"]
     if task is None:
         task = "classification" if train_set.label_kind == "class" else "regression"
-    num_labels = head_cfg.get("num_labels")
+    num_labels = head_cfg["num_labels"]
     if num_labels is None:
         num_labels = train_set.num_classes if task == "classification" else 1
     head = HeadConfig(num_labels=num_labels, task=task)
 
-    training_section = dict(config.get("training", {}))
+    training_section = dict(config["training"])
     if task == "regression" and "metric_for_best_model" not in training_section:
         training_section["metric_for_best_model"] = "mse"
     training = _training_config(training_section, config["seed"])
@@ -401,12 +356,8 @@ def cmd_finetune(args) -> int:
                        batch_size=training.eval_batch_size)
     metrics["split"] = eval_split
     _write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_resolved(out, "finetune", {
-        "output_dir": out, "seed": config["seed"],
-        "checkpoint": config["checkpoint"], "data": data_cfg,
-        "head": {"num_labels": num_labels, "task": task},
-        "training": _listing_training_dict(training),
-    })
+    _write_resolved("finetune", config, head={"num_labels": num_labels, "task": task},
+                    training=_listing_training_dict(training))
     print(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
           f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {_headline(metrics)}")
     return 0
@@ -417,11 +368,9 @@ def cmd_evaluate(args) -> int:
     out = _require(config, "output_dir")
     model = load_checkpoint(_require(config, "checkpoint", "path"))
     data_cfg = config["data"]
-    kind = data_cfg.get("label_kind", "class")
-    dataset = load_csv(_require(config, "data", "test"),
-                       data_cfg.get("text_column", "text"),
-                       data_cfg.get("label_column", "label"),
-                       label_kind=kind)
+    kind = data_cfg["label_kind"]
+    dataset = load_csv(_require(config, "data", "test"), data_cfg["text_column"],
+                       data_cfg["label_column"], label_kind=kind)
     if kind == "class" and model.label_names and "head.w" in model.params:
         # compare class counts before trying to align label ids, so a size
         # mismatch reports both numbers instead of one stray label
@@ -442,15 +391,12 @@ def cmd_evaluate(args) -> int:
         dataset = LabeledDataset(dataset.texts, labels, "class",
                                  list(model.label_names))
     eval_cfg = config["eval"]
-    metrics = evaluate(model, dataset, max_length=eval_cfg.get("max_length"),
-                       batch_size=eval_cfg.get("batch_size", 64))
+    metrics = evaluate(model, dataset, max_length=eval_cfg["max_length"],
+                       batch_size=eval_cfg["batch_size"])
     metrics["split"] = "test"
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_resolved(out, "evaluate", {
-        "output_dir": out, "checkpoint": config["checkpoint"],
-        "data": data_cfg, "eval": eval_cfg,
-    })
+    _write_resolved("evaluate", config)
     print(f"evaluated {metrics['num_examples']} examples: {_headline(metrics)}")
     return 0
 
@@ -459,7 +405,7 @@ def cmd_predict(args) -> int:
     config = resolve_config("predict", args)
     out = _require(config, "output_dir")
     model = load_checkpoint(_require(config, "checkpoint", "path"))
-    text_col = config["data"].get("text_column", "text")
+    text_col = config["data"]["text_column"]
     input_path = _require(config, "data", "input")
 
     texts = []
@@ -471,8 +417,8 @@ def cmd_predict(args) -> int:
             texts.append(row[text_col])
 
     pred_cfg = config["predict"]
-    values = predict(model, texts, max_length=pred_cfg.get("max_length"),
-                     batch_size=pred_cfg.get("batch_size", 64))
+    values = predict(model, texts, max_length=pred_cfg["max_length"],
+                     batch_size=pred_cfg["batch_size"])
     if values.dtype == np.int64 and model.label_names:
         rendered = [model.label_names[int(v)] for v in values]
     elif values.dtype == np.int64:
@@ -487,10 +433,7 @@ def cmd_predict(args) -> int:
         writer.writerow([text_col, "prediction"])
         for text, value in zip(texts, rendered):
             writer.writerow([text, value])
-    _write_resolved(out, "predict", {
-        "output_dir": out, "checkpoint": config["checkpoint"],
-        "data": config["data"], "predict": pred_cfg,
-    })
+    _write_resolved("predict", config)
     print(f"wrote {len(texts)} predictions -> {pred_path}")
     return 0
 
@@ -499,7 +442,7 @@ def cmd_baseline(args) -> int:
     config = resolve_config("baseline", args)
     out = _require(config, "output_dir")
     base_cfg = config["baseline"]
-    algorithm = base_cfg.get("algorithm", "naive_bayes")
+    algorithm = base_cfg["algorithm"]
 
     if algorithm in BASELINE_KINDS:
         metrics, model_path = _run_bow_baseline(config, base_cfg, algorithm, out)
@@ -512,31 +455,26 @@ def cmd_baseline(args) -> int:
         )
 
     _write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_resolved(out, "baseline", {
-        "output_dir": out, "seed": config["seed"],
-        "baseline": base_cfg, "data": config["data"],
-    })
+    _write_resolved("baseline", config)
     print(f"{algorithm} on {metrics['num_examples']} test examples: {_headline(metrics)} "
           f"(model -> {model_path})")
     return 0
 
 
 def _run_bow_baseline(config, base_cfg, algorithm, out):
-    data_cfg = dict(config["data"])
-    data_cfg.setdefault("label_kind", "class")
-    if data_cfg["label_kind"] != "class":
+    if config["data"]["label_kind"] != "class":
         raise ValueError("bag-of-words baselines require data.label_kind == \"class\"")
     train_set, _, test_set = _load_task_splits(
-        data_cfg, config["seed"], need_dev=False, need_test=True)
+        config["data"], config["seed"], need_dev=False, need_test=True)
 
-    l2 = base_cfg.get("l2")
+    l2 = base_cfg["l2"]
     pipeline = fit_text_baseline(
         algorithm, train_set,
-        min_df=base_cfg.get("min_df", 1),
-        alpha=base_cfg.get("alpha", 1.0),
+        min_df=base_cfg["min_df"],
+        alpha=base_cfg["alpha"],
         l2=1e-3 if l2 is None else l2,
-        learning_rate=base_cfg.get("learning_rate", 0.5),
-        epochs=base_cfg.get("epochs", 500),
+        learning_rate=base_cfg["learning_rate"],
+        epochs=base_cfg["epochs"],
     )
     os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "baseline_model.json")
@@ -549,22 +487,19 @@ def _run_bow_baseline(config, base_cfg, algorithm, out):
 
 
 def _run_ridge_baseline(config, base_cfg, out):
-    data_cfg = dict(config["data"])
-    data_cfg.setdefault("label_kind", "real")
-    if data_cfg["label_kind"] != "real":
+    if config["data"]["label_kind"] != "real":
         raise ValueError("the ridge baseline requires data.label_kind == \"real\"")
-    ckpt_path = base_cfg.get("checkpoint")
+    ckpt_path = base_cfg["checkpoint"]
     if not ckpt_path:
         raise ValueError("the ridge baseline needs baseline.checkpoint for features")
     model = load_checkpoint(ckpt_path)
     train_set, _, test_set = _load_task_splits(
-        data_cfg, config["seed"], need_dev=False, need_test=True)
+        config["data"], config["seed"], need_dev=False, need_test=True)
 
-    kwargs = dict(max_length=base_cfg.get("max_length"),
-                  batch_size=base_cfg.get("batch_size", 64))
+    kwargs = dict(max_length=base_cfg["max_length"], batch_size=base_cfg["batch_size"])
     X_train = mean_pooled_features(model, train_set.texts, **kwargs)
     X_test = mean_pooled_features(model, test_set.texts, **kwargs)
-    l2 = base_cfg.get("l2")
+    l2 = base_cfg["l2"]
     ridge = Ridge(l2=1.0 if l2 is None else l2).fit(X_train, train_set.label_array())
 
     os.makedirs(out, exist_ok=True)

@@ -170,10 +170,18 @@ def task_metrics(task: str, labels: np.ndarray, preds: np.ndarray,
     }
 
 
-def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
+def jsonable(obj):
+    """``obj`` with NumPy scalars made Python ones and NaN made None, so it
+    dumps as strict JSON (null for an undefined metric)."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
         return None
-    return value
+    return obj
 
 
 @dataclass
@@ -283,17 +291,16 @@ def train(
         os.makedirs(output_dir, exist_ok=True)
         with open(os.path.join(output_dir, "metrics_log.jsonl"), "w", encoding="utf-8") as f:
             for entry in history:
-                f.write(json.dumps({k: _jsonable(v) for k, v in entry.items()},
-                                   sort_keys=True, allow_nan=False) + "\n")
+                f.write(json.dumps(jsonable(entry), sort_keys=True, allow_nan=False) + "\n")
         selection = {
             "metric": metric,
             "greater_is_better": greater,
-            "values": [_jsonable(float(e[metric])) for e in history],
+            "values": [float(e[metric]) for e in history],
             "best_epoch": best_epoch,
-            "best_value": _jsonable(best_value),
+            "best_value": best_value,
         }
         with open(os.path.join(output_dir, "selection.json"), "w", encoding="utf-8") as f:
-            json.dump(selection, f, indent=2, sort_keys=True, allow_nan=False)
+            json.dump(jsonable(selection), f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -13,6 +13,9 @@ CLASSIFICATION_METRICS = ("precision", "recall", "f1", "accuracy")
 REGRESSION_METRICS = ("mse", "rmse", "pearson_r")
 SUPPORTED_METRICS = CLASSIFICATION_METRICS + REGRESSION_METRICS
 LOWER_IS_BETTER = ("mse", "rmse")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -82,8 +85,6 @@ class TrainingConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 
@@ -134,15 +135,12 @@ class AdamW:
     """AdamW with decoupled weight decay applied only to matrices.
 
     Bias vectors, layer-norm gains and shifts are one-dimensional and stay
-    undecayed, matching common transformer practice.
+    undecayed, matching common transformer practice. The moment decay rates
+    and epsilon are the usual fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
@@ -152,15 +150,15 @@ class AdamW:
              lr: float | None = None) -> None:
         lr = self.learning_rate if lr is None else lr
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
             p = params[name]
             m = self._m.setdefault(name, np.zeros_like(p))
             v = self._v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay > 0.0 and p.ndim >= 2:
                 update = update + self.weight_decay * p
             p -= lr * update

@@ -13,7 +13,7 @@ position are H @ tok_emb^T + mlm_bias, computed only where labels exist.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

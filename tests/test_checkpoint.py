@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact roundtrip, determinism, corruption rejection."""
 
+import os
 import struct
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from nanobert.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from nanobert.model import ModelConfig, init_params
 from nanobert.rng import Rng
-from nanobert.tokenizer import train_bpe
+from nanobert.tokenizer import TokenizerModel, train_bpe
 
 
 def make_checkpoint(num_labels=None, with_tokenizer=False):
     cfg = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                       vocab_size=12, max_positions=6, dropout=0.0)
-    tok = train_bpe(["low", "low", "lower"], vocab_size=11) if with_tokenizer else None
+    tok = train_bpe(["low", "low", "lower"], vocab_size=12) if with_tokenizer else None
     return Checkpoint(
         model_config=cfg,
         params=init_params(cfg, Rng(5), num_labels=num_labels),
@@ -55,6 +56,23 @@ class TestRoundtrip:
     def test_no_temp_file_left(self, tmp_path):
         save_checkpoint(make_checkpoint(), str(tmp_path / "model.ckpt"))
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_crash_before_rename_leaves_tokenizer_not_checkpoint(self, tmp_path, monkeypatch):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".ckpt"):
+                raise OSError("crash before the checkpoint rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        ckpt = make_checkpoint(with_tokenizer=True)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(OSError, match="crash"):
+            save_checkpoint(ckpt, str(path))
+        assert not path.exists()
+        sibling = TokenizerModel.load(str(tmp_path / "model.ckpt.tokenizer.json"))
+        assert sibling.vocab == ckpt.tokenizer.vocab
 
 
 class TestRejection:
@@ -112,6 +130,15 @@ class TestRejection:
         sibling = tmp_path / "model.ckpt.tokenizer.json"
         sibling.unlink()
         with pytest.raises(ValueError, match=f"tokenizer .* missing: {sibling}"):
+            load_checkpoint(str(path))
+
+    def test_tokenizer_vocab_differs_from_model(self, tmp_path):
+        ckpt = make_checkpoint()  # a 12-token model
+        ckpt.tokenizer = train_bpe(["low", "low", "lower"], vocab_size=11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, str(path))
+        sibling = tmp_path / "model.ckpt.tokenizer.json"
+        with pytest.raises(ValueError, match=f"tokenizer {sibling} has 11 tokens.* 12"):
             load_checkpoint(str(path))
 
 

@@ -377,6 +377,75 @@ class TestReportCommand:
         assert "extra_metric" in err
 
 
+def first_run(command, workdir, finetune_run, out):
+    """A run directory of ``command``: the module's own for pretrain and
+    finetune, else a fresh small run into ``out``."""
+    if command == "pretrain":
+        return workdir["pretrain"]
+    if command == "finetune":
+        return finetune_run
+    data, ckpt = workdir["data"], finetune_run / "best.ckpt"
+    settings = {
+        "train-tokenizer": [f"data.corpus={data / 'corpus.txt'}", "tokenizer.vocab_size=64"],
+        "evaluate": [f"checkpoint.path={ckpt}", f"data.test={data / 'topics.csv'}",
+                     "eval.max_length=16"],
+        "predict": [f"checkpoint.path={ckpt}", f"data.input={data / 'topics.csv'}",
+                    "predict.max_length=16"],
+        "baseline": ["baseline.algorithm=maxent", "baseline.epochs=50",
+                     f"data.train={data / 'topics.csv'}", "data.test_size=30"],
+    }[command]
+    argv = [command, "--output-dir", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    return out
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("command", ["train-tokenizer", "pretrain", "finetune",
+                                         "evaluate", "predict", "baseline"])
+    def test_reruns_to_the_same_files(self, command, workdir, finetune_run, tmp_path):
+        run = first_run(command, workdir, finetune_run, tmp_path / "first")
+        again = tmp_path / "again"
+        rc = main([command, "--config", str(run / "resolved_config.json"),
+                   "--output-dir", str(again)])
+        assert rc == 0
+        names = sorted(str(p.relative_to(run)) for p in run.rglob("*"))
+        assert names == sorted(str(p.relative_to(again)) for p in again.rglob("*"))
+        for name in names:
+            if (run / name).is_file() and name != "resolved_config.json":
+                assert (run / name).read_bytes() == (again / name).read_bytes(), name
+        first = json.loads((run / "resolved_config.json").read_text())
+        second = json.loads((again / "resolved_config.json").read_text())
+        assert (first.pop("output_dir"), second.pop("output_dir")) == (str(run), str(again))
+        assert first == second
+
+    def test_other_commands_config_refused(self, finetune_run, tmp_path, capsys):
+        rc = main(["evaluate", "--config", str(finetune_run / "resolved_config.json"),
+                   "--output-dir", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'finetune'" in err and "'evaluate'" in err
+
+    def test_wrong_vocab_size_refused(self, workdir, tmp_path, capsys):
+        resolved = json.loads((workdir["pretrain"] / "resolved_config.json").read_text())
+        resolved["model"]["vocab_size"] = 97
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(resolved))
+        rc = main(["pretrain", "--config", str(config_path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'model.vocab_size'" in err and "97" in err and "96" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_training_seed_must_match_seed(self, finetune_run, tmp_path, capsys):
+        rc = main(["finetune", "--config", str(finetune_run / "resolved_config.json"),
+                   "--output-dir", str(tmp_path / "out"), "--seed", "12"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'training.seed'" in err and "11" in err and "12" in err
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "nanobert", "--version"],
