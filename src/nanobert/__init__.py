@@ -11,13 +11,12 @@ from .finetune import (
     evaluate,
     grid_search,
     predict,
-    select_best_epoch,
     train,
 )
 from .metrics import classification_report, pearson_r, rmse
 from .model import ModelConfig, init_params
 from .numerics import grad_check
-from .optim import TrainingConfig
+from .optim import TrainingConfig, select_best_epoch
 from .pretrain import run_pretraining
 from .rng import Rng
 from .tokenizer import TokenizerModel, train_bpe

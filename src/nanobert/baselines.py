@@ -9,7 +9,6 @@ to them by construction.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import numerics as nn
 from .checkpoint import Checkpoint
 from .data import LabeledDataset
 from .model import encoder_forward
-from .tokenizer import pre_tokenize
+from .tokenizer import pre_tokenize, replacing
 
 FORMAT_VERSION = 1
 
@@ -45,10 +44,6 @@ class BowVectorizer:
         if not kept:
             raise ValueError("no word clears min_df; vocabulary would be empty")
         return cls(vocab={w: i for i, w in enumerate(kept)}, lowercase=lowercase)
-
-    @property
-    def num_features(self) -> int:
-        return len(self.vocab)
 
     def transform(self, texts) -> np.ndarray:
         X = np.zeros((len(texts), len(self.vocab)))
@@ -296,11 +291,9 @@ class TextBaseline:
                    model=model, label_names=list(names) if names else None)
 
     def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with replacing(path) as f:
             json.dump(self.to_json_dict(), f, sort_keys=True, allow_nan=False)
             f.write("\n")
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "TextBaseline":

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig
-from .tokenizer import TokenizerModel
+from .model import ModelConfig, param_shapes
+from .tokenizer import TokenizerModel, replacing
 
 FORMAT_VERSION = 1
 
@@ -72,13 +72,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     if ckpt.tokenizer is not None:
         ckpt.tokenizer.save(_tokenizer_sibling(path))
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         for name in names:
             f.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -128,8 +126,6 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def _validate_shapes(config: ModelConfig, params: dict[str, np.ndarray], path: str) -> None:
-    from .model import param_shapes
-
     num_labels = params["head.w"].shape[1] if "head.w" in params else None
     expected = param_shapes(config, num_labels)
     missing = set(expected) - set(params)

@@ -580,12 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p):
+    def add_config_flags(p, command):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key; value parsed as JSON, else string")
         p.add_argument("--output-dir", help="overrides config output_dir")
-        p.add_argument("--seed", type=int, help="overrides config seed")
+        if "seed" in COMMANDS[command]:
+            p.add_argument("--seed", type=int, help="overrides config seed")
 
     for name, func, desc in (
         ("train-tokenizer", cmd_train_tokenizer, "fit a BPE tokenizer on a text corpus"),
@@ -596,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("baseline", cmd_baseline, "fit and score a classical baseline"),
     ):
         p = sub.add_parser(name, help=desc)
-        add_config_flags(p)
+        add_config_flags(p, name)
         p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="tabulate metrics.json across run directories")

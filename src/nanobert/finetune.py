@@ -37,7 +37,7 @@ from .optim import (
     check_step_finite,
     clip_global_norm,
     naming_step,
-    warmup_learning_rate,
+    select_best_epoch,
 )
 from .rng import Rng
 
@@ -93,20 +93,6 @@ def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
     elif head.task == REGRESSION:
         out.label_names = None
     return out
-
-
-def select_best_epoch(values, greater_is_better: bool = True) -> int:
-    """Index of the best value; earliest wins ties, NaN is never best."""
-    best = None
-    for i, v in enumerate(values):
-        v = float(v)
-        if math.isnan(v):
-            continue
-        if best is None or (v > values[best] if greater_is_better else v < values[best]):
-            best = i
-    if best is None:
-        raise ValueError("no comparable values to select from")
-    return best
 
 
 def _check_head_fits(params: dict, dataset: LabeledDataset) -> None:
@@ -227,13 +213,13 @@ def train(
     y_dev = dev_set.label_array()
 
     params = {k: v.copy() for k, v in model.params.items()}
-    optimizer = AdamW(config.learning_rate, weight_decay=config.weight_decay)
+    optimizer = AdamW(config.learning_rate, config.weight_decay, config.warmup_steps)
     root = Rng(config.seed)
     greater = config.resolved_greater_is_better
     metric = config.metric_for_best_model
 
     history: list[dict] = []
-    best_value = math.nan
+    values: list[float] = []  # dev value of the selection metric per epoch
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = 0
 
@@ -242,10 +228,10 @@ def train(
         blocks = batch_indices(len(train_set), config.train_batch_size,
                                shuffle=True, seed=config.seed, epoch=epoch)
         for step, sel in enumerate(blocks):
-            dropout_rng = root.spawn("dropout", epoch, step) if cfg.dropout > 0 else None
             with naming_step(epoch, step + 1):
                 h, cache = encoder_forward_with_cache(
-                    cfg, params, train_ids[sel], train_masks[sel], dropout_rng=dropout_rng
+                    cfg, params, train_ids[sel], train_masks[sel],
+                    dropout_rng=root.spawn("dropout", epoch, step)
                 )
                 pooled = pool_first_token(h)
                 logits = pooled @ params["head.w"] + params["head.b"]
@@ -260,10 +246,8 @@ def train(
                 grads = encoder_backward(cfg, params, cache, d_h)
                 grads["head.w"] = pooled.T @ d_logits
                 grads["head.b"] = d_logits.sum(axis=0)
-            grad_norm = clip_global_norm(grads, config.max_grad_norm)
-            check_step_finite(loss, grad_norm, epoch, step + 1)
-            lr = warmup_learning_rate(config.learning_rate, optimizer.t, config.warmup_steps)
-            optimizer.step(params, grads, lr)
+                check_step_finite(loss, clip_global_norm(grads, config.max_grad_norm))
+                optimizer.step(params, grads)
             loss_sum += loss * len(sel)
             seen += len(sel)
 
@@ -272,18 +256,16 @@ def train(
             dev_preds = _predictions(cfg, params, dev_ids, dev_masks, config.eval_batch_size)
         entry.update(task_metrics(task, y_dev, dev_preds)["metrics"])
         history.append(entry)
-        v = float(entry[metric])
-        if not math.isnan(v) and (
-            math.isnan(best_value) or (v > best_value if greater else v < best_value)
-        ):
-            best_value = v
+        values.append(float(entry[metric]))
+        if not math.isnan(values[-1]) and select_best_epoch(values, greater) == epoch - 1:
             best_params = {k: p.copy() for k, p in params.items()}
             best_epoch = epoch
 
-    if history and math.isnan(best_value):
+    if values and best_epoch == 0:
         logger.warning("dev %s was NaN on every epoch; keeping the final epoch", metric)
         best_params = params
-        best_epoch = len(history)
+        best_epoch = len(values)
+    best_value = values[best_epoch - 1] if best_epoch else math.nan
 
     best = Checkpoint(cfg, best_params, tokenizer=model.tokenizer,
                       label_names=model.label_names)
@@ -295,7 +277,7 @@ def train(
         selection = {
             "metric": metric,
             "greater_is_better": greater,
-            "values": [float(e[metric]) for e in history],
+            "values": values,
             "best_epoch": best_epoch,
             "best_value": best_value,
         }

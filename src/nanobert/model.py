@@ -15,7 +15,7 @@ non-pad positions bit-identical under any change to pad-position ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,15 +53,7 @@ class ModelConfig:
         return self.hidden_size // self.num_heads
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden_size": self.hidden_size,
-            "num_heads": self.num_heads,
-            "ffn_size": self.ffn_size,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions,
-            "dropout": self.dropout,
-        }
+        return asdict(self)
 
 
 def param_shapes(config: ModelConfig, num_labels: int | None = None) -> dict[str, tuple[int, ...]]:
@@ -133,9 +125,18 @@ def _sum_leading(d: np.ndarray) -> np.ndarray:
     return d.reshape(-1, d.shape[-1]).sum(axis=0)
 
 
-def _dropout_mask(rng: Rng, shape, p: float) -> np.ndarray:
-    # inverted dropout: scale kept units by 1/(1-p) so eval needs no rescale
-    return np.multiply(rng.random(shape) >= p, 1.0 / (1.0 - p))
+def _dropout(x: np.ndarray, rng: Rng | None, p: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout: ``x`` with units zeroed at rate p and the kept ones
+    scaled by 1/(1-p), plus the mask; ``(x, None)`` with nothing drawn when
+    p is 0."""
+    if p == 0.0:
+        return x, None
+    mask = np.multiply(rng.random(x.shape) >= p, 1.0 / (1.0 - p))
+    return x * mask, mask
+
+
+def _dropout_backward(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return d if mask is None else d * mask
 
 
 def _attention_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int,
@@ -146,12 +147,7 @@ def _attention_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads:
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale + key_bias
     probs = nn.softmax(scores, axis=-1)
-    if rng is not None and dropout > 0.0:
-        pmask = _dropout_mask(rng, probs.shape, dropout)
-        probs_used = probs * pmask
-    else:
-        pmask = None
-        probs_used = probs
+    probs_used, pmask = _dropout(probs, rng, dropout)
     ctx = _merge_heads(np.matmul(probs_used, v))
     out = ctx @ lp["attn.wo"] + lp["attn.bo"]
     cache = {"x": x, "q": q, "k": k, "v": v, "scale": scale, "probs": probs,
@@ -168,10 +164,7 @@ def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray,
     grads[prefix + "attn.bo"] = _sum_leading(d_out)
     d_ctx = _split_heads(d_ctx_m, num_heads)
     d_probs_used, d_v = nn.matmul_backward(d_ctx, cache["probs_used"], v)
-    if cache["pmask"] is not None:
-        d_probs = d_probs_used * cache["pmask"]
-    else:
-        d_probs = d_probs_used
+    d_probs = _dropout_backward(d_probs_used, cache["pmask"])
     d_scores = nn.softmax_backward(d_probs, cache["probs"]) * cache["scale"]
     d_q = np.matmul(d_scores, k)
     d_k = np.matmul(np.swapaxes(d_scores, -1, -2), q)
@@ -208,30 +201,19 @@ def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
     p = config.dropout if dropout_rng is not None else 0.0
     key_bias = (1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS
 
-    x = embed(params, ids)
-    emb_mask = None
-    if p > 0.0:
-        emb_mask = _dropout_mask(dropout_rng, x.shape, p)
-        x = x * emb_mask
+    x, emb_mask = _dropout(embed(params, ids), dropout_rng, p)
     if cache is not None:
         cache.update(ids=ids, key_bias=key_bias, emb_mask=emb_mask, layers=[])
 
     for i in range(config.num_layers):
         lp = _layer_params(params, i)
         attn_out, attn_cache = _attention_forward(lp, x, key_bias, config.num_heads, p, dropout_rng)
-        amask1 = None
-        if p > 0.0:
-            amask1 = _dropout_mask(dropout_rng, attn_out.shape, p)
-            attn_out = attn_out * amask1
+        attn_out, amask1 = _dropout(attn_out, dropout_rng, p)
         r1 = x + attn_out
         h1 = nn.layer_norm(r1, lp["ln1.gamma"], lp["ln1.beta"])
         u = h1 @ lp["ffn.w1"] + lp["ffn.b1"]
         g = nn.gelu(u)
-        f_out = g @ lp["ffn.w2"] + lp["ffn.b2"]
-        amask2 = None
-        if p > 0.0:
-            amask2 = _dropout_mask(dropout_rng, f_out.shape, p)
-            f_out = f_out * amask2
+        f_out, amask2 = _dropout(g @ lp["ffn.w2"] + lp["ffn.b2"], dropout_rng, p)
         r2 = h1 + f_out
         x = nn.layer_norm(r2, lp["ln2.gamma"], lp["ln2.beta"])
         if cache is not None:
@@ -267,7 +249,7 @@ def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray],
         grads[prefix + "ln2.gamma"] = d_g2
         grads[prefix + "ln2.beta"] = d_b2
 
-        d_f = d_r2 if lc["amask2"] is None else d_r2 * lc["amask2"]
+        d_f = _dropout_backward(d_r2, lc["amask2"])
         d_g, d_w2 = nn.matmul_backward(d_f, lc["g"], lp["ffn.w2"])
         grads[prefix + "ffn.w2"] = d_w2
         grads[prefix + "ffn.b2"] = _sum_leading(d_f)
@@ -281,11 +263,10 @@ def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray],
         grads[prefix + "ln1.gamma"] = d_g1
         grads[prefix + "ln1.beta"] = d_b1
 
-        d_attn = d_r1 if lc["amask1"] is None else d_r1 * lc["amask1"]
+        d_attn = _dropout_backward(d_r1, lc["amask1"])
         d_x = d_r1 + _attention_backward(lp, lc["attn"], d_attn, grads, prefix)
 
-    if cache["emb_mask"] is not None:
-        d_x = d_x * cache["emb_mask"]
+    d_x = _dropout_backward(d_x, cache["emb_mask"])
     ids = cache["ids"]
     grads["tok_emb"] = nn.embedding_lookup_backward(d_x, ids, params["tok_emb"].shape[0])
     d_pos = np.zeros_like(params["pos_emb"])

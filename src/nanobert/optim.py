@@ -1,4 +1,6 @@
-"""Training knobs and the AdamW update rule shared by both training loops."""
+"""Training knobs and the rules both training loops share: the AdamW update
+with its warmup schedule, gradient clipping, the divergence check and the
+best-epoch choice."""
 
 from __future__ import annotations
 
@@ -111,24 +113,37 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def check_step_finite(loss: float, grad_norm: float, epoch: int, step: int) -> None:
+def check_step_finite(loss: float, grad_norm: float) -> None:
     """Stop a diverging run: raise if a step's loss or pre-clip gradient norm
-    is not finite, before the update can carry it into the parameters."""
+    is not finite, before the update can carry it into the parameters. Run
+    it inside the step's ``naming_step``, which adds the epoch and step."""
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-        raise ValueError(
-            f"training diverged at epoch {epoch}, step {step}: "
-            f"loss {loss}, gradient norm before clipping {grad_norm}"
-        )
+        raise ValueError(f"loss {loss}, gradient norm before clipping {grad_norm}")
 
 
 @contextlib.contextmanager
 def naming_step(epoch: int, step: int):
     """Re-raise a numeric failure inside a training step (a forward pass that
-    overflows into softmax, say) with the epoch and step that hit it."""
+    overflows into softmax, or a non-finite loss) with the epoch and step
+    that hit it."""
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"training diverged at epoch {epoch}, step {step}: {exc}") from exc
+
+
+def select_best_epoch(values, greater_is_better: bool = True) -> int:
+    """Index of the best value; earliest wins ties, NaN is never best."""
+    best = None
+    for i, v in enumerate(values):
+        v = float(v)
+        if math.isnan(v):
+            continue
+        if best is None or (v > values[best] if greater_is_better else v < values[best]):
+            best = i
+    if best is None:
+        raise ValueError("no comparable values to select from")
+    return best
 
 
 class AdamW:
@@ -136,19 +151,21 @@ class AdamW:
 
     Bias vectors, layer-norm gains and shifts are one-dimensional and stay
     undecayed, matching common transformer practice. The moment decay rates
-    and epsilon are the usual fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+    and epsilon are the usual fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. The
+    learning rate ramps up over the first ``warmup_steps`` steps
+    (``warmup_learning_rate``).
     """
 
-    def __init__(self, learning_rate: float, weight_decay: float = 0.0):
+    def __init__(self, learning_rate: float, weight_decay: float = 0.0, warmup_steps: int = 0):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
+        self.warmup_steps = warmup_steps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float | None = None) -> None:
-        lr = self.learning_rate if lr is None else lr
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        lr = warmup_learning_rate(self.learning_rate, self.t, self.warmup_steps)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t

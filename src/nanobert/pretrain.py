@@ -32,10 +32,10 @@ from .optim import (
     check_step_finite,
     clip_global_norm,
     naming_step,
-    warmup_learning_rate,
+    select_best_epoch,
 )
 from .rng import Rng
-from .tokenizer import CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, TokenizerModel
+from .tokenizer import MASK_ID, NUM_SPECIALS, TokenizerModel, frame
 
 IGNORE_LABEL = -1
 
@@ -109,15 +109,10 @@ def chunk_corpus(tokenizer: TokenizerModel, text: str, max_length: int) -> tuple
         raise ValueError(
             f"corpus yields {len(stream)} tokens, shorter than one {window}-token chunk"
         )
-    ids_rows, mask_rows = [], []
-    for start in range(0, len(stream), window):
-        body = stream[start : start + window]
-        row = [CLS_ID] + body + [SEP_ID]
-        mask = [1] * len(row)
-        pad = max_length - len(row)
-        ids_rows.append(row + [PAD_ID] * pad)
-        mask_rows.append(mask + [0] * pad)
-    return np.asarray(ids_rows, dtype=np.int64), np.asarray(mask_rows, dtype=np.int64)
+    rows = [frame(stream[start : start + window], max_length)
+            for start in range(0, len(stream), window)]
+    return (np.asarray([r.ids for r in rows], dtype=np.int64),
+            np.asarray([r.attention_mask for r in rows], dtype=np.int64))
 
 
 def _mlm_head(params: dict, batch: MaskedBatch, h: np.ndarray):
@@ -230,10 +225,9 @@ def run_pretraining(
     ]
 
     params = init_params(model_config, root.spawn("init"))
-    optimizer = AdamW(config.learning_rate, weight_decay=config.weight_decay)
+    optimizer = AdamW(config.learning_rate, config.weight_decay, config.warmup_steps)
 
     dev_losses = [_dev_loss(model_config, params, dev_batches)]
-    best_loss = dev_losses[0]
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = 0
     loss_log: list[dict] = []
@@ -256,27 +250,22 @@ def run_pretraining(
                 ids[sel], masks[sel], config.mask_prob,
                 root.spawn("mask", epoch, step_in_epoch), **mask_kwargs
             )
-            dropout_rng = None
-            if model_config.dropout > 0.0:
-                dropout_rng = root.spawn("dropout", epoch, step_in_epoch)
-            with naming_step(epoch, step_in_epoch + 1):
-                result = mlm_loss_and_grads(model_config, params, batch, dropout_rng)
             global_step += 1
-            if result is None:
-                continue  # nothing was masked; no signal, no update
-            loss, grads = result
-            grad_norm = clip_global_norm(grads, config.max_grad_norm)
-            check_step_finite(loss, grad_norm, epoch, step_in_epoch + 1)
-            lr = warmup_learning_rate(config.learning_rate, optimizer.t, config.warmup_steps)
-            optimizer.step(params, grads, lr)
+            with naming_step(epoch, step_in_epoch + 1):
+                result = mlm_loss_and_grads(model_config, params, batch,
+                                            root.spawn("dropout", epoch, step_in_epoch))
+                if result is None:
+                    continue  # nothing was masked; no signal, no update
+                loss, grads = result
+                check_step_finite(loss, clip_global_norm(grads, config.max_grad_norm))
+                optimizer.step(params, grads)
             if global_step % config.logging_steps == 0:
                 loss_log.append({"step": global_step, "epoch": epoch, "loss": loss})
 
         with naming_step(epoch, step_in_epoch + 1):  # scores the parameters the last step left
             dev = _dev_loss(model_config, params, dev_batches)
         dev_losses.append(dev)
-        if dev < best_loss:
-            best_loss = dev
+        if select_best_epoch(dev_losses, greater_is_better=False) == epoch:
             best_params = {k: v.copy() for k, v in params.items()}
             best_epoch = epoch
         if ckpt_dir:

@@ -15,6 +15,7 @@ its marker string.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections import Counter
@@ -70,8 +71,29 @@ class Encoding:
     ids: list[int]
     attention_mask: list[int]
 
-    def __len__(self) -> int:
-        return len(self.ids)
+
+def frame(body: list[int], max_length: int) -> Encoding:
+    """[CLS] body [SEP] padded to max_length; the body must leave room."""
+    ids = [CLS_ID] + body + [SEP_ID]
+    pad = max_length - len(ids)
+    return Encoding(ids + [PAD_ID] * pad, [1] * len(ids) + [0] * pad)
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w"):
+    """Write through ``<path>.tmp`` and rename it onto ``path`` when the block
+    ends, so a crash never leaves a half-written file at ``path``. If the
+    write or the rename fails, the temp file is removed and the error
+    re-raised."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _apply_merges(symbols: tuple[str, ...], merges: list[tuple[str, str]]) -> tuple[str, ...]:
@@ -181,11 +203,7 @@ class TokenizerModel:
         """Fixed-length encoding: [CLS] body [SEP], truncated then padded."""
         if max_length < 2:
             raise ValueError(f"max_length must be >= 2 to fit [CLS] and [SEP], got {max_length}")
-        body = self.encode_body(text)[: max_length - 2]
-        ids = [CLS_ID] + body + [SEP_ID]
-        mask = [1] * len(ids)
-        pad = max_length - len(ids)
-        return Encoding(ids + [PAD_ID] * pad, mask + [0] * pad)
+        return frame(self.encode_body(text)[: max_length - 2], max_length)
 
     def decode(self, ids) -> str:
         """Concatenate token strings, dropping structural specials.
@@ -228,12 +246,10 @@ class TokenizerModel:
         return cls(vocab, merges, bool(doc["casing"]))
 
     def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with replacing(path) as f:
             json.dump(self.to_json_dict(), f, ensure_ascii=False, indent=2, sort_keys=True,
                       allow_nan=False)
             f.write("\n")
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "TokenizerModel":

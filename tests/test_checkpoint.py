@@ -71,6 +71,7 @@ class TestRoundtrip:
         with pytest.raises(OSError, match="crash"):
             save_checkpoint(ckpt, str(path))
         assert not path.exists()
+        assert not (tmp_path / "model.ckpt.tmp").exists()
         sibling = TokenizerModel.load(str(tmp_path / "model.ckpt.tokenizer.json"))
         assert sibling.vocab == ckpt.tokenizer.vocab
 

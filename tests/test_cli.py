@@ -447,6 +447,13 @@ class TestResolvedConfig:
 
 
 class TestEntryPoints:
+    @pytest.mark.parametrize("command, offered", [("finetune", True), ("evaluate", False),
+                                                  ("predict", False)])
+    def test_seed_flag_only_where_a_seed_is_accepted(self, command, offered, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--seed" in capsys.readouterr().out) is offered
+
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "nanobert", "--version"],
                               capture_output=True, text=True)

@@ -186,6 +186,17 @@ class TestEncoderForward:
         h, _ = encoder_forward_with_cache(cfg, params, ids, mask)
         assert np.array_equal(encoder_forward(cfg, params, ids, mask), h)
 
+    def test_zero_dropout_draws_nothing_from_the_stream(self):
+        cfg = tiny_config(num_layers=2, dropout=0.0)
+        params = init_params(cfg, Rng(11))
+        ids = Rng(12).integers(cfg.vocab_size, (3, 7))
+        mask = np.ones((3, 7))
+        mask[1, 4:] = 0.0
+        stream = Rng(13)
+        h = encoder_forward(cfg, params, ids, mask, dropout_rng=stream)
+        assert np.array_equal(h, encoder_forward(cfg, params, ids, mask))
+        assert np.array_equal(stream.random(4), Rng(13).random(4))
+
     def test_scoring_keeps_no_training_cache(self):
         # the cache holds every layer's intermediates; scoring holds one
         # layer's at a time, so six layers peak at well under half

@@ -10,6 +10,7 @@ from nanobert.optim import (
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
+    naming_step,
     warmup_learning_rate,
 )
 
@@ -84,11 +85,12 @@ class TestAdamW:
         assert opt.t == 3
         assert params["w"][0, 0] < -0.25
 
-    def test_explicit_lr_overrides_default(self):
+    def test_first_step_takes_the_warmup_rate(self):
+        # step 1 of 4 runs at 0.1 / 4, and the first update is ~sign(g)
         params = {"w": np.array([[1.0]])}
-        opt = AdamW(learning_rate=0.1)
-        opt.step(params, {"w": np.array([[1.0]])}, lr=0.0)
-        assert params["w"][0, 0] == 1.0
+        opt = AdamW(0.1, warmup_steps=4)
+        opt.step(params, {"w": np.array([[0.5]])})
+        assert abs(params["w"][0, 0] - 0.975) < 1e-6
 
 
 class TestClipping:
@@ -113,13 +115,15 @@ class TestClipping:
 
 class TestCheckStepFinite:
     def test_finite_step_passes(self):
-        check_step_finite(2.5, 1e30, epoch=1, step=1)
+        with naming_step(1, 1):
+            check_step_finite(2.5, 1e30)
 
     @pytest.mark.parametrize("loss, norm", [(math.inf, 1.0), (math.nan, 1.0),
                                             (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_names_epoch_and_step(self, loss, norm):
         with pytest.raises(ValueError, match="diverged at epoch 3, step 7"):
-            check_step_finite(loss, norm, epoch=3, step=7)
+            with naming_step(3, 7):
+                check_step_finite(loss, norm)
 
 
 class TestWarmup:

@@ -11,7 +11,7 @@ from helpers import generic_params, tiny_config
 from nanobert.checkpoint import load_checkpoint
 from nanobert.model import init_params, param_shapes
 from nanobert.numerics import grad_check
-from nanobert.optim import TrainingConfig
+from nanobert.optim import TrainingConfig, select_best_epoch
 from nanobert.pretrain import (
     IGNORE_LABEL,
     MaskedBatch,
@@ -258,6 +258,12 @@ class TestRunPretraining:
         assert min(result.dev_losses[1:]) < result.dev_losses[0]
         assert result.best_epoch >= 1
         assert result.dev_losses[result.best_epoch] == min(result.dev_losses)
+
+    def test_best_epoch_is_the_selected_one(self):
+        corpus, tok, cfg, train = self.small_setup()
+        result = run_pretraining(train, corpus, tok, cfg)
+        assert len(result.dev_losses) >= 3  # the initial model and two epochs
+        assert result.best_epoch == select_best_epoch(result.dev_losses, greater_is_better=False)
 
     def test_artifacts_written(self, tmp_path):
         corpus, tok, cfg, train = self.small_setup()
