@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics as nn
 from .checkpoint import Checkpoint
 from .data import LabeledDataset
-from .model import encoder_forward
+from .model import encoder_forward, scoring_batches
 from .tokenizer import pre_tokenize, replacing
 
 FORMAT_VERSION = 1
@@ -241,11 +241,9 @@ def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = N
                          batch_size: int = 64) -> np.ndarray:
     """Encoder hidden states averaged over real (non-pad) positions."""
     ids, masks = model.encode_texts(texts, max_length)
-    out = []
-    for start in range(0, ids.shape[0], batch_size):
-        batch_masks = masks[start : start + batch_size]
-        h = encoder_forward(model.model_config, model.params, ids[start : start + batch_size],
-                            batch_masks)
+    out = [np.zeros((0, model.model_config.hidden_size))]  # zero texts give [0, N]
+    for batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
+        h = encoder_forward(model.model_config, model.params, batch_ids, batch_masks)
         weights = batch_masks.astype(np.float64)
         out.append((h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True))
     return np.concatenate(out, axis=0)

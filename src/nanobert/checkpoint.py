@@ -52,8 +52,9 @@ class Checkpoint:
         limit = self.model_config.max_positions
         max_length = limit if max_length is None else min(max_length, limit)
         encodings = [self.tokenizer.encode(text, max_length) for text in texts]
-        return (np.asarray([e.ids for e in encodings], dtype=np.int64),
-                np.asarray([e.attention_mask for e in encodings], dtype=np.int64))
+        shape = (len(encodings), max_length)  # [0, L] for no texts
+        return (np.asarray([e.ids for e in encodings], dtype=np.int64).reshape(shape),
+                np.asarray([e.attention_mask for e in encodings], dtype=np.int64).reshape(shape))
 
 
 def _tokenizer_sibling(path: str) -> str:

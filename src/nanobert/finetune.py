@@ -28,6 +28,8 @@ from .model import (
     encoder_forward,
     encoder_forward_with_cache,
     pool_first_token,
+    scoring_batches,
+    trim_padding,
 )
 from .optim import (
     CLASSIFICATION_METRICS,
@@ -113,15 +115,32 @@ def _check_head_fits(params: dict, dataset: LabeledDataset) -> None:
 def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1), scored batch by batch."""
     task = head_task(params)
-    logits = []
-    for start in range(0, ids.shape[0], batch_size):
-        h = encoder_forward(cfg, params, ids[start : start + batch_size],
-                            masks[start : start + batch_size])
+    logits = [np.zeros((0, params["head.b"].size))]  # zero texts give [0, K]
+    for batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
+        h = encoder_forward(cfg, params, batch_ids, batch_masks)
         logits.append(pool_first_token(h) @ params["head.w"] + params["head.b"])
     logits = np.concatenate(logits, axis=0)
     if task == CLASSIFICATION:
         return np.argmax(logits, axis=1).astype(np.int64)
     return logits[:, 0].astype(np.float64)
+
+
+def head_loss_and_grads(params: dict, h: np.ndarray,
+                        labels: np.ndarray) -> tuple[float, np.ndarray, dict]:
+    """Task-head loss on the encoder output ``h``, d loss / d h, and the
+    gradients of head.w and head.b: cross-entropy for K >= 2 columns, mean
+    squared error for K = 1."""
+    pooled = pool_first_token(h)
+    logits = pooled @ params["head.w"] + params["head.b"]
+    if head_task(params) == CLASSIFICATION:
+        loss, d_logits = nn.softmax_cross_entropy(logits, labels)
+    else:
+        preds = logits[:, 0]
+        loss = nn.mse(preds, labels)
+        d_logits = nn.mse_backward(preds, labels)[:, None]
+    d_h = np.zeros_like(h)
+    d_h[:, 0, :] = d_logits @ params["head.w"].T
+    return loss, d_h, {"head.w": pooled.T @ d_logits, "head.b": d_logits.sum(axis=0)}
 
 
 def task_metrics(task: str, labels: np.ndarray, preds: np.ndarray,
@@ -230,22 +249,12 @@ def train(
         for step, sel in enumerate(blocks):
             with naming_step(epoch, step + 1):
                 h, cache = encoder_forward_with_cache(
-                    cfg, params, train_ids[sel], train_masks[sel],
+                    cfg, params, *trim_padding(train_ids[sel], train_masks[sel]),
                     dropout_rng=root.spawn("dropout", epoch, step)
                 )
-                pooled = pool_first_token(h)
-                logits = pooled @ params["head.w"] + params["head.b"]
-                if task == CLASSIFICATION:
-                    loss, d_logits = nn.softmax_cross_entropy(logits, y_train[sel])
-                else:
-                    preds = logits[:, 0]
-                    loss = nn.mse(preds, y_train[sel])
-                    d_logits = nn.mse_backward(preds, y_train[sel])[:, None]
-                d_h = np.zeros_like(h)
-                d_h[:, 0, :] = d_logits @ params["head.w"].T
+                loss, d_h, head_grads = head_loss_and_grads(params, h, y_train[sel])
                 grads = encoder_backward(cfg, params, cache, d_h)
-                grads["head.w"] = pooled.T @ d_logits
-                grads["head.b"] = d_logits.sum(axis=0)
+                grads.update(head_grads)
                 check_step_finite(loss, clip_global_norm(grads, config.max_grad_norm))
                 optimizer.step(params, grads)
             loss_sum += loss * len(sel)

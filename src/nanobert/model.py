@@ -10,6 +10,10 @@ functions in ``numerics``; there is no tape.
 Padding is excluded from attention with a large negative additive bias on
 pad keys (kept finite so backward never sees NaN), which makes outputs at
 non-pad positions bit-identical under any change to pad-position ids.
+Finetuning and scoring cut each batch to its longest real row with
+``trim_padding`` before the forward pass, so pad-position outputs past that
+width are never computed. BLAS blocking and summation order depend on T, so
+those outputs differ from a pass over the full padded width by about 1e-15.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nn
+from .data import batch_indices
 from .rng import Rng
 
 ATTENTION_MASK_BIAS = -1e30
@@ -181,6 +186,20 @@ def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray,
 def _layer_params(params: dict, i: int) -> dict:
     p = f"layers.{i}."
     return {key[len(p):]: val for key, val in params.items() if key.startswith(p)}
+
+
+def trim_padding(ids: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch cut to its longest real row: trailing columns that are
+    padding in every row are dropped; interior pad columns stay."""
+    real = masks.any(axis=0)
+    width = real.size - int(np.argmax(real[::-1]))  # full width when no column is real
+    return ids[:, :width], masks[:, :width]
+
+
+def scoring_batches(ids: np.ndarray, masks: np.ndarray, batch_size: int):
+    """Consecutive batches of at most ``batch_size`` rows, each cut by ``trim_padding``."""
+    for sel in batch_indices(len(ids), batch_size):
+        yield trim_padding(ids[sel], masks[sel])
 
 
 def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],

@@ -18,7 +18,7 @@ from nanobert.baselines import (
 )
 from nanobert.checkpoint import Checkpoint
 from nanobert.data import LabeledDataset
-from nanobert.model import init_params
+from nanobert.model import encoder_forward, init_params
 from nanobert.rng import Rng
 from nanobert.tokenizer import train_bpe
 
@@ -179,7 +179,6 @@ class TestMeanPooledFeatures:
         feats = mean_pooled_features(model, texts, max_length=8)
         assert feats.shape == (2, model.model_config.hidden_size)
 
-        from nanobert.model import encoder_forward
         enc = model.tokenizer.encode(texts[0], 8)
         ids = np.asarray([enc.ids])
         mask = np.asarray([enc.attention_mask])
@@ -203,6 +202,30 @@ class TestMeanPooledFeatures:
         a = mean_pooled_features(model, texts, batch_size=2)
         b = mean_pooled_features(model, texts, batch_size=64)
         assert np.allclose(a, b, atol=1e-12)
+
+
+    def test_matches_the_full_width_forward(self):
+        texts = ["cat", "dog mat", "cat dog mat", "mat", "dog dog cat mat", "cat dog"]
+        model = self.small_model(texts, max_positions=12)
+        ids, masks = model.encode_texts(texts, 12)
+        assert masks.sum(axis=1).max() < 12  # every batch is cut
+        h = encoder_forward(model.model_config, model.params, ids, masks)
+        weights = masks.astype(np.float64)[:, :, None]
+        full = (h * weights).sum(axis=1) / weights.sum(axis=1)
+        feats = mean_pooled_features(model, texts, max_length=12, batch_size=4)
+        np.testing.assert_allclose(feats, full, rtol=0, atol=1e-12)
+
+    def test_no_texts_give_empty_features(self):
+        model = self.small_model(["cat dog"])
+        feats = mean_pooled_features(model, [])
+        assert feats.dtype == np.float64
+        assert feats.shape == (0, model.model_config.hidden_size)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        model = self.small_model(["cat dog"])
+        with pytest.raises(ValueError, match="batch_size"):
+            mean_pooled_features(model, ["cat"], batch_size=batch_size)
 
 
 class TestTextBaseline:

@@ -248,6 +248,28 @@ class TestPredictCommand:
         names = set(datagen.TOPIC_KEYWORDS)
         assert all(line.rsplit(",", 1)[1] in names for line in lines[1:])
 
+    def test_header_only_input_writes_header_only_predictions(self, finetune_run, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("text,label\n")
+        out = tmp_path / "pred"
+        rc = main([
+            "predict", "--output-dir", str(out),
+            "--set", f"checkpoint.path={finetune_run / 'best.ckpt'}",
+            "--set", f"data.input={empty}",
+        ])
+        assert rc == 0
+        assert (out / "predictions.csv").read_text().splitlines() == ["text,prediction"]
+
+    def test_batch_size_below_one_named(self, workdir, finetune_run, tmp_path, capsys):
+        rc = main([
+            "predict", "--output-dir", str(tmp_path),
+            "--set", f"checkpoint.path={finetune_run / 'best.ckpt'}",
+            "--set", f"data.input={workdir['data'] / 'topics.csv'}",
+            "--set", "predict.batch_size=0",
+        ])
+        assert rc == 2
+        assert "batch_size" in capsys.readouterr().err
+
     def test_missing_text_column(self, workdir, finetune_run, tmp_path, capsys):
         rc = main([
             "predict", "--output-dir", str(tmp_path),

@@ -8,8 +8,9 @@ import pytest
 
 from helpers import tiny_config
 from nanobert import cli
+from nanobert import finetune
 from nanobert.checkpoint import Checkpoint, load_checkpoint
-from nanobert.data import LabeledDataset
+from nanobert.data import LabeledDataset, batch_indices
 from nanobert.finetune import (
     FinetuneResult,
     GridSearchResult,
@@ -17,13 +18,20 @@ from nanobert.finetune import (
     attach_head,
     evaluate,
     grid_search,
+    head_loss_and_grads,
     head_task,
     predict,
     select_best_epoch,
     task_metrics,
     train,
 )
-from nanobert.model import init_params
+from nanobert.model import (
+    encoder_backward,
+    encoder_forward,
+    encoder_forward_with_cache,
+    init_params,
+    pool_first_token,
+)
 from nanobert.optim import TrainingConfig
 from nanobert.rng import Rng
 from nanobert.tokenizer import train_bpe
@@ -295,6 +303,27 @@ class TestPredictEvaluate:
         assert preds.dtype == np.float64
         assert preds.shape == (5,)
 
+    def test_no_texts_give_empty_predictions(self):
+        train_set, _ = classification_task()
+        base = base_model(train_set.texts)
+        ids, masks = base.encode_texts([], max_length=6)
+        assert ids.shape == masks.shape == (0, 6)
+        assert ids.dtype == masks.dtype == np.int64
+        clf = attach_head(base, HeadConfig(2), Rng(2))
+        reg = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        for model, dtype in ((clf, np.int64), (reg, np.float64)):
+            preds = predict(model, [])
+            assert preds.dtype == dtype and preds.shape == (0,)
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        train_set, dev_set = classification_task()
+        model = attach_head(base_model(train_set.texts), HeadConfig(2), Rng(2))
+        with pytest.raises(ValueError, match="batch_size"):
+            predict(model, dev_set.texts, batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(model, dev_set, batch_size=batch_size)
+
     def test_evaluate_classification_schema(self):
         model, _, dev_set = self.trained()
         out = evaluate(model, dev_set, max_length=8)
@@ -318,6 +347,99 @@ class TestPredictEvaluate:
                               [f"c{i}" for i in range(5)])
         with pytest.raises(ValueError, match="2 classes.*5"):
             evaluate(model, five, max_length=8)
+
+
+def varied_lengths_task(n=24):
+    """Texts of one to seven words, so real lengths differ inside a batch."""
+    words = ["cat", "dog", "mat", "red", "blue", "sky"]
+    rng = Rng(44)
+    texts = [" ".join(words[int(rng.integers(6))] for _ in range(1 + i % 7)) for i in range(n)]
+    return LabeledDataset(texts, [i % 2 for i in range(n)], "class", ["even", "odd"])
+
+
+def spy(monkeypatch, module, name, seen):
+    """Wrap ``module.name`` so every call's (args, result) lands in ``seen``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestLengthAwareBatches:
+    """Finetuning and scoring run each batch at its longest real row."""
+
+    MAX_LENGTH = 16
+
+    def task_and_model(self, dropout=0.0):
+        ds = varied_lengths_task()
+        base = base_model(ds.texts, max_positions=self.MAX_LENGTH, dropout=dropout)
+        ids, masks = base.encode_texts(ds.texts, self.MAX_LENGTH)
+        assert masks.sum(axis=1).max() < self.MAX_LENGTH  # every batch can be cut
+        return ds, base, ids, masks
+
+    def test_scores_match_the_full_width_forward(self, monkeypatch):
+        ds, base, ids, masks = self.task_and_model()
+        cfg = base.model_config
+        seen = []
+        spy(monkeypatch, finetune, "encoder_forward", seen)
+        for head, seed in ((HeadConfig(2), 2), (HeadConfig(1, task="regression"), 3)):
+            model = attach_head(base, head, Rng(seed))
+            w, b = model.params["head.w"], model.params["head.b"]
+            full_logits = pool_first_token(encoder_forward(cfg, model.params, ids, masks)) @ w + b
+            seen.clear()
+            preds = predict(model, ds.texts, max_length=self.MAX_LENGTH, batch_size=5)
+            assert [args[2].shape[1] for args, _ in seen] == [
+                int(masks[i : i + 5].sum(axis=1).max()) for i in range(0, len(ds), 5)]
+            logits = np.concatenate([pool_first_token(h) for _, h in seen]) @ w + b
+            np.testing.assert_allclose(logits, full_logits, rtol=0, atol=1e-12)
+            if head.task == "regression":
+                np.testing.assert_allclose(preds, full_logits[:, 0], rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(preds, np.argmax(full_logits, axis=1))
+
+    def test_training_step_runs_at_the_longest_row(self, monkeypatch):
+        ds, base, _, masks = self.task_and_model(dropout=0.1)
+        model = attach_head(base, HeadConfig(2), Rng(2))
+        config = TrainingConfig(num_train_epochs=2, train_batch_size=5, eval_batch_size=64,
+                                max_length=self.MAX_LENGTH, seed=7)
+        seen = []
+        spy(monkeypatch, finetune, "encoder_forward_with_cache", seen)
+        train(config, model, ds, ds)
+        widths = [args[2].shape[1] for args, _ in seen]
+        expected = [int(masks[sel].sum(axis=1).max())
+                    for epoch in (1, 2)
+                    for sel in batch_indices(len(ds), 5, shuffle=True, seed=7, epoch=epoch)]
+        assert widths == expected
+
+    def test_training_step_gradients_match_the_full_width_step(self, monkeypatch):
+        ds, base, ids, masks = self.task_and_model()
+        model = attach_head(base, HeadConfig(2), Rng(2))
+        config = TrainingConfig(num_train_epochs=1, train_batch_size=len(ds),
+                                max_length=self.MAX_LENGTH, seed=7)
+        before = []  # the step's gradients as they reach clipping, which scales in place
+        original = finetune.clip_global_norm
+
+        def recording_clip(grads, max_norm):
+            before.append({k: g.copy() for k, g in grads.items()})
+            return original(grads, max_norm)
+
+        monkeypatch.setattr(finetune, "clip_global_norm", recording_clip)
+        train(config, model, ds, ds)
+        assert len(before) == 1
+
+        (sel,) = batch_indices(len(ds), len(ds), shuffle=True, seed=7, epoch=1)
+        cfg = model.model_config
+        h, cache = encoder_forward_with_cache(cfg, model.params, ids[sel], masks[sel])
+        assert h.shape[1] == self.MAX_LENGTH
+        _, d_h, expected = head_loss_and_grads(model.params, h, ds.label_array()[sel])
+        expected.update(encoder_backward(cfg, model.params, cache, d_h))
+        assert set(before[0]) == set(expected)
+        for name, grad in expected.items():
+            np.testing.assert_allclose(before[0][name], grad, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestTaskMetrics:

@@ -17,6 +17,7 @@ from nanobert.model import (
     param_shapes,
     pool_first_token,
     self_attention,
+    trim_padding,
 )
 from nanobert.rng import Rng
 
@@ -218,6 +219,39 @@ class TestEncoderForward:
     def test_pool_first_token(self):
         h = Rng(9).normal((2, 5, 3))
         np.testing.assert_array_equal(pool_first_token(h), h[:, 0, :])
+
+
+class TestTrimPadding:
+    def test_drops_columns_padded_in_every_row(self):
+        ids = np.arange(10).reshape(2, 5)
+        mask = np.array([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]])
+        t_ids, t_mask = trim_padding(ids, mask)
+        assert np.array_equal(t_ids, ids[:, :3])
+        assert np.array_equal(t_mask, mask[:, :3])
+
+    def test_keeps_interior_pad_column(self):
+        ids = np.arange(8).reshape(2, 4)
+        mask = np.array([[1, 0, 1, 0], [1, 0, 0, 0]])
+        t_ids, t_mask = trim_padding(ids, mask)
+        assert np.array_equal(t_mask, [[1, 0, 1], [1, 0, 0]])
+        assert np.array_equal(t_ids, ids[:, :3])
+
+    def test_batch_reaching_the_last_column_is_untouched(self):
+        cfg = tiny_config(num_layers=2)
+        params = init_params(cfg, Rng(40))
+        ids = Rng(41).integers(cfg.vocab_size, (3, 6))
+        mask = np.ones((3, 6))
+        mask[0, 2:] = 0.0
+        mask[1, 3] = 0.0  # interior pad; row 2 is real to the end
+        t_ids, t_mask = trim_padding(ids, mask)
+        assert t_ids.shape == ids.shape and t_mask.shape == mask.shape
+        assert np.shares_memory(t_ids, ids) and np.shares_memory(t_mask, mask)
+        assert np.array_equal(encoder_forward(cfg, params, t_ids, t_mask),
+                              encoder_forward(cfg, params, ids, mask))
+
+    def test_all_pad_batch_keeps_its_width_for_the_encoder_to_refuse(self):
+        ids = np.zeros((2, 4), dtype=np.int64)
+        assert trim_padding(ids, np.zeros((2, 4)))[0].shape == (2, 4)
 
 
 def scalar_loss_closure(cfg, params, name, ids, mask, readout, dropout_seed=None):
