@@ -24,7 +24,8 @@ from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
 from .data import LabeledDataset, load_csv, split
-from .finetune import HeadConfig, attach_head, evaluate, jsonable, predict, task_metrics, train
+from .finetune import (HeadConfig, _check_head_fits, attach_head, evaluate, jsonable, predict,
+                       task_metrics, train)
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig
 from .pretrain import run_pretraining
@@ -369,17 +370,15 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(_require(config, "checkpoint", "path"))
     data_cfg = config["data"]
     kind = data_cfg["label_kind"]
-    dataset = load_csv(_require(config, "data", "test"), data_cfg["text_column"],
-                       data_cfg["label_column"], label_kind=kind)
+    test_path = _require(config, "data", "test")
+    dataset = load_csv(test_path, data_cfg["text_column"], data_cfg["label_column"],
+                       label_kind=kind)
+    if len(dataset) == 0:
+        raise ValueError(f"test file {test_path} has no rows")
     if kind == "class" and model.label_names and "head.w" in model.params:
         # compare class counts before trying to align label ids, so a size
         # mismatch reports both numbers instead of one stray label
-        num_labels = model.params["head.w"].shape[1]
-        if dataset.num_classes != num_labels:
-            raise ValueError(
-                f"model head has {num_labels} classes but the dataset has "
-                f"{dataset.num_classes}"
-            )
+        _check_head_fits(model.params, dataset)
         mapping = {name: i for i, name in enumerate(model.label_names)}
         try:
             labels = [mapping[dataset.label_names[lab]] for lab in dataset.labels]

@@ -38,8 +38,10 @@ from .optim import (
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
+    flatten,
     naming_step,
     select_best_epoch,
+    views,
 )
 from .rng import Rng
 
@@ -231,15 +233,17 @@ def train(
     y_train = train_set.label_array()
     y_dev = dev_set.label_array()
 
-    params = {k: v.copy() for k, v in model.params.items()}
-    optimizer = AdamW(config.learning_rate, config.weight_decay, config.warmup_steps)
+    vector, params = flatten(model.params)
+    grad_vector = np.zeros_like(vector)  # mlm_bias gets no gradient and stays zero
+    grad_views = views(grad_vector, params)
+    optimizer = AdamW(params, config.learning_rate, config.weight_decay, config.warmup_steps)
     root = Rng(config.seed)
     greater = config.resolved_greater_is_better
     metric = config.metric_for_best_model
 
     history: list[dict] = []
     values: list[float] = []  # dev value of the selection metric per epoch
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_vector = vector.copy()
     best_epoch = 0
 
     for epoch in range(1, config.num_train_epochs + 1):
@@ -255,8 +259,10 @@ def train(
                 loss, d_h, head_grads = head_loss_and_grads(params, h, y_train[sel])
                 grads = encoder_backward(cfg, params, cache, d_h)
                 grads.update(head_grads)
-                check_step_finite(loss, clip_global_norm(grads, config.max_grad_norm))
-                optimizer.step(params, grads)
+                for name, g in grads.items():
+                    np.copyto(grad_views[name], g)
+                check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
+                optimizer.step(vector, grad_vector)
             loss_sum += loss * len(sel)
             seen += len(sel)
 
@@ -267,16 +273,16 @@ def train(
         history.append(entry)
         values.append(float(entry[metric]))
         if not math.isnan(values[-1]) and select_best_epoch(values, greater) == epoch - 1:
-            best_params = {k: p.copy() for k, p in params.items()}
+            best_vector = vector.copy()
             best_epoch = epoch
 
     if values and best_epoch == 0:
         logger.warning("dev %s was NaN on every epoch; keeping the final epoch", metric)
-        best_params = params
+        best_vector = vector
         best_epoch = len(values)
     best_value = values[best_epoch - 1] if best_epoch else math.nan
 
-    best = Checkpoint(cfg, best_params, tokenizer=model.tokenizer,
+    best = Checkpoint(cfg, views(best_vector, params), tokenizer=model.tokenizer,
                       label_names=model.label_names)
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
@@ -309,6 +315,8 @@ def predict(model: Checkpoint, texts, *, max_length: int | None = None,
 def evaluate(model: Checkpoint, dataset: LabeledDataset, *,
              max_length: int | None = None, batch_size: int = 64) -> dict:
     """Metrics for a labeled dataset, shaped for metrics.json by ``task_metrics``."""
+    if len(dataset) == 0:
+        raise ValueError("the dataset has no examples to evaluate")
     _check_head_fits(model.params, dataset)
     preds = predict(model, dataset.texts, max_length=max_length, batch_size=batch_size)
     return task_metrics(head_task(model.params), dataset.label_array(), preds,

@@ -29,6 +29,10 @@ from .rng import Rng
 
 ATTENTION_MASK_BIAS = -1e30
 INIT_SCALE = 0.02
+# every encoder layer's parameters, after its "layers.<i>." prefix, in construction order
+LAYER_SUFFIXES = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bk", "attn.bv",
+                  "attn.bo", "ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+                  "ln2.gamma", "ln2.beta")
 
 
 @dataclass
@@ -68,20 +72,9 @@ def param_shapes(config: ModelConfig, num_labels: int | None = None) -> dict[str
         "tok_emb": (config.vocab_size, n),
         "pos_emb": (config.max_positions, n),
     }
+    layer = [(n, n)] * 4 + [(n,)] * 6 + [(n, f), (f,), (f, n), (n,), (n,), (n,)]
     for i in range(config.num_layers):
-        p = f"layers.{i}."
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + f"attn.{w}"] = (n, n)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[p + f"attn.{b}"] = (n,)
-        shapes[p + "ln1.gamma"] = (n,)
-        shapes[p + "ln1.beta"] = (n,)
-        shapes[p + "ffn.w1"] = (n, f)
-        shapes[p + "ffn.b1"] = (f,)
-        shapes[p + "ffn.w2"] = (f, n)
-        shapes[p + "ffn.b2"] = (n,)
-        shapes[p + "ln2.gamma"] = (n,)
-        shapes[p + "ln2.beta"] = (n,)
+        shapes.update((f"layers.{i}.{s}", shape) for s, shape in zip(LAYER_SUFFIXES, layer))
     shapes["mlm_bias"] = (config.vocab_size,)
     if num_labels is not None:
         shapes["head.w"] = (n, num_labels)
@@ -184,8 +177,7 @@ def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray,
 
 
 def _layer_params(params: dict, i: int) -> dict:
-    p = f"layers.{i}."
-    return {key[len(p):]: val for key, val in params.items() if key.startswith(p)}
+    return {s: params[f"layers.{i}.{s}"] for s in LAYER_SUFFIXES}
 
 
 def trim_padding(ids: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -159,9 +159,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
 
 def _center_and_std(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """x - mean and sqrt(var + eps) over the last axis; var = mean(xc * xc),
-    the same sums ``np.var`` takes, without recomputing the mean."""
-    xc = x - np.mean(x, axis=-1, keepdims=True)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    the same sums ``np.var`` takes, without recomputing the mean. Means here
+    are ``np.mean``'s own sum and division, without its Python overhead."""
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
     var += eps
     return xc, np.sqrt(var, out=var)
 
@@ -182,8 +183,9 @@ def layer_norm_backward(
     d_gamma = np.sum(prod, axis=reduce_axes)
     d_beta = np.sum(d_out, axis=reduce_axes)
     dx = d_out * gamma  # d_xhat, turned into dx in place below
-    mean_dxhat_xhat = np.mean(np.multiply(dx, xhat, out=prod), axis=-1, keepdims=True)
-    dx -= np.mean(dx, axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=prod)
+    mean_dxhat_xhat = np.add.reduce(prod, axis=-1, keepdims=True) / x.shape[-1]
+    dx -= np.add.reduce(dx, axis=-1, keepdims=True) / x.shape[-1]
     xhat *= mean_dxhat_xhat
     dx -= xhat
     dx *= inv_std

@@ -1,6 +1,10 @@
 """Training knobs and the rules both training loops share: the AdamW update
 with its warmup schedule, gradient clipping, the divergence check and the
-best-epoch choice."""
+best-epoch choice.
+
+In a training loop, parameters, gradients and both Adam moments are one
+float64 vector each, laid out by ``flatten`` in sorted-name order, so the
+parameter vector's bytes are the checkpoint body; named tensors are views."""
 
 from __future__ import annotations
 
@@ -97,19 +101,31 @@ def warmup_learning_rate(base_lr: float, step: int, warmup_steps: int) -> float:
     return base_lr * (step + 1) / warmup_steps
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm.
+def flatten(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A new float64 vector holding ``tensors`` in sorted-name order, and
+    named views into it shaped like them."""
+    vector = np.concatenate([np.ravel(tensors[n]) for n in sorted(tensors)], dtype=np.float64)
+    return vector, views(vector, tensors)
+
+
+def views(vector: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Named views into ``vector`` in ``flatten``'s layout of ``like``."""
+    out, start = {}, 0
+    for name in sorted(like):
+        shape = np.shape(like[name])
+        out[name] = vector[start : start + math.prod(shape)].reshape(shape)
+        start += out[name].size
+    return out
+
+
+def clip_global_norm(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place so its L2 norm is <= max_norm.
 
     Returns the pre-clip norm.
     """
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    norm = math.sqrt(float(np.dot(grads, grads)))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm
 
 
@@ -147,35 +163,43 @@ def select_best_epoch(values, greater_is_better: bool = True) -> int:
 
 
 class AdamW:
-    """AdamW with decoupled weight decay applied only to matrices.
+    """AdamW on ``flatten``'s vector of the named tensors ``layout``, with
+    decoupled weight decay applied only to matrices; the moments are one
+    vector each, updated in place.
 
     Bias vectors, layer-norm gains and shifts are one-dimensional and stay
-    undecayed, matching common transformer practice. The moment decay rates
-    and epsilon are the usual fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. The
-    learning rate ramps up over the first ``warmup_steps`` steps
-    (``warmup_learning_rate``).
+    undecayed, matching common transformer practice. An entry whose
+    gradient stays zero keeps its exact value. The moment decay rates and
+    epsilon are the usual fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. The
+    learning rate ramps up over the first ``warmup_steps`` steps.
     """
 
-    def __init__(self, learning_rate: float, weight_decay: float = 0.0, warmup_steps: int = 0):
+    def __init__(self, layout: dict[str, np.ndarray], learning_rate: float,
+                 weight_decay: float = 0.0, warmup_steps: int = 0):
         self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        size = sum(np.size(p) for p in layout.values())
+        self._m, self._v, self._s1, self._s2 = (np.zeros(size) for _ in range(4))
+        self._decay = None  # weight_decay on matrix entries, 0.0 elsewhere
+        if weight_decay > 0.0:
+            self._decay, _ = flatten({n: np.full(np.shape(p), weight_decay * (np.ndim(p) >= 2))
+                                      for n, p in layout.items()})
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of the parameter vector from the gradient vector; the
+        same operations, element by element, as a loop over the tensors."""
         lr = warmup_learning_rate(self.learning_rate, self.t, self.warmup_steps)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for name, g in grads.items():
-            p = params[name]
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if self.weight_decay > 0.0 and p.ndim >= 2:
-                update = update + self.weight_decay * p
-            p -= lr * update
+        m, v, s1, s2 = self._m, self._v, self._s1, self._s2
+        m += np.multiply(np.subtract(grads, m, out=s1), 1.0 - ADAM_BETA1, out=s1)
+        np.multiply(grads, grads, out=s1)
+        v += np.multiply(np.subtract(s1, v, out=s1), 1.0 - ADAM_BETA2, out=s1)
+        np.sqrt(np.divide(v, bc2, out=s1), out=s1)
+        s1 += ADAM_EPS
+        update = np.divide(np.divide(m, bc1, out=s2), s1, out=s2)
+        if self._decay is not None:
+            update += np.multiply(self._decay, params, out=s1)
+        params -= np.multiply(update, lr, out=s2)

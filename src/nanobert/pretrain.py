@@ -31,8 +31,10 @@ from .optim import (
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
+    flatten,
     naming_step,
     select_best_epoch,
+    views,
 )
 from .rng import Rng
 from .tokenizer import MASK_ID, NUM_SPECIALS, TokenizerModel, frame
@@ -224,11 +226,13 @@ def run_pretraining(
         for s in range(0, len(dev_idx), config.eval_batch_size)
     ]
 
-    params = init_params(model_config, root.spawn("init"))
-    optimizer = AdamW(config.learning_rate, config.weight_decay, config.warmup_steps)
+    vector, params = flatten(init_params(model_config, root.spawn("init")))
+    grad_vector = np.zeros_like(vector)
+    grad_views = views(grad_vector, params)
+    optimizer = AdamW(params, config.learning_rate, config.weight_decay, config.warmup_steps)
 
     dev_losses = [_dev_loss(model_config, params, dev_batches)]
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_vector = vector.copy()
     best_epoch = 0
     loss_log: list[dict] = []
     stopped_early = False
@@ -257,8 +261,10 @@ def run_pretraining(
                 if result is None:
                     continue  # nothing was masked; no signal, no update
                 loss, grads = result
-                check_step_finite(loss, clip_global_norm(grads, config.max_grad_norm))
-                optimizer.step(params, grads)
+                for name, g in grads.items():
+                    np.copyto(grad_views[name], g)
+                check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
+                optimizer.step(vector, grad_vector)
             if global_step % config.logging_steps == 0:
                 loss_log.append({"step": global_step, "epoch": epoch, "loss": loss})
 
@@ -266,7 +272,7 @@ def run_pretraining(
             dev = _dev_loss(model_config, params, dev_batches)
         dev_losses.append(dev)
         if select_best_epoch(dev_losses, greater_is_better=False) == epoch:
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_vector = vector.copy()
             best_epoch = epoch
         if ckpt_dir:
             epoch_ckpt = Checkpoint(model_config, params, tokenizer=tokenizer)
@@ -280,7 +286,7 @@ def run_pretraining(
                 stopped_early = True
                 break
 
-    best = Checkpoint(model_config, best_params, tokenizer=tokenizer)
+    best = Checkpoint(model_config, views(best_vector, params), tokenizer=tokenizer)
     if output_dir:
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
         _write_loss_log(os.path.join(output_dir, "loss_log.tsv"), loss_log)

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from nanobert import datagen
-from nanobert.checkpoint import load_checkpoint
+from nanobert.checkpoint import load_checkpoint, save_checkpoint
 from nanobert.cli import main
+from nanobert.finetune import HeadConfig, attach_head
+from nanobert.rng import Rng
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +232,25 @@ class TestEvaluateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2" in err and "15" in err
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_header_only_test_file_names_the_file(self, workdir, finetune_run, tmp_path,
+                                                  capsys, task):
+        empty = tmp_path / "empty.csv"
+        ckpt = finetune_run / "best.ckpt"
+        settings = []
+        if task == "regression":
+            ckpt = tmp_path / "regression.ckpt"
+            base = load_checkpoint(str(workdir["pretrain"] / "best.ckpt"))
+            save_checkpoint(attach_head(base, HeadConfig(1, task="regression"), Rng(3)),
+                            str(ckpt))
+            settings = ["--set", "data.label_column=anxiety", "--set", "data.label_kind=real"]
+        empty.write_text("text,anxiety\n" if task == "regression" else "text,label\n")
+        rc = main(["evaluate", "--output-dir", str(tmp_path / "eval"),
+                   "--set", f"checkpoint.path={ckpt}", "--set", f"data.test={empty}",
+                   *settings])
+        assert rc == 2
+        assert f"test file {empty} has no rows" in capsys.readouterr().err
 
 
 class TestPredictCommand:

@@ -32,7 +32,7 @@ from nanobert.model import (
     init_params,
     pool_first_token,
 )
-from nanobert.optim import TrainingConfig
+from nanobert.optim import TrainingConfig, views
 from nanobert.rng import Rng
 from nanobert.tokenizer import train_bpe
 
@@ -171,6 +171,30 @@ class TestTrain:
         before = {k: v.copy() for k, v in model.params.items()}
         train(config, model, train_set, dev_set)
         assert all(np.array_equal(model.params[k], before[k]) for k in before)
+
+    def test_mlm_bias_stays_bit_identical(self):
+        # finetuning gives mlm_bias no gradient: its entries in the
+        # parameter vector must come through decay and warmup untouched
+        config, model, train_set, dev_set = clf_setup(num_train_epochs=2, weight_decay=0.1,
+                                                      warmup_steps=3)
+        model.params["mlm_bias"] = Rng(5).normal(model.params["mlm_bias"].shape)
+        before = {k: v.copy() for k, v in model.params.items()}
+        result = train(config, model, train_set, dev_set)
+        assert result.checkpoint.params["mlm_bias"].tobytes() == before["mlm_bias"].tobytes()
+        assert not np.array_equal(result.checkpoint.params["head.w"], before["head.w"])
+        assert all(model.params[k].tobytes() == before[k].tobytes() for k in before)
+
+    def test_best_snapshot_is_not_the_last_epochs_parameters(self):
+        # a run cut at the best epoch ends on exactly the parameters the
+        # longer run must have kept for that epoch
+        config, model, train_set, dev_set = clf_setup()
+        result = train(config, model, train_set, dev_set)
+        assert 1 <= result.best_epoch < config.num_train_epochs
+        cut = train(config.with_overrides(num_train_epochs=result.best_epoch),
+                    model, train_set, dev_set)
+        assert cut.best_epoch == result.best_epoch
+        assert all(np.array_equal(result.checkpoint.params[k], p)
+                   for k, p in cut.checkpoint.params.items())
 
     def test_zero_epochs_returns_initial(self):
         config, model, train_set, dev_set = clf_setup(num_train_epochs=0)
@@ -341,6 +365,19 @@ class TestPredictEvaluate:
         assert out["task"] == "regression"
         assert set(out["metrics"]) == {"mse", "rmse", "pearson_r"}
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_evaluate_without_examples_says_so(self, task):
+        train_set, _ = classification_task()
+        base = base_model(train_set.texts)
+        if task == "regression":
+            model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+            empty = LabeledDataset([], [], "real")
+        else:
+            model = attach_head(base, HeadConfig(2), Rng(2), label_names=train_set.label_names)
+            empty = LabeledDataset([], [], "class", train_set.label_names)
+        with pytest.raises(ValueError, match="no examples to evaluate"):
+            evaluate(model, empty)
+
     def test_evaluate_class_count_mismatch(self):
         model, train_set, _ = self.trained()
         five = LabeledDataset(train_set.texts, train_set.labels, "class",
@@ -424,7 +461,8 @@ class TestLengthAwareBatches:
         original = finetune.clip_global_norm
 
         def recording_clip(grads, max_norm):
-            before.append({k: g.copy() for k, g in grads.items()})
+            # clipping receives the gradient vector; record its named views
+            before.append({k: g.copy() for k, g in views(grads, model.params).items()})
             return original(grads, max_norm)
 
         monkeypatch.setattr(finetune, "clip_global_norm", recording_clip)
@@ -437,7 +475,8 @@ class TestLengthAwareBatches:
         assert h.shape[1] == self.MAX_LENGTH
         _, d_h, expected = head_loss_and_grads(model.params, h, ds.label_array()[sel])
         expected.update(encoder_backward(cfg, model.params, cache, d_h))
-        assert set(before[0]) == set(expected)
+        assert set(before[0]) == set(expected) | {"mlm_bias"}
+        assert not before[0]["mlm_bias"].any()  # finetuning never trains the MLM head
         for name, grad in expected.items():
             np.testing.assert_allclose(before[0][name], grad, rtol=0, atol=1e-12, err_msg=name)
 

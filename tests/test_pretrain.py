@@ -286,6 +286,23 @@ class TestRunPretraining:
         best = result.checkpoint.params
         assert all(np.array_equal(loaded.params[k], best[k]) for k in best)
 
+    def test_best_checkpoint_is_the_best_epochs_not_the_last(self, tmp_path):
+        # at this rate dev loss bottoms out at epoch 3, and patience stops
+        # the run two epochs later: the best snapshot must not follow the
+        # parameters that training went on to change
+        corpus, tok, cfg, train = self.small_setup()
+        out = tmp_path / "run"
+        result = run_pretraining(train.with_overrides(num_train_epochs=5, learning_rate=0.03),
+                                 corpus, tok, cfg, output_dir=str(out))
+        last = len(result.dev_losses) - 1
+        assert 1 <= result.best_epoch < last
+        best = load_checkpoint(str(out / "best.ckpt")).params
+        at_best = load_checkpoint(str(out / "checkpoints" / f"epoch-{result.best_epoch:04d}.ckpt"))
+        at_last = load_checkpoint(str(out / "checkpoints" / f"epoch-{last:04d}.ckpt"))
+        assert all(np.array_equal(best[k], at_best.params[k]) for k in at_best.params)
+        assert all(np.array_equal(result.checkpoint.params[k], best[k]) for k in best)
+        assert not np.array_equal(best["tok_emb"], at_last.params["tok_emb"])
+
     def test_deterministic_across_runs(self, tmp_path):
         corpus, tok, cfg, train = self.small_setup()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
