@@ -1,11 +1,11 @@
 """Model checkpoints: one binary file, bit-exact across save/load.
 
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header (format
-version, model configuration, parameter name-to-shape table in sorted name
-order, optional tokenizer reference and label names), then every parameter
-as little-endian float64 in the header's order. Writes go to a temp file in
-the same directory followed by an atomic rename, so a crash cannot leave a
-half-written checkpoint behind.
+version, model configuration, parameter name-to-shape table, optional
+tokenizer reference and label names), then the body: the little-endian
+bytes of ``model.flatten``'s vector of the parameters, in the table's order.
+Writes go to a temp file in the same directory followed by an atomic rename,
+so a crash cannot leave a half-written checkpoint behind.
 
 The tokenizer travels as a sibling JSON file named in the header, keeping
 the binary format independent of the tokenizer schema. It is written before
@@ -15,13 +15,14 @@ the checkpoint, so a checkpoint never names a tokenizer that is not there.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, param_shapes
+from .model import ModelConfig, flatten, param_shapes, views
 from .tokenizer import TokenizerModel, replacing
 
 FORMAT_VERSION = 1
@@ -35,12 +36,8 @@ class Checkpoint:
     label_names: list[str] | None = None
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            model_config=self.model_config,
-            params={k: v.copy() for k, v in self.params.items()},
-            tokenizer=self.tokenizer,
-            label_names=list(self.label_names) if self.label_names else None,
-        )
+        return Checkpoint(self.model_config, flatten(self.params)[1], self.tokenizer,
+                          list(self.label_names) if self.label_names else None)
 
     def encode_texts(self, texts, max_length: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Padded int64 ids and attention masks, [len(texts), L], for raw texts.
@@ -62,11 +59,11 @@ def _tokenizer_sibling(path: str) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    names = sorted(ckpt.params)
+    body, params = flatten(ckpt.params)
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": ckpt.model_config.to_dict(),
-        "params": [[name, list(ckpt.params[name].shape)] for name in names],
+        "params": [[name, list(p.shape)] for name, p in params.items()],
         "tokenizer_ref": os.path.basename(_tokenizer_sibling(path)) if ckpt.tokenizer else None,
         "label_names": ckpt.label_names,
     }
@@ -74,10 +71,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     if ckpt.tokenizer is not None:
         ckpt.tokenizer.save(_tokenizer_sibling(path))
     with replacing(path, "wb") as f:
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for name in names:
-            f.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes())
+        f.write(struct.pack("<Q", len(blob)) + blob)
+        f.write(body.astype("<f8", copy=False))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -95,17 +90,14 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"{path}: unsupported format version {header.get('format_version')}"
             )
         config = ModelConfig(**header["model_config"])
-        params: dict[str, np.ndarray] = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape)) if shape else 1
-            body = f.read(count * 8)
-            if len(body) != count * 8:
-                raise ValueError(f"{path}: truncated body at parameter {name!r}")
-            params[name] = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(shape)
+        shapes = _checked_shapes(config, header["params"], path)
+        size = 8 * sum(math.prod(shape) for shape in shapes.values())
+        body = f.read(size)
+        if len(body) != size:
+            raise ValueError(f"{path}: truncated body: {len(body)} of {size} bytes")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after last parameter")
 
-    _validate_shapes(config, params, path)
     tokenizer = None
     ref = header.get("tokenizer_ref")
     if ref:
@@ -120,24 +112,29 @@ def load_checkpoint(path: str) -> Checkpoint:
             )
     return Checkpoint(
         model_config=config,
-        params=params,
+        params=views(np.frombuffer(body, dtype="<f8").astype(np.float64), shapes),
         tokenizer=tokenizer,
         label_names=header.get("label_names"),
     )
 
 
-def _validate_shapes(config: ModelConfig, params: dict[str, np.ndarray], path: str) -> None:
-    num_labels = params["head.w"].shape[1] if "head.w" in params else None
-    expected = param_shapes(config, num_labels)
-    missing = set(expected) - set(params)
-    extra = set(params) - set(expected)
+def _checked_shapes(config: ModelConfig, table: list, path: str) -> dict[str, tuple[int, ...]]:
+    """The shapes ``config`` and its head call for, once the header's table
+    lists exactly those, once each, in ``flatten``'s sorted order."""
+    names = [name for name, _ in table]
+    if names != sorted(set(names)):
+        raise ValueError(f"{path}: parameter names are not unique and in sorted order")
+    shapes = {name: tuple(shape) for name, shape in table}
+    head = shapes.get("head.w")
+    expected = param_shapes(config, head[-1] if head else None)
+    missing = set(expected) - set(shapes)
+    extra = set(shapes) - set(expected)
     if missing or extra:
         raise ValueError(
             f"{path}: parameter names do not match the model configuration "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
         )
     for name, shape in expected.items():
-        if tuple(params[name].shape) != shape:
-            raise ValueError(
-                f"{path}: {name} has shape {tuple(params[name].shape)}, expected {shape}"
-            )
+        if shapes[name] != shape:
+            raise ValueError(f"{path}: {name} has shape {shapes[name]}, expected {shape}")
+    return expected

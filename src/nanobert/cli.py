@@ -24,10 +24,10 @@ from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
 from .data import LabeledDataset, load_csv, split
-from .finetune import (HeadConfig, _check_head_fits, attach_head, evaluate, jsonable, predict,
-                       task_metrics, train)
+from .finetune import (HeadConfig, _check_head_fits, attach_head, evaluate, predict, task_metrics,
+                       train, write_json)
 from .model import ModelConfig
-from .optim import LOWER_IS_BETTER, TrainingConfig
+from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
 from .pretrain import run_pretraining
 from .rng import Rng
 from .tokenizer import TokenizerModel, train_bpe
@@ -194,12 +194,6 @@ def _require(config: dict, *keys):
     return node
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(jsonable(obj), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
-
-
 def _headline(metrics: dict) -> str:
     """The defined metrics of a metrics.json body as one summary line."""
     return ", ".join(f"{k}={v:.4f}" for k, v in sorted(metrics["metrics"].items())
@@ -219,8 +213,8 @@ def _listing_training_dict(config: TrainingConfig) -> dict:
 def _write_resolved(command: str, config: dict, **resolved) -> None:
     """The config as run, with the sections ``resolved`` replaces, re-runnable
     through --config."""
-    _write_json(os.path.join(config["output_dir"], "resolved_config.json"),
-                {"command": command, "version": __version__, **config, **resolved})
+    write_json(os.path.join(config["output_dir"], "resolved_config.json"),
+               {"command": command, "version": __version__, **config, **resolved})
 
 
 def _read_text(path: str) -> str:
@@ -308,7 +302,7 @@ def cmd_pretrain(args) -> int:
 
     _write_resolved("pretrain", config, model=model.to_dict(),
                     training=_listing_training_dict(training))
-    _write_json(os.path.join(out, "metrics.json"), {
+    write_json(os.path.join(out, "metrics.json"), {
         "task": "pretrain",
         "num_examples": None,
         "metrics": {
@@ -356,7 +350,7 @@ def cmd_finetune(args) -> int:
                        max_length=training.max_length,
                        batch_size=training.eval_batch_size)
     metrics["split"] = eval_split
-    _write_json(os.path.join(out, "metrics.json"), metrics)
+    write_json(os.path.join(out, "metrics.json"), metrics)
     _write_resolved("finetune", config, head={"num_labels": num_labels, "task": task},
                     training=_listing_training_dict(training))
     print(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
@@ -376,25 +370,20 @@ def cmd_evaluate(args) -> int:
     if len(dataset) == 0:
         raise ValueError(f"test file {test_path} has no rows")
     if kind == "class" and model.label_names and "head.w" in model.params:
-        # compare class counts before trying to align label ids, so a size
-        # mismatch reports both numbers instead of one stray label
-        _check_head_fits(model.params, dataset)
-        mapping = {name: i for i, name in enumerate(model.label_names)}
-        try:
-            labels = [mapping[dataset.label_names[lab]] for lab in dataset.labels]
-        except KeyError as exc:
-            raise ValueError(
-                f"dataset label {exc.args[0]!r} unknown to the checkpoint "
-                f"(it has {model.label_names})"
-            ) from None
-        dataset = LabeledDataset(dataset.texts, labels, "class",
-                                 list(model.label_names))
+        label_ids = {name: i for i, name in enumerate(model.label_names)}
+        unknown = [name for name in dataset.label_names if name not in label_ids]
+        if unknown:
+            _check_head_fits(model.params, dataset)  # a count mismatch names both counts
+            raise ValueError(f"dataset label {unknown[0]!r} unknown to the checkpoint "
+                             f"(it has {model.label_names})")
+        labels = [label_ids[dataset.label_names[lab]] for lab in dataset.labels]
+        dataset = LabeledDataset(dataset.texts, labels, "class", list(model.label_names))
     eval_cfg = config["eval"]
     metrics = evaluate(model, dataset, max_length=eval_cfg["max_length"],
                        batch_size=eval_cfg["batch_size"])
     metrics["split"] = "test"
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "metrics.json"), metrics)
+    write_json(os.path.join(out, "metrics.json"), metrics)
     _write_resolved("evaluate", config)
     print(f"evaluated {metrics['num_examples']} examples: {_headline(metrics)}")
     return 0
@@ -453,7 +442,7 @@ def cmd_baseline(args) -> int:
             f"choose one of {sorted((*BASELINE_KINDS, 'ridge'))}"
         )
 
-    _write_json(os.path.join(out, "metrics.json"), metrics)
+    write_json(os.path.join(out, "metrics.json"), metrics)
     _write_resolved("baseline", config)
     print(f"{algorithm} on {metrics['num_examples']} test examples: {_headline(metrics)} "
           f"(model -> {model_path})")
@@ -503,8 +492,8 @@ def _run_ridge_baseline(config, base_cfg, out):
 
     os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "baseline_model.json")
-    _write_json(model_path, {"algorithm": "ridge", "checkpoint": ckpt_path,
-                             **ridge.to_json_dict()})
+    write_json(model_path, {"algorithm": "ridge", "checkpoint": ckpt_path,
+                            **ridge.to_json_dict()})
     metrics = task_metrics("regression", test_set.label_array(), ridge.predict(X_test))
     metrics.update(algorithm="ridge", split="test")
     return metrics, model_path
@@ -538,12 +527,13 @@ def cmd_report(args) -> int:
     columns = sorted(reference)
     best: dict[str, str] = {}
     for metric in columns:
-        values = [(name, data["metrics"].get(metric)) for name, data in runs]
-        values = [(n, v) for n, v in values if isinstance(v, (int, float))]
-        if not values:
-            continue
-        pick = min if metric in LOWER_IS_BETTER else max
-        best[metric] = pick(values, key=lambda nv: nv[1])[0]
+        scored = [(name, data["metrics"][metric]) for name, data in runs
+                  if isinstance(data["metrics"].get(metric), (int, float))]
+        try:
+            pick = select_best_epoch([v for _, v in scored], metric not in LOWER_IS_BETTER)
+        except ValueError:
+            continue  # no run has a comparable value
+        best[metric] = scored[pick][0]
 
     header = ["run", *columns, "best"]
     rows = []
@@ -560,7 +550,7 @@ def cmd_report(args) -> int:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
 
     if args.output:
-        _write_json(args.output, {
+        write_json(args.output, {
             "task": runs[0][1].get("task"),
             "columns": columns,
             "best": best,

@@ -27,9 +27,11 @@ from .model import (
     encoder_backward,
     encoder_forward,
     encoder_forward_with_cache,
+    flatten,
     pool_first_token,
     scoring_batches,
     trim_padding,
+    views,
 )
 from .optim import (
     CLASSIFICATION_METRICS,
@@ -38,10 +40,8 @@ from .optim import (
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
-    flatten,
     naming_step,
     select_best_epoch,
-    views,
 )
 from .rng import Rng
 
@@ -191,6 +191,13 @@ def jsonable(obj):
     return obj
 
 
+def write_json(path: str, obj) -> None:
+    """``obj`` as indented, key-sorted strict JSON (see ``jsonable``)."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(jsonable(obj), f, indent=2, sort_keys=True, allow_nan=False)
+        f.write("\n")
+
+
 @dataclass
 class FinetuneResult:
     checkpoint: Checkpoint
@@ -289,16 +296,13 @@ def train(
         with open(os.path.join(output_dir, "metrics_log.jsonl"), "w", encoding="utf-8") as f:
             for entry in history:
                 f.write(json.dumps(jsonable(entry), sort_keys=True, allow_nan=False) + "\n")
-        selection = {
+        write_json(os.path.join(output_dir, "selection.json"), {
             "metric": metric,
             "greater_is_better": greater,
             "values": values,
             "best_epoch": best_epoch,
             "best_value": best_value,
-        }
-        with open(os.path.join(output_dir, "selection.json"), "w", encoding="utf-8") as f:
-            json.dump(jsonable(selection), f, indent=2, sort_keys=True, allow_nan=False)
-            f.write("\n")
+        })
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
 
     return FinetuneResult(checkpoint=best, history=history, best_epoch=best_epoch,

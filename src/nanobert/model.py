@@ -82,6 +82,25 @@ def param_shapes(config: ModelConfig, num_labels: int | None = None) -> dict[str
     return shapes
 
 
+def flatten(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A new float64 vector holding ``tensors`` in sorted-name order, and
+    named views into it shaped like them: the one parameter layout, of the
+    training vectors and, as little-endian bytes, of a checkpoint's body."""
+    vector = np.concatenate([np.ravel(tensors[n]) for n in sorted(tensors)], dtype=np.float64)
+    return vector, views(vector, tensors)
+
+
+def views(vector: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
+    """Named views into ``vector`` in ``flatten``'s layout; ``layout`` maps
+    each name to its tensor or to its shape."""
+    out, start = {}, 0
+    for name in sorted(layout):
+        shape = tuple(getattr(layout[name], "shape", layout[name]))
+        out[name] = vector[start : start + math.prod(shape)].reshape(shape)
+        start += out[name].size
+    return out
+
+
 def init_params(config: ModelConfig, rng: Rng, num_labels: int | None = None) -> dict[str, np.ndarray]:
     """Gaussian(0, 0.02) matrices and embeddings, zero biases, unit LN gains.
 

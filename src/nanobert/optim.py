@@ -3,8 +3,7 @@ with its warmup schedule, gradient clipping, the divergence check and the
 best-epoch choice.
 
 In a training loop, parameters, gradients and both Adam moments are one
-float64 vector each, laid out by ``flatten`` in sorted-name order, so the
-parameter vector's bytes are the checkpoint body; named tensors are views."""
+float64 vector each in ``model.flatten``'s layout; named tensors are views."""
 
 from __future__ import annotations
 
@@ -14,6 +13,8 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+
+from .model import flatten
 
 CLASSIFICATION_METRICS = ("precision", "recall", "f1", "accuracy")
 REGRESSION_METRICS = ("mse", "rmse", "pearson_r")
@@ -101,23 +102,6 @@ def warmup_learning_rate(base_lr: float, step: int, warmup_steps: int) -> float:
     return base_lr * (step + 1) / warmup_steps
 
 
-def flatten(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A new float64 vector holding ``tensors`` in sorted-name order, and
-    named views into it shaped like them."""
-    vector = np.concatenate([np.ravel(tensors[n]) for n in sorted(tensors)], dtype=np.float64)
-    return vector, views(vector, tensors)
-
-
-def views(vector: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Named views into ``vector`` in ``flatten``'s layout of ``like``."""
-    out, start = {}, 0
-    for name in sorted(like):
-        shape = np.shape(like[name])
-        out[name] = vector[start : start + math.prod(shape)].reshape(shape)
-        start += out[name].size
-    return out
-
-
 def clip_global_norm(grads: np.ndarray, max_norm: float) -> float:
     """Scale the gradient vector in place so its L2 norm is <= max_norm.
 
@@ -163,7 +147,7 @@ def select_best_epoch(values, greater_is_better: bool = True) -> int:
 
 
 class AdamW:
-    """AdamW on ``flatten``'s vector of the named tensors ``layout``, with
+    """AdamW on ``model.flatten``'s vector of the named tensors ``layout``, with
     decoupled weight decay applied only to matrices; the moments are one
     vector each, updated in place.
 

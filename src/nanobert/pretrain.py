@@ -19,22 +19,23 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
+from .data import batch_indices
 from .model import (
     ModelConfig,
     encoder_backward,
     encoder_forward,
     encoder_forward_with_cache,
+    flatten,
     init_params,
+    views,
 )
 from .optim import (
     AdamW,
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
-    flatten,
     naming_step,
     select_best_epoch,
-    views,
 )
 from .rng import Rng
 from .tokenizer import MASK_ID, NUM_SPECIALS, TokenizerModel, frame
@@ -220,10 +221,8 @@ def run_pretraining(
     )
     dev_rng = root.spawn("devmask")
     dev_batches = [
-        mask_tokens(ids[dev_idx[s : s + config.eval_batch_size]],
-                    masks[dev_idx[s : s + config.eval_batch_size]],
-                    config.mask_prob, dev_rng, **mask_kwargs)
-        for s in range(0, len(dev_idx), config.eval_batch_size)
+        mask_tokens(ids[dev_idx[b]], masks[dev_idx[b]], config.mask_prob, dev_rng, **mask_kwargs)
+        for b in batch_indices(dev_n, config.eval_batch_size)
     ]
 
     vector, params = flatten(init_params(model_config, root.spawn("init")))
@@ -248,8 +247,8 @@ def run_pretraining(
 
     for epoch in range(1, config.num_train_epochs + 1):
         order = train_idx[root.spawn("shuffle", epoch).permutation(len(train_idx))]
-        for step_in_epoch, start in enumerate(range(0, len(order), config.train_batch_size)):
-            sel = order[start : start + config.train_batch_size]
+        for step_in_epoch, block in enumerate(batch_indices(len(order), config.train_batch_size)):
+            sel = order[block]
             batch = mask_tokens(
                 ids[sel], masks[sel], config.mask_prob,
                 root.spawn("mask", epoch, step_in_epoch), **mask_kwargs

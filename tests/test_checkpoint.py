@@ -1,5 +1,8 @@
 """Checkpoint format: bit-exact roundtrip, determinism, corruption rejection."""
 
+import hashlib
+import json
+import math
 import os
 import struct
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from nanobert.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from nanobert.model import ModelConfig, init_params
+from nanobert.model import ModelConfig, init_params, param_shapes
 from nanobert.rng import Rng
 from nanobert.tokenizer import TokenizerModel, train_bpe
 
@@ -36,6 +39,30 @@ class TestRoundtrip:
             assert np.array_equal(loaded.params[name], ckpt.params[name]), name
             assert loaded.params[name].dtype == np.float64
         assert loaded.label_names == ["a", "b", "c"]
+
+    def test_loaded_parameters_are_views_of_one_vector(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(make_checkpoint(num_labels=3), path)
+        params = load_checkpoint(path).params
+        assert list(params) == sorted(params)
+        vector = params["tok_emb"].base
+        assert all(p.base is vector for p in params.values())
+        assert vector.size == sum(p.size for p in params.values())
+
+    def test_golden_bytes(self, tmp_path):
+        # exactly representable values, so the bytes do not depend on libm
+        cfg = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=16,
+                          vocab_size=12, max_positions=6, dropout=0.1)
+        params, start = {}, 0
+        for name, shape in param_shapes(cfg, 3).items():
+            params[name] = (np.arange(start, start + math.prod(shape)) / 8).reshape(shape)
+            start += params[name].size
+        tok = train_bpe(["low", "low", "lower"], vocab_size=12)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Checkpoint(cfg, params, tokenizer=tok, label_names=["a", "b", "c"]),
+                        str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bbeb2d5bea35b1b8d8892dfd70f24383cb7d99a7f72c99220d6af2a687fa304c")
 
     def test_save_is_deterministic(self, tmp_path):
         ckpt = make_checkpoint()
@@ -82,12 +109,42 @@ class TestRejection:
         save_checkpoint(make_checkpoint(), path)
         return path
 
+    def rewrite_params_table(self, path, edit):
+        """Replace the header's name-to-shape table with ``edit(table)``."""
+        blob = open(path, "rb").read()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8 : 8 + hlen])
+        header["params"] = edit(header["params"])
+        raw = json.dumps(header).encode("utf-8")
+        with open(path, "wb") as f:
+            f.write(struct.pack("<Q", len(raw)) + raw + blob[8 + hlen :])
+
     def test_truncated_body(self, tmp_path):
         path = self.write_good(tmp_path)
         blob = open(path, "rb").read()
         with open(path, "wb") as f:
             f.write(blob[:-16])
-        with pytest.raises(ValueError, match="truncated body"):
+        with pytest.raises(ValueError, match=r"truncated body: \d+ of \d+ bytes"):
+            load_checkpoint(path)
+
+    def test_unsorted_names_rejected(self, tmp_path):
+        path = self.write_good(tmp_path)
+        self.rewrite_params_table(path, lambda table: table[::-1])
+        with pytest.raises(ValueError, match=f"^{path}: .*sorted order"):
+            load_checkpoint(path)
+
+    def test_duplicate_names_rejected(self, tmp_path):
+        path = self.write_good(tmp_path)
+        self.rewrite_params_table(path, lambda table: [table[0], *table])
+        with pytest.raises(ValueError, match=f"^{path}: .*unique"):
+            load_checkpoint(path)
+
+    def test_huge_shape_rejected_before_reading_the_body(self, tmp_path):
+        path = self.write_good(tmp_path)
+        self.rewrite_params_table(
+            path, lambda table: [[n, [10**12] if n == "mlm_bias" else s] for n, s in table])
+        with pytest.raises(ValueError,
+                           match=r"mlm_bias has shape \(1000000000000,\), expected \(12,\)"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):

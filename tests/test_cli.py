@@ -9,7 +9,8 @@ import pytest
 from nanobert import datagen
 from nanobert.checkpoint import load_checkpoint, save_checkpoint
 from nanobert.cli import main
-from nanobert.finetune import HeadConfig, attach_head
+from nanobert.data import LabeledDataset, load_csv
+from nanobert.finetune import HeadConfig, attach_head, evaluate, write_json
 from nanobert.rng import Rng
 
 
@@ -232,6 +233,27 @@ class TestEvaluateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2" in err and "15" in err
+
+    def test_test_file_with_some_of_the_classes(self, workdir, finetune_run, tmp_path):
+        ckpt = load_checkpoint(str(finetune_run / "best.ckpt"))
+        topics = load_csv(str(workdir["data"] / "topics.csv"), "text", "label")
+        kept = ckpt.label_names[-3:]  # not the first ids, so the labels need mapping
+        rows = [(text, topics.label_names[lab]) for text, lab in zip(topics.texts, topics.labels)
+                if topics.label_names[lab] in kept][:20]
+        subset = tmp_path / "subset.csv"
+        datagen.write_csv(str(subset), *zip(*rows))
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--output-dir", str(out),
+                   "--set", f"checkpoint.path={finetune_run / 'best.ckpt'}",
+                   "--set", f"data.test={subset}"])
+        assert rc == 0
+        expected = evaluate(ckpt, LabeledDataset([t for t, _ in rows],
+                                                 [ckpt.label_names.index(n) for _, n in rows],
+                                                 "class", list(ckpt.label_names)))
+        expected["split"] = "test"
+        write_json(str(tmp_path / "expected.json"), expected)
+        assert expected["num_examples"] == 20
+        assert (out / "metrics.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_header_only_test_file_names_the_file(self, workdir, finetune_run, tmp_path,

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from helpers import tiny_config
-from nanobert import cli
 from nanobert import finetune
 from nanobert.checkpoint import Checkpoint, load_checkpoint
 from nanobert.data import LabeledDataset, batch_indices
@@ -24,6 +23,7 @@ from nanobert.finetune import (
     select_best_epoch,
     task_metrics,
     train,
+    write_json,
 )
 from nanobert.model import (
     encoder_backward,
@@ -31,8 +31,9 @@ from nanobert.model import (
     encoder_forward_with_cache,
     init_params,
     pool_first_token,
+    views,
 )
-from nanobert.optim import TrainingConfig, views
+from nanobert.optim import TrainingConfig
 from nanobert.rng import Rng
 from nanobert.tokenizer import train_bpe
 
@@ -503,7 +504,7 @@ class TestTaskMetrics:
         assert out["metrics"]["mse"] == pytest.approx(5 / 3)
         assert math.isnan(out["metrics"]["pearson_r"])
         path = tmp_path / "metrics.json"
-        cli._write_json(str(path), out)  # how every command writes metrics.json
+        write_json(str(path), out)  # how every command writes metrics.json
         assert json.loads(path.read_text())["metrics"]["pearson_r"] is None
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import tiny_config
 from nanobert.checkpoint import Checkpoint, save_checkpoint
-from nanobert.model import init_params
+from nanobert.model import flatten, init_params, views
 from nanobert.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -17,9 +17,7 @@ from nanobert.optim import (
     TrainingConfig,
     check_step_finite,
     clip_global_norm,
-    flatten,
     naming_step,
-    views,
     warmup_learning_rate,
 )
 from nanobert.rng import Rng
