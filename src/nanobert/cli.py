@@ -530,7 +530,9 @@ def cmd_report(args) -> int:
         scored = [(name, data["metrics"][metric]) for name, data in runs
                   if isinstance(data["metrics"].get(metric), (int, float))]
         try:
-            pick = select_best_epoch([v for _, v in scored], metric not in LOWER_IS_BETTER)
+            # error metrics and the pretraining dev losses are best at their minimum
+            lower = metric in LOWER_IS_BETTER or metric.endswith("_loss")
+            pick = select_best_epoch([v for _, v in scored], not lower)
         except ValueError:
             continue  # no run has a comparable value
         best[metric] = scored[pick][0]

@@ -127,11 +127,12 @@ def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
     return logits[:, 0].astype(np.float64)
 
 
-def head_loss_and_grads(params: dict, h: np.ndarray,
-                        labels: np.ndarray) -> tuple[float, np.ndarray, dict]:
+def head_loss_and_grads(params: dict, h: np.ndarray, labels: np.ndarray,
+                        grads: dict | None = None) -> tuple[float, np.ndarray, dict]:
     """Task-head loss on the encoder output ``h``, d loss / d h, and the
-    gradients of head.w and head.b: cross-entropy for K >= 2 columns, mean
-    squared error for K = 1."""
+    gradients of head.w and head.b, written into the arrays of ``grads``
+    when given (a new dict of the two otherwise): cross-entropy for K >= 2
+    columns, mean squared error for K = 1."""
     pooled = pool_first_token(h)
     logits = pooled @ params["head.w"] + params["head.b"]
     if head_task(params) == CLASSIFICATION:
@@ -142,7 +143,22 @@ def head_loss_and_grads(params: dict, h: np.ndarray,
         d_logits = nn.mse_backward(preds, labels)[:, None]
     d_h = np.zeros_like(h)
     d_h[:, 0, :] = d_logits @ params["head.w"].T
-    return loss, d_h, {"head.w": pooled.T @ d_logits, "head.b": d_logits.sum(axis=0)}
+    grads = {} if grads is None else grads
+    grads["head.w"] = np.matmul(pooled.T, d_logits, out=grads.get("head.w"))
+    grads["head.b"] = np.sum(d_logits, axis=0, out=grads.get("head.b"))
+    return loss, d_h, grads
+
+
+def _train_step(cfg, params: dict, grads: dict, workspace: dict, ids: np.ndarray,
+                masks: np.ndarray, labels: np.ndarray, dropout_rng: Rng) -> float:
+    """One step's loss, with every gradient written into ``grads``. The
+    activations live in ``workspace``; the step's other arrays go when it
+    returns."""
+    h, cache = encoder_forward_with_cache(cfg, params, *trim_padding(ids, masks),
+                                          dropout_rng=dropout_rng, cache=workspace)
+    loss, d_h, _ = head_loss_and_grads(params, h, labels, grads)
+    encoder_backward(cfg, params, cache, d_h, grads)
+    return loss
 
 
 def task_metrics(task: str, labels: np.ndarray, preds: np.ndarray,
@@ -233,6 +249,8 @@ def train(
         )
     if train_set.label_kind != dev_set.label_kind:
         raise ValueError("train and dev sets carry different label kinds")
+    if len(train_set) == 0:
+        raise ValueError("the training set has no examples")
     _check_head_fits(model.params, train_set)
 
     train_ids, train_masks = model.encode_texts(train_set.texts, config.max_length)
@@ -257,21 +275,17 @@ def train(
         loss_sum, seen = 0.0, 0
         blocks = batch_indices(len(train_set), config.train_batch_size,
                                shuffle=True, seed=config.seed, epoch=epoch)
+        workspace: dict = {}  # the epoch's activation buffers, reused by every step
         for step, sel in enumerate(blocks):
             with naming_step(epoch, step + 1):
-                h, cache = encoder_forward_with_cache(
-                    cfg, params, *trim_padding(train_ids[sel], train_masks[sel]),
-                    dropout_rng=root.spawn("dropout", epoch, step)
-                )
-                loss, d_h, head_grads = head_loss_and_grads(params, h, y_train[sel])
-                grads = encoder_backward(cfg, params, cache, d_h)
-                grads.update(head_grads)
-                for name, g in grads.items():
-                    np.copyto(grad_views[name], g)
+                loss = _train_step(cfg, params, grad_views, workspace,
+                                   train_ids[sel], train_masks[sel], y_train[sel],
+                                   root.spawn("dropout", epoch, step))
                 check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
                 optimizer.step(vector, grad_vector)
             loss_sum += loss * len(sel)
             seen += len(sel)
+        del workspace  # the dev pass below scores without the step buffers beside it
 
         entry = {"epoch": epoch, "train_loss": loss_sum / seen}
         with naming_step(epoch, step + 1):  # scores the parameters the last step left

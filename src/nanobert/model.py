@@ -1,11 +1,19 @@
 """Post-norm transformer encoder over token ids.
 
-One forward body, ``encoder_forward``, serves scoring and training. It
-records the intermediates ``encoder_backward`` needs only into a cache the
-caller passes in, so scoring holds one layer's buffers at a time;
-``encoder_forward_with_cache`` is the training entry that supplies the
-cache. Gradients are assembled by hand from the primitive backward
-functions in ``numerics``; there is no tape.
+One forward body, ``encoder_forward``, serves scoring and training, one
+layer at a time through ``_layer_forward``. Scoring keeps no cache: each
+layer's intermediates are freed when the layer returns, so a scoring pass
+holds one layer's activations, never two. Training passes a cache dict,
+which doubles as the step's workspace: every tensor ``encoder_backward``
+reads is written with ``out=`` into a prefix view of a flat buffer kept in
+that dict, and a buffer grows only when a step's (B, T) needs more. A
+training loop passes the same dict to every step of an epoch and drops it
+before the epoch's dev pass, so scoring never runs beside it. Dropout masks
+are kept as bool, and the dropped-out attention probabilities are rebuilt
+in backward with the forward's own operations instead of being cached.
+Gradients are assembled by hand from the primitive backward functions in
+``numerics`` and written into the arrays of a gradient dict, such as views
+of a training loop's gradient vector; there is no tape.
 
 Padding is excluded from attention with a large negative additive bias on
 pad keys (kept finite so backward never sees NaN), which makes outputs at
@@ -117,15 +125,17 @@ def init_params(config: ModelConfig, rng: Rng, num_labels: int | None = None) ->
     return params
 
 
-def embed(params: dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
-    """Token embedding plus learned position embedding, [B, T] -> [B, T, N]."""
+def embed(params: dict[str, np.ndarray], ids: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Token embedding plus learned position embedding, [B, T] -> [B, T, N],
+    written to ``out`` when given."""
     ids = np.asarray(ids)
     t = ids.shape[-1]
     max_positions = params["pos_emb"].shape[0]
     if t > max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {max_positions}")
     tok = nn.embedding_lookup(params["tok_emb"], ids)
-    return tok + params["pos_emb"][:t]
+    return np.add(tok, params["pos_emb"][:t], out=out)
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -133,65 +143,157 @@ def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(b, t, num_heads, n // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
+def _merge_heads(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     b, a, t, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, a * hd)
+    if out is None:
+        return x.transpose(0, 2, 1, 3).reshape(b, t, a * hd)
+    np.copyto(out.reshape(b, t, a, hd), x.transpose(0, 2, 1, 3))
+    return out
 
 
-def _sum_leading(d: np.ndarray) -> np.ndarray:
-    return d.reshape(-1, d.shape[-1]).sum(axis=0)
+def _sum_leading(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.sum(d.reshape(-1, d.shape[-1]), axis=0, out=out)
 
 
-def _dropout(x: np.ndarray, rng: Rng | None, p: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: ``x`` with units zeroed at rate p and the kept ones
-    scaled by 1/(1-p), plus the mask; ``(x, None)`` with nothing drawn when
-    p is 0."""
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    y = np.matmul(x, w, out=out)
+    y += b
+    return y
+
+
+def _slot(ws: dict | None, key: str, shape: tuple, dtype=np.float64) -> np.ndarray | None:
+    """Where the forward writes a tensor the backward reads: a ``shape`` view
+    of the start of the workspace buffer ``key``, which grows to the largest
+    shape asked of it; None (numpy makes a fresh array) when scoring."""
+    if ws is None:
+        return None
+    size = math.prod(shape)
+    buf = ws.get(key)
+    if buf is None or buf.size < size:
+        buf = ws[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _keep_mask(shape: tuple, rng: Rng | None, p: float, ws: dict | None, key: str):
+    """Bool mask of the units inverted dropout keeps at rate p, or None with
+    nothing drawn when p is 0."""
     if p == 0.0:
-        return x, None
-    mask = np.multiply(rng.random(x.shape) >= p, 1.0 / (1.0 - p))
-    return x * mask, mask
+        return None
+    return np.greater_equal(rng.random(shape), p, out=_slot(ws, key, shape, bool))
 
 
-def _dropout_backward(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return d if mask is None else d * mask
+def _kept(x: np.ndarray, keep: np.ndarray | None, p: float,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` with the dropped units zeroed and the kept ones scaled by
+    1/(1-p); ``x`` itself when nothing is dropped. Multiplying by the bool
+    mask and then by the scale rounds exactly like multiplying by their
+    float product, signed zeros included."""
+    if keep is None:
+        return x
+    y = np.multiply(x, keep, out=out)
+    y *= 1.0 / (1.0 - p)
+    return y
 
 
-def _attention_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int,
-                       dropout: float, rng: Rng | None) -> tuple[np.ndarray, dict]:
-    q = _split_heads(x @ lp["attn.wq"] + lp["attn.bq"], num_heads)
-    k = _split_heads(x @ lp["attn.wk"] + lp["attn.bk"], num_heads)
-    v = _split_heads(x @ lp["attn.wv"] + lp["attn.bv"], num_heads)
+def _attention_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int, p: float,
+                       rng: Rng | None, ws: dict | None) -> tuple[np.ndarray, dict | None]:
+    q = _split_heads(_affine(x, lp["attn.wq"], lp["attn.bq"], _slot(ws, "q", x.shape)), num_heads)
+    k = _split_heads(_affine(x, lp["attn.wk"], lp["attn.bk"], _slot(ws, "k", x.shape)), num_heads)
+    v = _split_heads(_affine(x, lp["attn.wv"], lp["attn.bv"], _slot(ws, "v", x.shape)), num_heads)
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale + key_bias
-    probs = nn.softmax(scores, axis=-1)
-    probs_used, pmask = _dropout(probs, rng, dropout)
-    ctx = _merge_heads(np.matmul(probs_used, v))
-    out = ctx @ lp["attn.wo"] + lp["attn.bo"]
-    cache = {"x": x, "q": q, "k": k, "v": v, "scale": scale, "probs": probs,
-             "pmask": pmask, "probs_used": probs_used, "ctx": ctx}
-    return out, cache
+    b, a, t, _ = q.shape
+    scores = np.matmul(q, np.swapaxes(k, -1, -2), out=_slot(ws, "probs", (b, a, t, t)))
+    scores *= scale
+    scores += key_bias
+    probs = nn.softmax(scores, out=scores)
+    pmask = _keep_mask(probs.shape, rng, p, ws, "pmask")
+    ctx = _merge_heads(np.matmul(_kept(probs, pmask, p), v), _slot(ws, "ctx", x.shape))
+    out = _affine(ctx, lp["attn.wo"], lp["attn.bo"])
+    if ws is None:
+        return out, None
+    return out, {"x": x, "q": q, "k": k, "v": v, "scale": scale, "probs": probs,
+                 "pmask": pmask, "ctx": ctx}
 
 
-def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray,
-                        grads: dict, prefix: str) -> np.ndarray:
+def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray, p: float,
+                        grads: dict) -> np.ndarray:
     x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
     num_heads = q.shape[1]
-    d_ctx_m, d_wo = nn.matmul_backward(d_out, cache["ctx"], lp["attn.wo"])
-    grads[prefix + "attn.wo"] = d_wo
-    grads[prefix + "attn.bo"] = _sum_leading(d_out)
+    d_ctx_m, _ = nn.matmul_backward(d_out, cache["ctx"], lp["attn.wo"], out=grads["attn.wo"])
+    _sum_leading(d_out, grads["attn.bo"])
     d_ctx = _split_heads(d_ctx_m, num_heads)
-    d_probs_used, d_v = nn.matmul_backward(d_ctx, cache["probs_used"], v)
-    d_probs = _dropout_backward(d_probs_used, cache["pmask"])
-    d_scores = nn.softmax_backward(d_probs, cache["probs"]) * cache["scale"]
+    # the dropped-out probabilities are rebuilt with the forward's operations
+    d_probs, d_v = nn.matmul_backward(d_ctx, _kept(cache["probs"], cache["pmask"], p), v)
+    _kept(d_probs, cache["pmask"], p, out=d_probs)
+    d_scores = nn.softmax_backward(d_probs, cache["probs"], out=d_probs)
+    d_scores *= cache["scale"]
     d_q = np.matmul(d_scores, k)
     d_k = np.matmul(np.swapaxes(d_scores, -1, -2), q)
     d_x = np.zeros_like(x)
     for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)):
         d_merged = _merge_heads(d_h)
-        d_x_part, d_w = nn.matmul_backward(d_merged, x, lp[f"attn.w{name}"])
-        grads[prefix + f"attn.w{name}"] = d_w
-        grads[prefix + f"attn.b{name}"] = _sum_leading(d_merged)
+        d_x_part, _ = nn.matmul_backward(d_merged, x, lp[f"attn.w{name}"],
+                                         out=grads[f"attn.w{name}"])
+        _sum_leading(d_merged, grads[f"attn.b{name}"])
         d_x += d_x_part
+    return d_x
+
+
+def _ffn_forward(lp: dict, x: np.ndarray, p: float, rng: Rng | None,
+                 ws: dict | None) -> tuple[np.ndarray, dict | None]:
+    u = _affine(x, lp["ffn.w1"], lp["ffn.b1"], _slot(ws, "u", x.shape[:-1] + lp["ffn.b1"].shape))
+    g = nn.gelu(u, out=_slot(ws, "g", u.shape))
+    out = _affine(g, lp["ffn.w2"], lp["ffn.b2"])
+    keep = _keep_mask(out.shape, rng, p, ws, "keep2")
+    _kept(out, keep, p, out=out)
+    return out, (None if ws is None else {"u": u, "g": g, "amask2": keep})
+
+
+def _ffn_backward(lp: dict, lc: dict, d_out: np.ndarray, p: float, grads: dict) -> np.ndarray:
+    d_f = _kept(d_out, lc["amask2"], p)
+    d_g, _ = nn.matmul_backward(d_f, lc["g"], lp["ffn.w2"], out=grads["ffn.w2"])
+    _sum_leading(d_f, grads["ffn.b2"])
+    d_u = nn.gelu_backward(d_g, lc["u"])
+    d_x, _ = nn.matmul_backward(d_u, lc["h1"], lp["ffn.w1"], out=grads["ffn.w1"])
+    _sum_leading(d_u, grads["ffn.b1"])
+    return d_x
+
+
+def _layer_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int, p: float,
+                   rng: Rng | None, ws: dict | None,
+                   out: np.ndarray | None) -> tuple[np.ndarray, dict | None]:
+    """One post-norm layer, its output written to ``out`` when given.
+
+    With a workspace ``ws`` (training), every tensor the backward reads is
+    written into it and comes back as the layer's cache. Scoring passes
+    None, so each sublayer's intermediates are freed when it returns.
+    """
+    attn_out, attn_cache = _attention_forward(lp, x, key_bias, num_heads, p, rng, ws)
+    keep1 = _keep_mask(attn_out.shape, rng, p, ws, "keep1")
+    _kept(attn_out, keep1, p, out=attn_out)
+    r1 = np.add(x, attn_out, out=_slot(ws, "r1", x.shape))
+    h1 = nn.layer_norm(r1, lp["ln1.gamma"], lp["ln1.beta"], out=_slot(ws, "h1", x.shape))
+    f_out, ffn_cache = _ffn_forward(lp, h1, p, rng, ws)
+    r2 = np.add(h1, f_out, out=_slot(ws, "r2", x.shape))
+    y = nn.layer_norm(r2, lp["ln2.gamma"], lp["ln2.beta"], out=out)
+    if ws is None:
+        return y, None
+    return y, {"attn": attn_cache, "amask1": keep1, "r1": r1, "h1": h1, "r2": r2, **ffn_cache}
+
+
+def _layer_backward(lp: dict, lc: dict, d_y: np.ndarray, p: float, grads: dict) -> np.ndarray:
+    """d loss / d layer input given d loss / d output ``d_y``; the layer's
+    parameter gradients are written into the arrays of ``grads``, keyed like
+    ``lp``."""
+    d_r2, _, _ = nn.layer_norm_backward(d_y, lc["r2"], lp["ln2.gamma"],
+                                        out=(grads["ln2.gamma"], grads["ln2.beta"]))
+    d_h1 = _ffn_backward(lp, lc, d_r2, p, grads)
+    d_h1 += d_r2
+    d_r1, _, _ = nn.layer_norm_backward(d_h1, lc["r1"], lp["ln1.gamma"],
+                                        out=(grads["ln1.gamma"], grads["ln1.beta"]))
+    d_x = _attention_backward(lp, lc["attn"], _kept(d_r1, lc["amask1"], p), p, grads)
+    d_x += d_r1
     return d_x
 
 
@@ -218,9 +320,16 @@ def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
                     dropout_rng: Rng | None = None, cache: dict | None = None) -> np.ndarray:
     """[B, T] ids -> [B, T, N] hidden states.
 
-    Dropout fires only when a rng is supplied. Intermediates for
-    ``encoder_backward`` are recorded only into a ``cache`` dict passed in;
-    without one, each layer's buffers are freed as the next layer runs.
+    Dropout fires only when a rng is supplied. Without a ``cache`` dict the
+    pass scores: it holds one layer's intermediates at a time. With one, it
+    records what ``encoder_backward`` reads: per layer the layer input,
+    q/k/v, the attention probabilities and context, both residual sums, the
+    LayerNorm output, the FFN pre-activation and GELU output, and the
+    dropout masks as bool. Those tensors are views of the flat buffers the
+    dict keeps under ``"buffers"``; a dict from an earlier step is reused,
+    growing a buffer only when this (B, T) needs more, so the cached views
+    of that step are overwritten. The returned hidden states are a fresh
+    array.
     """
     ids = np.asarray(ids)
     mask = np.asarray(attention_mask, dtype=np.float64)
@@ -230,25 +339,24 @@ def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
         raise ValueError("a sequence with every position masked has no attendable key")
     p = config.dropout if dropout_rng is not None else 0.0
     key_bias = (1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS
-
-    x, emb_mask = _dropout(embed(params, ids), dropout_rng, p)
+    buffers = None
     if cache is not None:
-        cache.update(ids=ids, key_bias=key_bias, emb_mask=emb_mask, layers=[])
+        buffers = cache.get("buffers", {})
+        cache.clear()  # drops the last step's views before any buffer grows
+    workspaces = [None if buffers is None else buffers.setdefault(f"layers.{i}", {})
+                  for i in range(config.num_layers)]
 
-    for i in range(config.num_layers):
-        lp = _layer_params(params, i)
-        attn_out, attn_cache = _attention_forward(lp, x, key_bias, config.num_heads, p, dropout_rng)
-        attn_out, amask1 = _dropout(attn_out, dropout_rng, p)
-        r1 = x + attn_out
-        h1 = nn.layer_norm(r1, lp["ln1.gamma"], lp["ln1.beta"])
-        u = h1 @ lp["ffn.w1"] + lp["ffn.b1"]
-        g = nn.gelu(u)
-        f_out, amask2 = _dropout(g @ lp["ffn.w2"] + lp["ffn.b2"], dropout_rng, p)
-        r2 = h1 + f_out
-        x = nn.layer_norm(r2, lp["ln2.gamma"], lp["ln2.beta"])
-        if cache is not None:
-            cache["layers"].append({"attn": attn_cache, "amask1": amask1, "amask2": amask2,
-                                    "r1": r1, "h1": h1, "u": u, "g": g, "r2": r2})
+    x = embed(params, ids, out=_slot(workspaces[0], "x", ids.shape + (config.hidden_size,)))
+    emb_mask = _keep_mask(x.shape, dropout_rng, p, buffers, "emb_mask")
+    _kept(x, emb_mask, p, out=x)
+    layers = []
+    for i, ws in enumerate(workspaces):
+        out = _slot(workspaces[i + 1], "x", x.shape) if i + 1 < len(workspaces) else None
+        x, layer_cache = _layer_forward(_layer_params(params, i), x, key_bias, config.num_heads,
+                                        p, dropout_rng, ws, out)
+        layers.append(layer_cache)
+    if cache is not None:
+        cache.update(buffers=buffers, ids=ids, dropout=p, emb_mask=emb_mask, layers=layers)
     return x
 
 
@@ -258,50 +366,33 @@ def encoder_forward_with_cache(
     ids: np.ndarray,
     attention_mask: np.ndarray,
     dropout_rng: Rng | None = None,
+    cache: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Training forward pass: hidden states plus the cache ``encoder_backward`` reads."""
-    cache: dict = {}
+    """Training forward pass: hidden states plus the cache ``encoder_backward``
+    reads. Passing the cache of an earlier step reuses its buffers."""
+    cache = {} if cache is None else cache
     h = encoder_forward(config, params, ids, attention_mask, dropout_rng, cache)
     return h, cache
 
 
-def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray],
-                     cache: dict, d_h: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every encoder parameter given d loss / d output."""
-    grads: dict[str, np.ndarray] = {}
+def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray], cache: dict,
+                     d_h: np.ndarray, grads: dict | None = None) -> dict[str, np.ndarray]:
+    """Gradients of every encoder parameter given d loss / d output, written
+    into the arrays of ``grads`` when given (a new dict of them otherwise)."""
+    if grads is None:
+        grads = {name: np.empty(shape) for name, shape in param_shapes(config).items()
+                 if name != "mlm_bias"}
+    p = cache["dropout"]
     d_x = d_h
     for i in reversed(range(config.num_layers)):
-        lp = _layer_params(params, i)
-        lc = cache["layers"][i]
-        prefix = f"layers.{i}."
-
-        d_r2, d_g2, d_b2 = nn.layer_norm_backward(d_x, lc["r2"], lp["ln2.gamma"])
-        grads[prefix + "ln2.gamma"] = d_g2
-        grads[prefix + "ln2.beta"] = d_b2
-
-        d_f = _dropout_backward(d_r2, lc["amask2"])
-        d_g, d_w2 = nn.matmul_backward(d_f, lc["g"], lp["ffn.w2"])
-        grads[prefix + "ffn.w2"] = d_w2
-        grads[prefix + "ffn.b2"] = _sum_leading(d_f)
-        d_u = nn.gelu_backward(d_g, lc["u"])
-        d_h1, d_w1 = nn.matmul_backward(d_u, lc["h1"], lp["ffn.w1"])
-        grads[prefix + "ffn.w1"] = d_w1
-        grads[prefix + "ffn.b1"] = _sum_leading(d_u)
-        d_h1 = d_h1 + d_r2
-
-        d_r1, d_g1, d_b1 = nn.layer_norm_backward(d_h1, lc["r1"], lp["ln1.gamma"])
-        grads[prefix + "ln1.gamma"] = d_g1
-        grads[prefix + "ln1.beta"] = d_b1
-
-        d_attn = _dropout_backward(d_r1, lc["amask1"])
-        d_x = d_r1 + _attention_backward(lp, lc["attn"], d_attn, grads, prefix)
-
-    d_x = _dropout_backward(d_x, cache["emb_mask"])
+        d_x = _layer_backward(_layer_params(params, i), cache["layers"][i], d_x, p,
+                              _layer_params(grads, i))
+    _kept(d_x, cache["emb_mask"], p, out=d_x)
     ids = cache["ids"]
-    grads["tok_emb"] = nn.embedding_lookup_backward(d_x, ids, params["tok_emb"].shape[0])
-    d_pos = np.zeros_like(params["pos_emb"])
-    d_pos[: ids.shape[1]] = d_x.sum(axis=0)
-    grads["pos_emb"] = d_pos
+    nn.embedding_lookup_backward(d_x, ids, params["tok_emb"].shape[0], out=grads["tok_emb"])
+    d_pos = grads["pos_emb"]
+    d_pos[ids.shape[1]:] = 0.0
+    np.sum(d_x, axis=0, out=d_pos[: ids.shape[1]])
     return grads
 
 
@@ -322,7 +413,7 @@ def self_attention(config: ModelConfig, params: dict[str, np.ndarray], layer: in
         raise ValueError(f"layer {layer} out of range for {config.num_layers} layers")
     lp = _layer_params(params, layer)
     key_bias = (1.0 - mask)[None, None, None, :] * ATTENTION_MASK_BIAS
-    out, _ = _attention_forward(lp, h[None], key_bias, config.num_heads, dropout=0.0, rng=None)
+    out, _ = _attention_forward(lp, h[None], key_bias, config.num_heads, 0.0, None, None)
     return out[0]
 
 

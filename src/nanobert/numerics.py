@@ -36,13 +36,14 @@ def ensure_finite(x, name: str = "tensor") -> None:
         raise ValueError(f"{name} contains NaN or Inf")
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Rowwise softmax along ``axis``, stabilized by max subtraction."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Rowwise softmax along ``axis``, stabilized by max subtraction, written
+    to ``out`` when given (``out=x`` computes it in place)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty array")
     ensure_finite(x, "softmax input")
-    e = x - np.max(x, axis=axis, keepdims=True)
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
@@ -57,10 +58,14 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def softmax_backward(d_out: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Gradient through softmax given its output ``y``."""
+def softmax_backward(d_out: np.ndarray, y: np.ndarray, axis: int = -1,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through softmax given its output ``y``, written to ``out``
+    when given (``out=d_out`` computes it in place)."""
     inner = np.sum(d_out * y, axis=axis, keepdims=True)
-    return y * (d_out - inner)
+    d = np.subtract(d_out, inner, out=out)
+    d *= y
+    return d
 
 
 def cross_entropy(logits: np.ndarray, target: int) -> float:
@@ -130,16 +135,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``a @ b`` for the two layouts used by the model.
 
     Either both operands carry the same leading batch dims, or ``b`` is a
     plain 2-D weight shared across a stacked ``a`` (gradient summed over
-    the stack).
+    the stack), whose gradient is written to ``out`` when given.
     """
     if b.ndim == 2 and a.ndim >= 2:
         da = np.matmul(d_out, b.T)
-        db = np.matmul(a.reshape(-1, a.shape[-1]).T, d_out.reshape(-1, d_out.shape[-1]))
+        db = np.matmul(a.reshape(-1, a.shape[-1]).T, d_out.reshape(-1, d_out.shape[-1]), out=out)
         return da, db
     if a.ndim == b.ndim:
         da = np.matmul(d_out, np.swapaxes(b, -1, -2))
@@ -148,29 +154,35 @@ def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np
     raise ValueError(f"unsupported operand ranks: {a.ndim} and {b.ndim}")
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    xc, std = _center_and_std(x, eps)
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Normalize the last axis to zero mean and unit variance, then scale and
+    shift; written to ``out`` when given."""
+    xc, std = _center_and_std(x, eps, out)
     xc /= std
     xc *= gamma
     xc += beta
     return xc
 
 
-def _center_and_std(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """x - mean and sqrt(var + eps) over the last axis; var = mean(xc * xc),
-    the same sums ``np.var`` takes, without recomputing the mean. Means here
-    are ``np.mean``'s own sum and division, without its Python overhead."""
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+def _center_and_std(x: np.ndarray, eps: float,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x - mean (into ``out`` when given) and sqrt(var + eps) over the last
+    axis; var = mean(xc * xc), the same sums ``np.var`` takes, without
+    recomputing the mean. Means here are ``np.mean``'s own sum and division,
+    without its Python overhead."""
+    xc = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1], out=out)
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
     var += eps
     return xc, np.sqrt(var, out=var)
 
 
 def layer_norm_backward(
-    d_out: np.ndarray, x: np.ndarray, gamma: np.ndarray, eps: float = LAYER_NORM_EPS
+    d_out: np.ndarray, x: np.ndarray, gamma: np.ndarray, eps: float = LAYER_NORM_EPS,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of layer_norm wrt input, gamma, beta.
+    """Gradients of layer_norm wrt input, gamma, beta; the last two are
+    written to the pair ``out`` when given.
 
     With xhat the normalized input and m the last-axis width:
     dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
@@ -180,8 +192,9 @@ def layer_norm_backward(
     xhat *= inv_std
     reduce_axes = tuple(range(d_out.ndim - 1))
     prod = d_out * xhat
-    d_gamma = np.sum(prod, axis=reduce_axes)
-    d_beta = np.sum(d_out, axis=reduce_axes)
+    d_gamma_out, d_beta_out = (None, None) if out is None else out
+    d_gamma = np.sum(prod, axis=reduce_axes, out=d_gamma_out)
+    d_beta = np.sum(d_out, axis=reduce_axes, out=d_beta_out)
     dx = d_out * gamma  # d_xhat, turned into dx in place below
     np.multiply(dx, xhat, out=prod)
     mean_dxhat_xhat = np.add.reduce(prod, axis=-1, keepdims=True) / x.shape[-1]
@@ -192,19 +205,21 @@ def layer_norm_backward(
     return dx, d_gamma, d_beta
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))),
+    written to ``out`` (not ``x``) when given."""
     x = np.asarray(x, dtype=np.float64)
-    y = _gelu_tanh(x, x * x)
+    y = _gelu_tanh(x, out)
     y += 1.0
     y *= x
     y *= 0.5
     return y
 
 
-def _gelu_tanh(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """tanh(c (x + 0.044715 x^3)) in a fresh buffer, given x2 = x * x."""
-    t = x2 * x
+def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh(c (x + 0.044715 x^3)) in ``out`` or a fresh buffer."""
+    t = np.multiply(x, x, out=out)
+    t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
@@ -215,13 +230,13 @@ def gelu_backward(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d_out * gelu'(x), where gelu'(x) = 0.5 (1 + t)
     + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2) and t is the forward tanh."""
     x = np.asarray(x, dtype=np.float64)
-    x2 = x * x
-    t = _gelu_tanh(x, x2)
+    t = _gelu_tanh(x)
     local = np.multiply(t, t)
     np.subtract(1.0, local, out=local)
     local *= x
     local *= 0.5
     local *= _GELU_C
+    x2 = np.multiply(x, x)
     x2 *= 3.0 * _GELU_A
     x2 += 1.0
     local *= x2
@@ -239,9 +254,12 @@ def embedding_lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return table[ids]
 
 
-def embedding_lookup_backward(d_out: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
-    """Scatter-add of output gradients onto the rows that were looked up."""
-    d_table = np.zeros((num_rows, d_out.shape[-1]), dtype=np.float64)
+def embedding_lookup_backward(d_out: np.ndarray, ids: np.ndarray, num_rows: int,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """Scatter-add of output gradients onto the rows that were looked up,
+    into ``out`` when given."""
+    d_table = np.empty((num_rows, d_out.shape[-1])) if out is None else out
+    d_table.fill(0.0)
     np.add.at(d_table, np.asarray(ids).reshape(-1), d_out.reshape(-1, d_out.shape[-1]))
     return d_table
 

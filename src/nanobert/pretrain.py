@@ -141,14 +141,18 @@ def mlm_loss(config: ModelConfig, params: dict, batch: MaskedBatch) -> float:
 
 
 def mlm_loss_and_grads(config: ModelConfig, params: dict, batch: MaskedBatch,
-                       dropout_rng: Rng | None = None):
+                       dropout_rng: Rng | None = None, grads: dict | None = None,
+                       cache: dict | None = None):
     """Loss plus gradients for every parameter; None when nothing is labeled.
 
+    Gradients are written into the arrays of ``grads`` when given, and the
+    forward reuses the buffers of an earlier step's ``cache`` when given.
     The tied embedding receives two contributions: the output-projection
     gradient at labeled positions and the usual lookup scatter.
     """
     h, cache = encoder_forward_with_cache(
-        config, params, batch.input_ids, batch.attention_mask, dropout_rng=dropout_rng
+        config, params, batch.input_ids, batch.attention_mask, dropout_rng=dropout_rng,
+        cache=cache
     )
     out = _mlm_head(params, batch, h)
     if out is None:
@@ -157,9 +161,9 @@ def mlm_loss_and_grads(config: ModelConfig, params: dict, batch: MaskedBatch,
     loss, d_logits = nn.softmax_cross_entropy(logits, targets)
     d_h = np.zeros_like(h)
     d_h[rows, cols] = d_logits @ params["tok_emb"]
-    grads = encoder_backward(config, params, cache, d_h)
-    grads["tok_emb"] = grads["tok_emb"] + d_logits.T @ h_masked
-    grads["mlm_bias"] = d_logits.sum(axis=0)
+    grads = encoder_backward(config, params, cache, d_h, grads)
+    grads["tok_emb"] += d_logits.T @ h_masked
+    grads["mlm_bias"] = np.sum(d_logits, axis=0, out=grads.get("mlm_bias"))
     return loss, grads
 
 
@@ -247,6 +251,7 @@ def run_pretraining(
 
     for epoch in range(1, config.num_train_epochs + 1):
         order = train_idx[root.spawn("shuffle", epoch).permutation(len(train_idx))]
+        workspace: dict = {}  # the epoch's activation buffers, reused by every step
         for step_in_epoch, block in enumerate(batch_indices(len(order), config.train_batch_size)):
             sel = order[block]
             batch = mask_tokens(
@@ -256,16 +261,16 @@ def run_pretraining(
             global_step += 1
             with naming_step(epoch, step_in_epoch + 1):
                 result = mlm_loss_and_grads(model_config, params, batch,
-                                            root.spawn("dropout", epoch, step_in_epoch))
+                                            root.spawn("dropout", epoch, step_in_epoch),
+                                            grad_views, workspace)
                 if result is None:
                     continue  # nothing was masked; no signal, no update
-                loss, grads = result
-                for name, g in grads.items():
-                    np.copyto(grad_views[name], g)
+                loss = result[0]
                 check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
                 optimizer.step(vector, grad_vector)
             if global_step % config.logging_steps == 0:
                 loss_log.append({"step": global_step, "epoch": epoch, "loss": loss})
+        del workspace  # the dev pass below scores without the step buffers beside it
 
         with naming_step(epoch, step_in_epoch + 1):  # scores the parameters the last step left
             dev = _dev_loss(model_config, params, dev_batches)

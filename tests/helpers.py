@@ -1,5 +1,7 @@
 """Shared fixtures-in-code for the test suite."""
 
+import tracemalloc
+
 from nanobert.data import LabeledDataset
 from nanobert.model import ModelConfig, param_shapes
 
@@ -40,3 +42,13 @@ def generic_params(cfg, rng, scale=0.4, num_labels=None):
         else:
             params[name] = rng.normal(shape, scale)
     return params
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak of the memory Python traces while ``fn(*args)`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -442,6 +442,21 @@ class TestReportCommand:
         assert "extra_metric" in err
 
 
+    def test_lowest_dev_loss_is_best(self, workdir, tmp_path, capsys):
+        worse = tmp_path / "worse"
+        worse.mkdir()
+        body = json.loads((workdir["pretrain"] / "metrics.json").read_text())
+        for name in ("initial_dev_loss", "best_dev_loss", "final_dev_loss"):
+            body["metrics"][name] += 1.0
+        (worse / "metrics.json").write_text(json.dumps(body))
+        report_path = tmp_path / "report.json"
+        assert main(["report", str(worse), str(workdir["pretrain"]),
+                     "--output", str(report_path)]) == 0
+        best = json.loads(report_path.read_text())["best"]
+        assert {best[name] for name in ("initial_dev_loss", "best_dev_loss",
+                                        "final_dev_loss")} == {"pretrain"}
+
+
 def first_run(command, workdir, finetune_run, out):
     """A run directory of ``command``: the module's own for pretrain and
     finetune, else a fresh small run into ``out``."""

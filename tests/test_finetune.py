@@ -218,6 +218,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="2 classes.*3"):
             train(config, model, three, three)
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_empty_training_set_says_so(self, task):
+        config, model, train_set, dev_set = clf_setup()
+        if task == "regression":
+            model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
+            config = config.with_overrides(metric_for_best_model="rmse")
+            dev_set = LabeledDataset(dev_set.texts, [float(y) for y in dev_set.labels], "real")
+            empty = LabeledDataset([], [], "real")
+        else:
+            empty = LabeledDataset([], [], "class")
+        with pytest.raises(ValueError, match="the training set has no examples"):
+            train(config, model, empty, dev_set)
+
     def test_missing_head_rejected(self):
         config, _, train_set, dev_set = clf_setup()
         headless = base_model(train_set.texts)

@@ -1,24 +1,27 @@
 """Encoder forward/backward: hand oracles, invariances, gradient checks."""
 
+import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import generic_params, tiny_config
+from helpers import generic_params, tiny_config, traced_peak_mb
 from nanobert import numerics as nn
+from nanobert.finetune import head_loss_and_grads
 from nanobert.model import (
     embed,
     encoder_backward,
     encoder_forward,
     encoder_forward_with_cache,
+    flatten,
     init_params,
     param_shapes,
     pool_first_token,
     self_attention,
     trim_padding,
 )
+from nanobert.pretrain import IGNORE_LABEL, MaskedBatch, mlm_loss_and_grads
 from nanobert.rng import Rng
 
 
@@ -205,16 +208,20 @@ class TestEncoderForward:
         params = init_params(cfg, Rng(13))
         ids = Rng(14).integers(cfg.vocab_size, (8, 16))
         mask = np.ones((8, 16))
+        assert (traced_peak_mb(encoder_forward, cfg, params, ids, mask)
+                < 0.5 * traced_peak_mb(encoder_forward_with_cache, cfg, params, ids, mask))
 
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn(cfg, params, ids, mask)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(encoder_forward) < 0.5 * peak(encoder_forward_with_cache)
+    def test_scoring_peak_does_not_grow_with_depth(self):
+        # each layer's intermediates are freed before the next layer runs
+        ids = Rng(15).integers(20, (8, 32))
+        mask = np.ones((8, 32))
+        peaks = []
+        for num_layers in (1, 4):
+            cfg = tiny_config(num_layers=num_layers, hidden_size=32, num_heads=4, ffn_size=128,
+                              max_positions=32)
+            params = init_params(cfg, Rng(16))
+            peaks.append(traced_peak_mb(encoder_forward, cfg, params, ids, mask))
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_pool_first_token(self):
         h = Rng(9).normal((2, 5, 3))
@@ -310,6 +317,83 @@ class TestEncoderGradients:
         grads = encoder_backward(cfg, params, cache, readout)
         # id 19 appears only at a masked position that the loss ignores
         assert (grads["tok_emb"][19] == 0.0).all()
+
+
+def dropout_step(cfg, params, head, shape, seed, grads=None, cache=None):
+    """Loss and gradients of one seeded dropout step through the MLM head or
+    a classification head, on random ids with a padded row."""
+    data = Rng(seed)
+    ids = data.integers(cfg.vocab_size, shape)
+    mask = np.ones(shape)
+    mask[1, shape[1] // 2:] = 0.0
+    rng = Rng(seed + 1)
+    if head == "mlm":
+        labels = np.where((data.random(shape) < 0.3) & (mask > 0), ids, IGNORE_LABEL)
+        return mlm_loss_and_grads(cfg, params, MaskedBatch(ids, labels, mask), rng, grads, cache)
+    labels = data.integers(params["head.b"].size, (shape[0],))
+    h, cache = encoder_forward_with_cache(cfg, params, ids, mask, rng, cache)
+    loss, d_h, head_grads = head_loss_and_grads(params, h, labels, grads)
+    grads = encoder_backward(cfg, params, cache, d_h, grads)
+    grads.update(head_grads)
+    return loss, grads
+
+
+class TestTrainingWorkspace:
+    """Training steps that reuse one cache and one gradient vector give the
+    same bits as steps with fresh ones, and as the steps always have."""
+
+    @pytest.mark.parametrize("head", ["mlm", "classification"])
+    def test_reused_workspace_is_bit_identical(self, head):
+        cfg = tiny_config(num_layers=2, max_positions=16, dropout=0.1)
+        params = generic_params(cfg, Rng(61), num_labels=None if head == "mlm" else 3)
+        workspace = {}
+        _, grads = flatten(params)
+        for step, shape in enumerate([(4, 16), (2, 8), (4, 16)]):
+            loss, fresh = dropout_step(cfg, params, head, shape, 62 + step)
+            reused_loss, reused = dropout_step(cfg, params, head, shape, 62 + step,
+                                               grads, workspace)
+            assert reused is grads and reused_loss == loss
+            assert set(fresh) <= set(grads)  # a finetune step leaves mlm_bias alone
+            assert flatten(fresh)[0].tobytes() == flatten({n: grads[n] for n in fresh})[0].tobytes()
+
+    def test_smaller_step_reuses_the_buffers(self):
+        cfg = tiny_config(num_layers=2, max_positions=16, dropout=0.1)
+        params = generic_params(cfg, Rng(63), num_labels=3)
+        workspace = {}
+        dropout_step(cfg, params, "classification", (4, 16), 64, cache=workspace)
+        buffers = {id(b) for b in workspace["buffers"]["layers.0"].values()}
+        dropout_step(cfg, params, "classification", (2, 8), 65, cache=workspace)
+        assert {id(b) for b in workspace["buffers"]["layers.0"].values()} == buffers
+        probs = workspace["layers"][0]["attn"]["probs"]
+        assert probs.shape == (2, 2, 8, 8) and np.shares_memory(
+            probs, workspace["buffers"]["layers.0"]["probs"])
+        assert workspace["layers"][0]["attn"]["pmask"].dtype == bool
+
+    @pytest.mark.parametrize("head, digest", [
+        ("classification", "630adfd1fba6ee160a895cd0b311eb7ac4bfec985aed28d0dc4c27516ddf86e9"),
+        ("mlm", "2fca098542d73fb4359c4c24164086d0b8d005cd0fc80742ab692b3529bc095f"),
+    ])
+    def test_golden_dropout_step(self, head, digest):
+        # sha256 of the loss and gradient vector, recorded before the
+        # workspace existed (x86-64, NumPy 2.4, OpenBLAS); the digest pins
+        # every bit, so another BLAS or CPU may give another one
+        cfg = tiny_config(num_layers=2, max_positions=16, dropout=0.1)
+        params = generic_params(cfg, Rng(71), num_labels=3)
+        ids = Rng(72).integers(cfg.vocab_size, (4, 16))
+        mask = np.ones((4, 16))
+        mask[1, 9:] = 0.0
+        mask[3, 5:] = 0.0
+        if head == "mlm":
+            params = {k: v for k, v in params.items() if not k.startswith("head.")}
+            labels = np.where((Rng(74).random((4, 16)) < 0.3) & (mask > 0), ids, IGNORE_LABEL)
+            loss, grads = mlm_loss_and_grads(cfg, params, MaskedBatch(ids, labels, mask),
+                                             dropout_rng=Rng(75))
+        else:
+            h, cache = encoder_forward_with_cache(cfg, params, ids, mask, dropout_rng=Rng(73))
+            loss, d_h, grads = head_loss_and_grads(params, h, np.array([0, 2, 1, 2]))
+            grads.update(encoder_backward(cfg, params, cache, d_h))
+        body = np.float64(loss).tobytes() + flatten(grads)[0].tobytes()
+        assert hashlib.sha256(body).hexdigest() == digest
 
 
 class TestGoldenForward:

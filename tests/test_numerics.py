@@ -42,6 +42,24 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="NaN or Inf"):
             nn.softmax(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4, 4)])
+    def test_in_place_matches_fresh(self, shape):
+        x = Rng(4).normal(shape, scale=5.0)
+        want = nn.softmax(x)
+        out = nn.softmax(x, out=x)
+        assert out is x
+        assert want.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_in_place_rejects_non_finite_and_keeps_input(self, bad):
+        x = np.array([[1.0, 2.0], [bad, 0.5]])
+        before = x.copy()
+        with pytest.raises(ValueError, match="softmax input contains NaN or Inf"):
+            nn.softmax(x.copy())
+        with pytest.raises(ValueError, match="softmax input contains NaN or Inf"):
+            nn.softmax(x, out=x)
+        np.testing.assert_array_equal(x, before)
+
     def test_log_softmax_consistent(self):
         x = Rng(3).normal((5, 7), scale=8.0)
         np.testing.assert_allclose(nn.log_softmax(x), np.log(nn.softmax(x)), atol=1e-12)
