@@ -17,15 +17,16 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import LabeledDataset, load_csv, split
-from .finetune import (HeadConfig, _check_head_fits, attach_head, evaluate, predict, task_metrics,
-                       train, write_json)
+from .data import load_csv, split
+from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train, write_json
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
 from .pretrain import run_pretraining
@@ -259,23 +260,25 @@ def _load_task_splits(data_cfg: dict, seed: int, *, need_dev: bool, need_test: b
     return train_set, dev_set, test_set
 
 
-def cmd_train_tokenizer(args) -> int:
-    config = resolve_config("train-tokenizer", args)
-    out = _require(config, "output_dir")
+class Run(NamedTuple):
+    """What a command body hands ``main`` to write into its run directory."""
+
+    summary: str  # the line printed once the directory is written
+    metrics: dict | None = None  # the metrics.json body, if the command has one
+    resolved: dict = {}  # config sections the run derived, for resolved_config.json
+    artifacts: dict = {}  # path -> function that writes the file there
+
+
+def cmd_train_tokenizer(config: dict, out: str) -> Run:
     corpus = _read_text(_require(config, "data", "corpus"))
     tokenizer = train_bpe([corpus], vocab_size=_require(config, "tokenizer", "vocab_size"),
                           lowercase=config["tokenizer"]["lowercase"])
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "tokenizer.json")
-    tokenizer.save(path)
-    _write_resolved("train-tokenizer", config)
-    print(f"trained tokenizer with {tokenizer.vocab_size} tokens -> {path}")
-    return 0
+    return Run(f"trained tokenizer with {tokenizer.vocab_size} tokens -> {path}",
+               artifacts={path: tokenizer.save})
 
 
-def cmd_pretrain(args) -> int:
-    config = resolve_config("pretrain", args)
-    out = _require(config, "output_dir")
+def cmd_pretrain(config: dict, out: str) -> Run:
     corpus = _read_text(_require(config, "data", "corpus"))
 
     tok_cfg = config["tokenizer"]
@@ -300,28 +303,25 @@ def cmd_pretrain(args) -> int:
         min_delta=pre["min_delta"],
     )
 
-    _write_resolved("pretrain", config, model=model.to_dict(),
-                    training=_listing_training_dict(training))
-    write_json(os.path.join(out, "metrics.json"), {
-        "task": "pretrain",
-        "num_examples": None,
-        "metrics": {
-            "initial_dev_loss": result.dev_losses[0],
-            "best_dev_loss": min(result.dev_losses),
-            "final_dev_loss": result.dev_losses[-1],
-            "best_epoch": result.best_epoch,
-        },
-    })
     tail = " (stopped early)" if result.stopped_early else ""
-    print(f"pretrained {len(result.dev_losses) - 1} epochs{tail}: dev loss "
-          f"{result.dev_losses[0]:.4f} -> {min(result.dev_losses):.4f} "
-          f"(best epoch {result.best_epoch}) -> {out}/best.ckpt")
-    return 0
+    return Run(
+        f"pretrained {len(result.dev_losses) - 1} epochs{tail}: dev loss "
+        f"{result.dev_losses[0]:.4f} -> {min(result.dev_losses):.4f} "
+        f"(best epoch {result.best_epoch}) -> {out}/best.ckpt",
+        metrics={
+            "task": "pretrain",
+            "num_examples": None,
+            "metrics": {
+                "initial_dev_loss": result.dev_losses[0],
+                "best_dev_loss": min(result.dev_losses),
+                "final_dev_loss": result.dev_losses[-1],
+                "best_epoch": result.best_epoch,
+            },
+        },
+        resolved={"model": model.to_dict(), "training": _listing_training_dict(training)})
 
 
-def cmd_finetune(args) -> int:
-    config = resolve_config("finetune", args)
-    out = _require(config, "output_dir")
+def cmd_finetune(config: dict, out: str) -> Run:
     model = load_checkpoint(_require(config, "checkpoint", "path"))
 
     train_set, dev_set, test_set = _load_task_splits(
@@ -350,48 +350,28 @@ def cmd_finetune(args) -> int:
                        max_length=training.max_length,
                        batch_size=training.eval_batch_size)
     metrics["split"] = eval_split
-    write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_resolved("finetune", config, head={"num_labels": num_labels, "task": task},
-                    training=_listing_training_dict(training))
-    print(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
-          f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {_headline(metrics)}")
-    return 0
+    return Run(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
+               f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {_headline(metrics)}",
+               metrics, {"head": {"num_labels": num_labels, "task": task},
+                         "training": _listing_training_dict(training)})
 
 
-def cmd_evaluate(args) -> int:
-    config = resolve_config("evaluate", args)
-    out = _require(config, "output_dir")
+def cmd_evaluate(config: dict, out: str) -> Run:
     model = load_checkpoint(_require(config, "checkpoint", "path"))
     data_cfg = config["data"]
-    kind = data_cfg["label_kind"]
     test_path = _require(config, "data", "test")
     dataset = load_csv(test_path, data_cfg["text_column"], data_cfg["label_column"],
-                       label_kind=kind)
+                       label_kind=data_cfg["label_kind"])
     if len(dataset) == 0:
         raise ValueError(f"test file {test_path} has no rows")
-    if kind == "class" and model.label_names and "head.w" in model.params:
-        label_ids = {name: i for i, name in enumerate(model.label_names)}
-        unknown = [name for name in dataset.label_names if name not in label_ids]
-        if unknown:
-            _check_head_fits(model.params, dataset)  # a count mismatch names both counts
-            raise ValueError(f"dataset label {unknown[0]!r} unknown to the checkpoint "
-                             f"(it has {model.label_names})")
-        labels = [label_ids[dataset.label_names[lab]] for lab in dataset.labels]
-        dataset = LabeledDataset(dataset.texts, labels, "class", list(model.label_names))
     eval_cfg = config["eval"]
     metrics = evaluate(model, dataset, max_length=eval_cfg["max_length"],
                        batch_size=eval_cfg["batch_size"])
     metrics["split"] = "test"
-    os.makedirs(out, exist_ok=True)
-    write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_resolved("evaluate", config)
-    print(f"evaluated {metrics['num_examples']} examples: {_headline(metrics)}")
-    return 0
+    return Run(f"evaluated {metrics['num_examples']} examples: {_headline(metrics)}", metrics)
 
 
-def cmd_predict(args) -> int:
-    config = resolve_config("predict", args)
-    out = _require(config, "output_dir")
+def cmd_predict(config: dict, out: str) -> Run:
     model = load_checkpoint(_require(config, "checkpoint", "path"))
     text_col = config["data"]["text_column"]
     input_path = _require(config, "data", "input")
@@ -414,89 +394,64 @@ def cmd_predict(args) -> int:
     else:
         rendered = [f"{float(v):.6f}" for v in values]
 
-    os.makedirs(out, exist_ok=True)
+    def write_predictions(path: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow([text_col, "prediction"])
+            writer.writerows(zip(texts, rendered))
+
     pred_path = os.path.join(out, "predictions.csv")
-    with open(pred_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([text_col, "prediction"])
-        for text, value in zip(texts, rendered):
-            writer.writerow([text, value])
-    _write_resolved("predict", config)
-    print(f"wrote {len(texts)} predictions -> {pred_path}")
-    return 0
+    return Run(f"wrote {len(texts)} predictions -> {pred_path}",
+               artifacts={pred_path: write_predictions})
 
 
-def cmd_baseline(args) -> int:
-    config = resolve_config("baseline", args)
-    out = _require(config, "output_dir")
+def cmd_baseline(config: dict, out: str) -> Run:
     base_cfg = config["baseline"]
     algorithm = base_cfg["algorithm"]
-
+    kind = config["data"]["label_kind"]
     if algorithm in BASELINE_KINDS:
-        metrics, model_path = _run_bow_baseline(config, base_cfg, algorithm, out)
+        if kind != "class":
+            raise ValueError("bag-of-words baselines require data.label_kind == \"class\"")
     elif algorithm == "ridge":
-        metrics, model_path = _run_ridge_baseline(config, base_cfg, out)
+        if kind != "real":
+            raise ValueError("the ridge baseline requires data.label_kind == \"real\"")
+        ckpt_path = base_cfg["checkpoint"]
+        if not ckpt_path:
+            raise ValueError("the ridge baseline needs baseline.checkpoint for features")
+        model = load_checkpoint(ckpt_path)
     else:
         raise ValueError(
             f"unknown baseline algorithm {algorithm!r}; "
             f"choose one of {sorted((*BASELINE_KINDS, 'ridge'))}"
         )
-
-    write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_resolved("baseline", config)
-    print(f"{algorithm} on {metrics['num_examples']} test examples: {_headline(metrics)} "
-          f"(model -> {model_path})")
-    return 0
-
-
-def _run_bow_baseline(config, base_cfg, algorithm, out):
-    if config["data"]["label_kind"] != "class":
-        raise ValueError("bag-of-words baselines require data.label_kind == \"class\"")
     train_set, _, test_set = _load_task_splits(
         config["data"], config["seed"], need_dev=False, need_test=True)
 
     l2 = base_cfg["l2"]
-    pipeline = fit_text_baseline(
-        algorithm, train_set,
-        min_df=base_cfg["min_df"],
-        alpha=base_cfg["alpha"],
-        l2=1e-3 if l2 is None else l2,
-        learning_rate=base_cfg["learning_rate"],
-        epochs=base_cfg["epochs"],
-    )
-    os.makedirs(out, exist_ok=True)
-    model_path = os.path.join(out, "baseline_model.json")
-    pipeline.save(model_path)
-
-    metrics = task_metrics("classification", test_set.label_array(),
-                           pipeline.predict(test_set.texts), train_set.label_names)
+    if algorithm == "ridge":
+        kwargs = dict(max_length=base_cfg["max_length"], batch_size=base_cfg["batch_size"])
+        X_train = mean_pooled_features(model, train_set.texts, **kwargs)
+        X_test = mean_pooled_features(model, test_set.texts, **kwargs)
+        ridge = Ridge(l2=1.0 if l2 is None else l2).fit(X_train, train_set.label_array())
+        save = partial(write_json, obj={"algorithm": "ridge", "checkpoint": ckpt_path,
+                                        **ridge.to_json_dict()})
+        metrics = task_metrics("regression", test_set.label_array(), ridge.predict(X_test))
+    else:
+        pipeline = fit_text_baseline(
+            algorithm, train_set,
+            min_df=base_cfg["min_df"],
+            alpha=base_cfg["alpha"],
+            l2=1e-3 if l2 is None else l2,
+            learning_rate=base_cfg["learning_rate"],
+            epochs=base_cfg["epochs"],
+        )
+        save = pipeline.save
+        metrics = task_metrics("classification", test_set.label_array(),
+                               pipeline.predict(test_set.texts), train_set.label_names)
     metrics.update(algorithm=algorithm, split="test")
-    return metrics, model_path
-
-
-def _run_ridge_baseline(config, base_cfg, out):
-    if config["data"]["label_kind"] != "real":
-        raise ValueError("the ridge baseline requires data.label_kind == \"real\"")
-    ckpt_path = base_cfg["checkpoint"]
-    if not ckpt_path:
-        raise ValueError("the ridge baseline needs baseline.checkpoint for features")
-    model = load_checkpoint(ckpt_path)
-    train_set, _, test_set = _load_task_splits(
-        config["data"], config["seed"], need_dev=False, need_test=True)
-
-    kwargs = dict(max_length=base_cfg["max_length"], batch_size=base_cfg["batch_size"])
-    X_train = mean_pooled_features(model, train_set.texts, **kwargs)
-    X_test = mean_pooled_features(model, test_set.texts, **kwargs)
-    l2 = base_cfg["l2"]
-    ridge = Ridge(l2=1.0 if l2 is None else l2).fit(X_train, train_set.label_array())
-
-    os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "baseline_model.json")
-    write_json(model_path, {"algorithm": "ridge", "checkpoint": ckpt_path,
-                            **ridge.to_json_dict()})
-    metrics = task_metrics("regression", test_set.label_array(), ridge.predict(X_test))
-    metrics.update(algorithm="ridge", split="test")
-    return metrics, model_path
+    return Run(f"{algorithm} on {metrics['num_examples']} test examples: {_headline(metrics)} "
+               f"(model -> {model_path})", metrics, artifacts={model_path: save})
 
 
 def cmd_report(args) -> int:
@@ -594,14 +549,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="tabulate metrics.json across run directories")
     p.add_argument("run_dirs", nargs="+", metavar="RUN_DIR")
     p.add_argument("--output", help="also write the table as JSON")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run a command. A config command's run directory is made and written
+    only after its body returns, so a body that fails before writing leaves
+    none (pretrain and finetune write their training files as they run)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "report":
+            return cmd_report(args)
+        config = resolve_config(args.command, args)
+        out = _require(config, "output_dir")
+        run = args.func(config, out)
+        os.makedirs(out, exist_ok=True)
+        for path, save in run.artifacts.items():
+            save(path)
+        if run.metrics is not None:
+            write_json(os.path.join(out, "metrics.json"), run.metrics)
+        _write_resolved(args.command, config, **run.resolved)
+        print(run.summary)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

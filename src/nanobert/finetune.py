@@ -114,6 +114,30 @@ def _check_head_fits(params: dict, dataset: LabeledDataset) -> None:
         )
 
 
+def fit_to_head(model: Checkpoint, dataset: LabeledDataset, name: str) -> LabeledDataset:
+    """The dataset with its class ids in the head's order, checked to fit it.
+
+    Refuses an empty set by ``name``. When both the dataset and the
+    checkpoint name their classes, each row's class is mapped to the
+    checkpoint's id for that name, so a dataset may list any subset of the
+    classes in any order; a name the checkpoint does not know is refused
+    (after a class-count mismatch, which names both counts).
+    """
+    if len(dataset) == 0:
+        raise ValueError(f"the {name} has no examples")
+    if dataset.label_kind == "class" and model.label_names and dataset.label_names:
+        label_ids = {label: i for i, label in enumerate(model.label_names)}
+        unknown = [label for label in dataset.label_names if label not in label_ids]
+        if unknown:
+            _check_head_fits(model.params, dataset)
+            raise ValueError(f"dataset label {unknown[0]!r} unknown to the checkpoint "
+                             f"(it has {model.label_names})")
+        labels = [label_ids[dataset.label_names[lab]] for lab in dataset.labels]
+        dataset = LabeledDataset(dataset.texts, labels, "class", list(model.label_names))
+    _check_head_fits(model.params, dataset)
+    return dataset
+
+
 def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1), scored batch by batch."""
     task = head_task(params)
@@ -249,9 +273,8 @@ def train(
         )
     if train_set.label_kind != dev_set.label_kind:
         raise ValueError("train and dev sets carry different label kinds")
-    if len(train_set) == 0:
-        raise ValueError("the training set has no examples")
-    _check_head_fits(model.params, train_set)
+    train_set = fit_to_head(model, train_set, "training set")
+    dev_set = fit_to_head(model, dev_set, "dev set")
 
     train_ids, train_masks = model.encode_texts(train_set.texts, config.max_length)
     dev_ids, dev_masks = model.encode_texts(dev_set.texts, config.max_length)
@@ -333,9 +356,7 @@ def predict(model: Checkpoint, texts, *, max_length: int | None = None,
 def evaluate(model: Checkpoint, dataset: LabeledDataset, *,
              max_length: int | None = None, batch_size: int = 64) -> dict:
     """Metrics for a labeled dataset, shaped for metrics.json by ``task_metrics``."""
-    if len(dataset) == 0:
-        raise ValueError("the dataset has no examples to evaluate")
-    _check_head_fits(model.params, dataset)
+    dataset = fit_to_head(model, dataset, "dataset")
     preds = predict(model, dataset.texts, max_length=max_length, batch_size=batch_size)
     return task_metrics(head_task(model.params), dataset.label_array(), preds,
                         label_names=model.label_names or dataset.label_names)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -34,6 +35,11 @@ SPACE = " "
 FORMAT_VERSION = 1
 
 
+# optional whitespace, then a run of alphanumerics or one other character;
+# [^\W_] is exactly str.isalnum and \s exactly str.isspace
+_CHUNK = re.compile(r"(\s*)([^\W_]+|\S)")
+
+
 def pre_tokenize(text: str) -> list[tuple[str, bool]]:
     """Split text into chunks tagged with whether whitespace preceded them.
 
@@ -41,27 +47,7 @@ def pre_tokenize(text: str) -> list[tuple[str, bool]]:
     non-whitespace character, so punctuation stands alone. The first chunk
     is never tagged, which drops leading whitespace.
     """
-    chunks: list[tuple[str, bool]] = []
-    pending_space = False
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            pending_space = True
-            i += 1
-            continue
-        if c.isalnum():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            chunk = text[i:j]
-            i = j
-        else:
-            chunk = c
-            i += 1
-        chunks.append((chunk, pending_space and bool(chunks)))
-        pending_space = False
-    return chunks
+    return [(m[2], bool(m[1]) and i > 0) for i, m in enumerate(_CHUNK.finditer(text))]
 
 
 @dataclass

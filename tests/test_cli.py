@@ -1,12 +1,13 @@
 """End-to-end command-line plumbing over tiny bundled-style datasets."""
 
+import ast
 import json
 import subprocess
 import sys
 
 import pytest
 
-from nanobert import datagen
+from nanobert import cli, datagen
 from nanobert.checkpoint import load_checkpoint, save_checkpoint
 from nanobert.cli import main
 from nanobert.data import LabeledDataset, load_csv
@@ -546,3 +547,43 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "corpus.txt").exists()
+
+
+def missing_key_args(workdir):
+    """Per config command: the required key left out, and the --set flags
+    that complete the rest of its config."""
+    data, ckpt = workdir["data"], workdir["pretrain"] / "best.ckpt"
+    return {
+        "train-tokenizer": ("data.corpus", ["tokenizer.vocab_size=64"]),
+        "pretrain": ("data.corpus", ["tokenizer.vocab_size=64"]),
+        "finetune": ("checkpoint.path", [f"data.train={data / 'topics.csv'}",
+                                         "data.dev_size=0.2"]),
+        "evaluate": ("checkpoint.path", [f"data.test={data / 'topics.csv'}"]),
+        "predict": ("checkpoint.path", [f"data.input={data / 'topics.csv'}"]),
+        "baseline": ("data.train", [f"data.test={data / 'topics.csv'}"]),
+    }
+
+
+class TestRunDirectory:
+    @pytest.mark.parametrize("command", ["train-tokenizer", "pretrain", "finetune", "evaluate",
+                                         "predict", "baseline"])
+    def test_missing_required_key_leaves_no_directory(self, command, workdir, tmp_path, capsys):
+        key, sets = missing_key_args(workdir)[command]
+        out = tmp_path / "out"
+        argv = [command, "--output-dir", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "missing required config key" in err and key.split(".")[-1] in err
+        assert not out.exists()
+
+    def test_cli_imports_no_private_name(self):
+        """The CLI is glue over the public API of the other modules."""
+        tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+        private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").startswith("nanobert"))
+                   for alias in node.names
+                   if alias.name.startswith("_") and not alias.name.endswith("__")]
+        assert private == []

@@ -231,6 +231,42 @@ class TestTrain:
         with pytest.raises(ValueError, match="the training set has no examples"):
             train(config, model, empty, dev_set)
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_empty_dev_set_refused_before_the_first_step(self, task, monkeypatch):
+        config, model, train_set, dev_set = clf_setup()
+        if task == "regression":
+            model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
+            config = config.with_overrides(metric_for_best_model="rmse")
+            train_set = LabeledDataset(train_set.texts, [float(y) for y in train_set.labels],
+                                       "real")
+            empty = LabeledDataset([], [], "real")
+        else:
+            empty = LabeledDataset([], [], "class", train_set.label_names)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(finetune, "_train_step", no_step)
+        with pytest.raises(ValueError, match="the dev set has no examples"):
+            train(config, model, train_set, empty)
+
+    def test_dev_classes_in_another_order_select_the_same_epoch(self, tmp_path):
+        # dev accuracy is 0.5 for four epochs and 1.0 on the fifth
+        config, model, train_set, dev_set = clf_setup(num_train_epochs=5)
+        flipped = LabeledDataset(dev_set.texts, [1 - y for y in dev_set.labels], "class",
+                                 dev_set.label_names[::-1])
+        train(config, model, train_set, dev_set, output_dir=str(tmp_path / "aligned"))
+        train(config, model, train_set, flipped, output_dir=str(tmp_path / "flipped"))
+        for name in ("selection.json", "metrics_log.jsonl", "best.ckpt"):
+            assert ((tmp_path / "aligned" / name).read_bytes()
+                    == (tmp_path / "flipped" / name).read_bytes()), name
+
+    def test_unknown_dev_label_named(self):
+        config, model, train_set, dev_set = clf_setup()
+        strange = LabeledDataset(dev_set.texts, dev_set.labels, "class", ["animals", "plants"])
+        with pytest.raises(ValueError, match="dataset label 'plants' unknown to the checkpoint"):
+            train(config, model, train_set, strange)
+
     def test_missing_head_rejected(self):
         config, _, train_set, dev_set = clf_setup()
         headless = base_model(train_set.texts)
@@ -389,8 +425,21 @@ class TestPredictEvaluate:
         else:
             model = attach_head(base, HeadConfig(2), Rng(2), label_names=train_set.label_names)
             empty = LabeledDataset([], [], "class", train_set.label_names)
-        with pytest.raises(ValueError, match="no examples to evaluate"):
+        with pytest.raises(ValueError, match="the dataset has no examples"):
             evaluate(model, empty)
+
+    def test_evaluate_maps_classes_by_name(self):
+        model, _, dev_set = self.trained()
+        flipped = LabeledDataset(dev_set.texts, [1 - y for y in dev_set.labels], "class",
+                                 dev_set.label_names[::-1])
+        aligned = evaluate(model, dev_set, max_length=8)
+        assert aligned["metrics"]["accuracy"] == 1.0
+        assert evaluate(model, flipped, max_length=8) == aligned
+
+        rows = [i for i, y in enumerate(dev_set.labels) if y == 1]
+        colors = dev_set.subset(rows)
+        only = LabeledDataset(colors.texts, [0] * len(rows), "class", ["colors"])
+        assert evaluate(model, only, max_length=8) == evaluate(model, colors, max_length=8)
 
     def test_evaluate_class_count_mismatch(self):
         model, train_set, _ = self.trained()

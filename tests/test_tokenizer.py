@@ -227,3 +227,20 @@ def test_pre_tokenize_splits_words_and_punctuation():
     assert got == [("hello", False), (",", False), ("wor9ld", True), ("x", True)]
     assert pre_tokenize("  lead") == [("lead", False)]
     assert pre_tokenize("") == []
+
+
+@pytest.mark.parametrize("text, chunks", [
+    ("snake_case x", [("snake", False), ("_", False), ("case", False), ("x", True)]),
+    ("__init__", [("_", False), ("_", False), ("init", False), ("_", False), ("_", False)]),
+    ("a\u00a0b", [("a", False), ("b", True)]),  # no-break space
+    ("a\u3000b", [("a", False), ("b", True)]),  # ideographic space
+    ("a\u200bb", [("a", False), ("\u200b", False), ("b", False)]),  # zero-width space
+    ("x\u0663\u0664 y", [("x\u0663\u0664", False), ("y", True)]),  # Arabic-Indic digits
+    ("x\u00b2+1", [("x\u00b2", False), ("+", False), ("1", False)]),  # superscript two
+    ("cafe\u0301 ok", [("cafe", False), ("\u0301", False), ("ok", True)]),  # combining acute
+    ("中文。好", [("中文", False), ("。", False), ("好", False)]),
+    ("  hi there \n", [("hi", False), ("there", True)]),
+    (" \t ", []),
+])
+def test_pre_tokenize_chunks(text, chunks):
+    assert pre_tokenize(text) == chunks
