@@ -552,7 +552,7 @@ class TestEntryPoints:
 def missing_key_args(workdir):
     """Per config command: the required key left out, and the --set flags
     that complete the rest of its config."""
-    data, ckpt = workdir["data"], workdir["pretrain"] / "best.ckpt"
+    data = workdir["data"]
     return {
         "train-tokenizer": ("data.corpus", ["tokenizer.vocab_size=64"]),
         "pretrain": ("data.corpus", ["tokenizer.vocab_size=64"]),
@@ -575,6 +575,7 @@ class TestRunDirectory:
             argv += ["--set", item]
         assert main(argv) == 2
         err = capsys.readouterr().err
+        # a missing data.train is named by its last part only, 'train'
         assert "missing required config key" in err and key.split(".")[-1] in err
         assert not out.exists()
 
