@@ -241,12 +241,12 @@ def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = N
                          batch_size: int = 64) -> np.ndarray:
     """Encoder hidden states averaged over real (non-pad) positions."""
     ids, masks = model.encode_texts(texts, max_length)
-    out = [np.zeros((0, model.model_config.hidden_size))]  # zero texts give [0, N]
-    for batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
+    out = np.empty((len(ids), model.model_config.hidden_size))  # zero texts give [0, N]
+    for sel, batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
         h = encoder_forward(model.model_config, model.params, batch_ids, batch_masks)
         weights = batch_masks.astype(np.float64)
-        out.append((h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True))
-    return np.concatenate(out, axis=0)
+        out[sel] = (h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True)
+    return out
 
 
 BASELINE_KINDS = ("naive_bayes", "maxent")

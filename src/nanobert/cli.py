@@ -223,12 +223,13 @@ def _read_text(path: str) -> str:
         return f.read()
 
 
-def _load_task_splits(data_cfg: dict, seed: int, *, need_dev: bool, need_test: bool):
+def _load_task_splits(config: dict, *, need_dev: bool, need_test: bool):
     """Train/dev/test from explicit files, or carved out of the train CSV."""
+    data_cfg, seed = config["data"], config["seed"]
     kind = data_cfg["label_kind"]
     text_col = data_cfg["text_column"]
     label_col = data_cfg["label_column"]
-    train_path = _require(data_cfg, "train")
+    train_path = _require(config, "data", "train")
     train_set = load_csv(train_path, text_col, label_col, label_kind=kind)
     names = train_set.label_names
 
@@ -324,8 +325,7 @@ def cmd_pretrain(config: dict, out: str) -> Run:
 def cmd_finetune(config: dict, out: str) -> Run:
     model = load_checkpoint(_require(config, "checkpoint", "path"))
 
-    train_set, dev_set, test_set = _load_task_splits(
-        config["data"], config["seed"], need_dev=True, need_test=False)
+    train_set, dev_set, test_set = _load_task_splits(config, need_dev=True, need_test=False)
 
     head_cfg = config["head"]
     task = head_cfg["task"]
@@ -424,8 +424,7 @@ def cmd_baseline(config: dict, out: str) -> Run:
             f"unknown baseline algorithm {algorithm!r}; "
             f"choose one of {sorted((*BASELINE_KINDS, 'ridge'))}"
         )
-    train_set, _, test_set = _load_task_splits(
-        config["data"], config["seed"], need_dev=False, need_test=True)
+    train_set, _, test_set = _load_task_splits(config, need_dev=False, need_test=True)
 
     l2 = base_cfg["l2"]
     if algorithm == "ridge":

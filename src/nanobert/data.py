@@ -4,12 +4,15 @@ Splits are driven by the package RNG, never the host PRNG, so a seed pins
 the exact partition on every platform. Sizes may be absolute counts
 (integers >= 0) or fractions (floats in [0, 1), rounded half up against the
 pool they draw from: test from the full set, dev from what test leaves).
+Training batches may be bucketed by length (``batch_indices(lengths=)``),
+so that a batch cut to its longest row carries little padding.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,8 @@ from .rng import Rng
 logger = logging.getLogger(__name__)
 
 LABEL_KINDS = ("class", "real")
+# batches per window that ``batch_indices`` sorts by length when given lengths
+BUCKET_BATCHES = 8
 
 
 @dataclass
@@ -83,8 +88,8 @@ def load_csv(
 
     Class labels map to contiguous ids by first appearance; pass the
     ``label_names`` of a previous load to reuse its mapping (unknown labels
-    then fail instead of extending it). Rows with empty text are skipped
-    with a logged count.
+    then fail instead of extending it). Real labels must parse as finite
+    floats. Rows with empty text are skipped with a logged count.
     """
     if label_kind not in LABEL_KINDS:
         raise ValueError(f"label_kind must be one of {LABEL_KINDS}, got {label_kind!r}")
@@ -119,11 +124,14 @@ def load_csv(
                 labels.append(mapping[raw])
             else:
                 try:
-                    labels.append(float(raw))
+                    value = float(raw)
                 except ValueError:
                     raise ValueError(
                         f"{path} line {lineno}: cannot parse {raw!r} as a real label"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path} line {lineno}: real label {raw!r} is not finite")
+                labels.append(value)
             texts.append(text)
     if skipped:
         logger.warning("%s: skipped %d rows with empty text", path, skipped)
@@ -235,12 +243,30 @@ def split(
 
 
 def batch_indices(n: int, batch_size: int, shuffle: bool = False,
-                  seed: int = 0, epoch: int = 0) -> list[np.ndarray]:
-    """Index blocks covering range(n); order is seeded by (seed, epoch)."""
+                  seed: int = 0, epoch: int = 0, lengths=None) -> list[np.ndarray]:
+    """Index blocks covering range(n); order is seeded by (seed, epoch).
+
+    The rows are taken in the epoch's permutation (``shuffle``) or in order.
+    With ``lengths``, each window of ``BUCKET_BATCHES * batch_size`` of
+    those rows is stable-sorted by length before the blocks are cut, so a
+    block holds rows of similar length, and when shuffling the blocks are
+    then put in an order drawn from a stream spawned off the epoch's. A
+    block is thus a run of similar lengths within one stretch of the
+    permutation, not a slice of the whole set sorted by length.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = Rng(seed).spawn("batch", epoch).permutation(n) if shuffle else np.arange(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
+    stream = Rng(seed).spawn("batch", epoch) if shuffle else None
+    order = stream.permutation(n) if shuffle else np.arange(n)
+    if lengths is not None:
+        if len(lengths) != n:
+            raise ValueError(f"{len(lengths)} lengths for {n} rows")
+        window = np.arange(n) // (BUCKET_BATCHES * batch_size)
+        order = order[np.lexsort((np.asarray(lengths)[order], window))]  # stable
+    blocks = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+    if lengths is not None and shuffle:
+        blocks = [blocks[i] for i in stream.spawn("order").permutation(len(blocks))]
+    return blocks
 
 
 def batch(ds: LabeledDataset, batch_size: int, shuffle: bool = False,

@@ -141,11 +141,10 @@ def fit_to_head(model: Checkpoint, dataset: LabeledDataset, name: str) -> Labele
 def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1), scored batch by batch."""
     task = head_task(params)
-    logits = [np.zeros((0, params["head.b"].size))]  # zero texts give [0, K]
-    for batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
+    logits = np.empty((len(ids), params["head.b"].size))  # zero texts give [0, K]
+    for sel, batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
         h = encoder_forward(cfg, params, batch_ids, batch_masks)
-        logits.append(pool_first_token(h) @ params["head.w"] + params["head.b"])
-    logits = np.concatenate(logits, axis=0)
+        logits[sel] = pool_first_token(h) @ params["head.w"] + params["head.b"]
     if task == CLASSIFICATION:
         return np.argmax(logits, axis=1).astype(np.int64)
     return logits[:, 0].astype(np.float64)
@@ -278,6 +277,7 @@ def train(
 
     train_ids, train_masks = model.encode_texts(train_set.texts, config.max_length)
     dev_ids, dev_masks = model.encode_texts(dev_set.texts, config.max_length)
+    train_lengths = np.count_nonzero(train_masks, axis=1)  # batches bucket rows by length
     y_train = train_set.label_array()
     y_dev = dev_set.label_array()
 
@@ -296,8 +296,8 @@ def train(
 
     for epoch in range(1, config.num_train_epochs + 1):
         loss_sum, seen = 0.0, 0
-        blocks = batch_indices(len(train_set), config.train_batch_size,
-                               shuffle=True, seed=config.seed, epoch=epoch)
+        blocks = batch_indices(len(train_set), config.train_batch_size, shuffle=True,
+                               seed=config.seed, epoch=epoch, lengths=train_lengths)
         workspace: dict = {}  # the epoch's activation buffers, reused by every step
         for step, sel in enumerate(blocks):
             with naming_step(epoch, step + 1):

@@ -20,8 +20,13 @@ pad keys (kept finite so backward never sees NaN), which makes outputs at
 non-pad positions bit-identical under any change to pad-position ids.
 Finetuning and scoring cut each batch to its longest real row with
 ``trim_padding`` before the forward pass, so pad-position outputs past that
-width are never computed. BLAS blocking and summation order depend on T, so
-those outputs differ from a pass over the full padded width by about 1e-15.
+width are never computed. Batches are made of rows of similar length, so
+little padding is left to cut around: finetuning draws its training batches
+from length-sorted windows of each epoch's shuffle
+(``data.batch_indices(lengths=)``), and ``scoring_batches`` takes the rows
+in order of length and hands back their input positions. BLAS blocking and
+summation order depend on T and on a row's batch, so outputs differ from a
+pass over the full padded width by about 1e-15.
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def _keep_mask(shape: tuple, rng: Rng | None, p: float, ws: dict | None, key: st
     nothing drawn when p is 0."""
     if p == 0.0:
         return None
-    return np.greater_equal(rng.random(shape), p, out=_slot(ws, key, shape, bool))
+    return rng.random(shape, at_least=p, out=_slot(ws, key, shape, bool))
 
 
 def _kept(x: np.ndarray, keep: np.ndarray | None, p: float,
@@ -310,9 +315,14 @@ def trim_padding(ids: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def scoring_batches(ids: np.ndarray, masks: np.ndarray, batch_size: int):
-    """Consecutive batches of at most ``batch_size`` rows, each cut by ``trim_padding``."""
-    for sel in batch_indices(len(ids), batch_size):
-        yield trim_padding(ids[sel], masks[sel])
+    """Batches of at most ``batch_size`` rows taken in order of real length
+    (a stable sort), each cut by ``trim_padding``: yields the rows' input
+    positions with the cut ids and masks, so a caller writes each batch's
+    outputs back into input order."""
+    order = np.argsort(np.count_nonzero(masks, axis=1), kind="stable")
+    for block in batch_indices(len(order), batch_size):
+        sel = order[block]
+        yield (sel, *trim_padding(ids[sel], masks[sel]))
 
 
 def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],

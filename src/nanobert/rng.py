@@ -86,13 +86,23 @@ class Rng:
         """Next ``n`` raw 64-bit values."""
         return self._raw(n)
 
-    def random(self, size=None):
-        """Uniform float64 in [0, 1): top 53 bits of a raw draw."""
+    def random(self, size=None, *, at_least: float | None = None, out=None):
+        """Uniform float64 in [0, 1): top 53 bits of a raw draw.
+
+        With ``at_least``, the bool array ``random(size) >= at_least``
+        (written to ``out`` when given), tested on the raw integers without
+        building the floats: the same values from the same stream position.
+        """
         if size is None:
-            return (self._next() >> 11) * _TWO_NEG53
+            value = (self._next() >> 11) * _TWO_NEG53
+            return value if at_least is None else value >= at_least
         shape = _shape(size)
         raw = self._raw(math.prod(shape))
         raw >>= np.uint64(11)
+        if at_least is not None:
+            # (raw >> 11) * 2**-53 >= a  <=>  (raw >> 11) >= ceil(a * 2**53), exactly
+            top = min(max(math.ceil(at_least * 2.0 ** 53), 0), 1 << 53)
+            return np.greater_equal(raw.reshape(shape), np.uint64(top), out=out)
         vals = raw.astype(np.float64)
         vals *= _TWO_NEG53
         return vals.reshape(shape)

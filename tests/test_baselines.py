@@ -215,6 +215,15 @@ class TestMeanPooledFeatures:
         feats = mean_pooled_features(model, texts, max_length=12, batch_size=4)
         np.testing.assert_allclose(feats, full, rtol=0, atol=1e-12)
 
+    def test_shuffled_input_gives_shuffled_features(self):
+        texts = ["cat", "dog mat", "cat dog mat", "mat", "dog dog cat mat", "cat dog",
+                 "mat mat", "dog cat dog", "cat mat dog cat", "dog"]
+        model = self.small_model(texts, max_positions=12)
+        perm = Rng(3).permutation(len(texts))
+        feats = mean_pooled_features(model, texts, batch_size=3)
+        again = mean_pooled_features(model, [texts[i] for i in perm], batch_size=3)
+        np.testing.assert_allclose(again, feats[perm], rtol=0, atol=1e-12)
+
     def test_no_texts_give_empty_features(self):
         model = self.small_model(["cat dog"])
         feats = mean_pooled_features(model, [])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import REPLICA_COUNTS, class_dataset
-from nanobert.data import LabeledDataset, batch, batch_indices, load_csv, split
+from nanobert.data import BUCKET_BATCHES, LabeledDataset, batch, batch_indices, load_csv, split
 
 
 class TestLabeledDataset:
@@ -57,6 +59,12 @@ class TestLoadCsv:
     def test_real_parse_failure_names_line(self, tmp_path):
         path = self.write(tmp_path, "text,score\na,1.5\nb,often\n")
         with pytest.raises(ValueError, match="line 3"):
+            load_csv(path, "text", "score", "real")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_real_label_names_line(self, tmp_path, raw):
+        path = self.write(tmp_path, f"text,score\na,1.5\nb,{raw}\n")
+        with pytest.raises(ValueError, match=f"{path} line 3: real label '{raw}' is not finite"):
             load_csv(path, "text", "score", "real")
 
     def test_missing_column_named(self, tmp_path):
@@ -166,6 +174,45 @@ class TestBatching:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
         assert sorted(np.concatenate(a).tolist()) == list(range(20))
+
+    def test_plan_without_lengths_is_frozen(self):
+        # taken before batch_indices learned lengths=; pretraining's batches
+        # and every seeded run without length bucketing depend on it
+        assert [b.tolist() for b in batch_indices(23, 4, shuffle=True, seed=5, epoch=2)] == [
+            [15, 20, 14, 3], [21, 12, 8, 10], [2, 9, 6, 17], [7, 4, 1, 13], [18, 16, 0, 22],
+            [11, 19, 5]]
+        assert [b.tolist() for b in batch_indices(10, 3)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lengths=st.lists(st.integers(1, 6), max_size=70), batch_size=st.integers(1, 5),
+           shuffle=st.booleans(), seed=st.integers(0, 3), epoch=st.integers(0, 3))
+    def test_length_buckets(self, lengths, batch_size, shuffle, seed, epoch):
+        n = len(lengths)
+        lengths = np.array(lengths)
+        plan = batch_indices(n, batch_size, shuffle, seed, epoch, lengths=lengths)
+        again = batch_indices(n, batch_size, shuffle, seed, epoch, lengths=lengths)
+        assert all(np.array_equal(a, b) for a, b in zip(plan, again)) and len(plan) == len(again)
+        empty = [np.arange(0)]
+        assert sorted(np.concatenate(empty + plan).tolist()) == list(range(n))
+        assert all(np.all(np.diff(lengths[b]) >= 0) for b in plan)
+        # the plan is the unbucketed order with each window stable-sorted by
+        # length and cut; shuffling then reorders the blocks
+        order = np.concatenate(empty + batch_indices(n, batch_size, shuffle, seed, epoch))
+        window = BUCKET_BATCHES * batch_size
+        expected = []
+        for i in range(0, n, window):
+            part = order[i : i + window]
+            part = part[np.argsort(lengths[part], kind="stable")]
+            expected += [part[j : j + batch_size].tolist() for j in range(0, len(part), batch_size)]
+        got = [b.tolist() for b in plan]
+        if shuffle:
+            assert sorted(got) == sorted(expected)
+        else:
+            assert got == expected
+
+    def test_lengths_must_cover_every_row(self):
+        with pytest.raises(ValueError, match="3 lengths for 4 rows"):
+            batch_indices(4, 2, lengths=[1, 2, 3])
 
     def test_batch_of_datasets(self):
         ds = class_dataset([3, 3])

@@ -492,9 +492,12 @@ class TestLengthAwareBatches:
             full_logits = pool_first_token(encoder_forward(cfg, model.params, ids, masks)) @ w + b
             seen.clear()
             preds = predict(model, ds.texts, max_length=self.MAX_LENGTH, batch_size=5)
+            # rows are scored in order of length, each batch at its longest row
+            order = np.argsort(masks.sum(axis=1), kind="stable")
             assert [args[2].shape[1] for args, _ in seen] == [
-                int(masks[i : i + 5].sum(axis=1).max()) for i in range(0, len(ds), 5)]
-            logits = np.concatenate([pool_first_token(h) for _, h in seen]) @ w + b
+                int(masks[order[i : i + 5]].sum(axis=1).max()) for i in range(0, len(ds), 5)]
+            logits = np.empty_like(full_logits)
+            logits[order] = np.concatenate([pool_first_token(h) for _, h in seen]) @ w + b
             np.testing.assert_allclose(logits, full_logits, rtol=0, atol=1e-12)
             if head.task == "regression":
                 np.testing.assert_allclose(preds, full_logits[:, 0], rtol=0, atol=1e-12)
@@ -512,8 +515,22 @@ class TestLengthAwareBatches:
         widths = [args[2].shape[1] for args, _ in seen]
         expected = [int(masks[sel].sum(axis=1).max())
                     for epoch in (1, 2)
-                    for sel in batch_indices(len(ds), 5, shuffle=True, seed=7, epoch=epoch)]
+                    for sel in batch_indices(len(ds), 5, shuffle=True, seed=7, epoch=epoch,
+                                             lengths=masks.sum(axis=1))]
         assert widths == expected
+
+    def test_shuffled_input_gives_shuffled_predictions(self):
+        ds, base, _, _ = self.task_and_model()
+        perm = Rng(9).permutation(len(ds))
+        shuffled = [ds.texts[i] for i in perm]
+        for head in (HeadConfig(2), HeadConfig(1, task="regression")):
+            model = attach_head(base, head, Rng(5))
+            preds = predict(model, ds.texts, max_length=self.MAX_LENGTH, batch_size=5)
+            again = predict(model, shuffled, max_length=self.MAX_LENGTH, batch_size=5)
+            if head.task == "regression":
+                np.testing.assert_allclose(again, preds[perm], rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(again, preds[perm])
 
     def test_training_step_gradients_match_the_full_width_step(self, monkeypatch):
         ds, base, ids, masks = self.task_and_model()

@@ -140,6 +140,24 @@ class TestOneStream:
         total = sum(max(k, 1) for k in sizes)
         assert got == Rng(seed).random(total).tolist()
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, shape=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+           at_least=st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 2.0**-53, 1.0])),
+           pick=st.integers(0, 200))
+    def test_at_least_is_the_float_test(self, seed, shape, at_least, pick):
+        floats = Rng(seed).random(shape)
+        if floats.size and pick % 2:  # a threshold equal to a drawn value
+            at_least = float(floats.flat[pick % floats.size])
+        r = Rng(seed)
+        keep = r.random(shape, at_least=at_least)
+        assert keep.dtype == bool and keep.shape == floats.shape
+        assert np.array_equal(keep, floats >= at_least)
+        out = np.empty(floats.shape, bool)
+        assert Rng(seed).random(shape, at_least=at_least, out=out) is out
+        assert np.array_equal(out, keep)
+        # the same stream position afterwards
+        assert r.random() == Rng(seed).random(floats.size + 1)[-1]
+
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, n=st.integers(1, 9), skip=st.integers(0, 5))
     @example(seed=MASK64, n=3, skip=0)
