@@ -40,7 +40,7 @@ tc = TrainingConfig(num_train_epochs=12, train_batch_size=16, eval_batch_size=64
                     learning_rate=2e-3, warmup_steps=20, logging_steps=1000,
                     metric_for_best_model="accuracy", max_length=72, seed=11)
 out = train(tc, headed, train_set, dev_set)
-print(f"\nencoder: best epoch {out.best_epoch + 1}, dev accuracy {out.best_value:.3f}")
+print(f"\nencoder: best epoch {out.best_epoch}, dev accuracy {out.best_value:.3f}")
 
 result = evaluate(out.checkpoint, test_set, max_length=72)
 print(f"encoder       test accuracy {result['metrics']['accuracy']:.3f}")

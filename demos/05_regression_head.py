@@ -36,7 +36,7 @@ tc = TrainingConfig(num_train_epochs=15, train_batch_size=16, eval_batch_size=64
                     learning_rate=2e-3, warmup_steps=20, logging_steps=1000,
                     metric_for_best_model="rmse", max_length=48, seed=11)
 out = train(tc, headed, train_set, dev_set)
-print(f"encoder: best epoch {out.best_epoch + 1}, dev rmse {out.best_value:.3f}")
+print(f"encoder: best epoch {out.best_epoch}, dev rmse {out.best_value:.3f}")
 
 result = evaluate(out.checkpoint, test_set, max_length=48)
 m = result["metrics"]

@@ -1,4 +1,20 @@
-"""Pocket-size pretrain/finetune text pipeline in pure NumPy."""
+"""Pocket-size pretrain/finetune text pipeline in pure NumPy.
+
+Importing the package pins BLAS to one thread before NumPy loads: a
+multithreaded BLAS sums in another order, so the same config and seed would
+give other bytes on another core count.
+"""
+
+import logging
+import os
+import sys
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(var) != "1" for var in _BLAS_THREADS):
+    logging.getLogger(__name__).warning(
+        "numpy was imported before nanobert, so its BLAS may use more than one thread "
+        "and runs may not be byte-identical to one-thread runs")
+os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 __version__ = "0.1.0"
 

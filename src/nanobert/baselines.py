@@ -65,16 +65,19 @@ class BowVectorizer:
                    lowercase=bool(data["lowercase"]))
 
 
-def _check_labels(y: np.ndarray, num_classes: int | None) -> int:
+def _check_labels(y: np.ndarray, num_classes: int | None) -> np.ndarray:
+    """Rows per class id. Refuses an empty set, an id at or above
+    ``num_classes`` (when given) and a class with no rows."""
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("cannot fit on an empty dataset")
-    k = int(y.max()) + 1 if num_classes is None else num_classes
-    counts = np.bincount(y, minlength=k)
+    if num_classes is not None and y.max() >= num_classes:
+        raise ValueError(f"label id {int(y.max())} out of range for {num_classes} classes")
+    counts = np.bincount(y, minlength=num_classes or 0)
     empty = np.nonzero(counts == 0)[0]
     if empty.size:
         raise ValueError(f"class {int(empty[0])} has no training examples")
-    return k
+    return counts
 
 
 class MultinomialNB:
@@ -90,14 +93,11 @@ class MultinomialNB:
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int | None = None) -> "MultinomialNB":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        k = _check_labels(y, num_classes)
+        docs = _check_labels(y, num_classes)
         n, v = X.shape
-        counts = np.zeros((k, v))
-        docs = np.zeros(k)
-        for c in range(k):
-            rows = y == c
-            counts[c] = X[rows].sum(axis=0)
-            docs[c] = rows.sum()
+        counts = np.zeros((docs.size, v))
+        for c in range(docs.size):
+            counts[c] = X[y == c].sum(axis=0)
         self.class_log_prior = np.log(docs / n)
         smoothed = counts + self.alpha
         self.feature_log_prob = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
@@ -148,7 +148,7 @@ class MaxEnt:
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int | None = None) -> "MaxEnt":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        k = _check_labels(y, num_classes)
+        k = _check_labels(y, num_classes).size
         n, v = X.shape
         w = np.zeros((v, k))
         b = np.zeros(k)

@@ -166,9 +166,11 @@ def _largest_remainder(counts: list[int], total: int) -> list[int]:
     """Apportion ``total`` slots proportionally to ``counts``.
 
     Floor the quotas, then hand leftover slots to the largest fractional
-    remainders; ties go to the smaller class id.
+    remainders; ties go to the smaller class id. An empty pool gets zeros.
     """
     pool = sum(counts)
+    if not pool:
+        return [0] * len(counts)
     quotas = [total * c / pool for c in counts]
     alloc = [int(q) for q in quotas]
     leftover = total - sum(alloc)
@@ -200,46 +202,32 @@ def split(
             f"test_size {test_n} plus dev_size {dev_n} exceeds dataset size {n}"
         )
 
-    rng = Rng(seed).spawn("split")
-    perm = rng.permutation(n)
-
-    if not stratify:
-        test_idx = perm[:test_n]
-        dev_idx = perm[test_n : test_n + dev_n]
-        train_idx = perm[test_n + dev_n :]
-    else:
+    perm = Rng(seed).spawn("split").permutation(n).tolist()
+    groups = [perm]  # an unstratified split is a stratified one with one class
+    if stratify:
         if ds.label_kind != "class":
             raise ValueError("stratified splitting requires class labels")
-        num_classes = ds.num_classes
-        by_class: list[list[int]] = [[] for _ in range(num_classes)]
-        labels = ds.labels
+        groups = [[] for _ in range(ds.num_classes)]
         for pos in perm:
-            by_class[labels[pos]].append(int(pos))
-        counts = [len(members) for members in by_class]
+            groups[ds.labels[pos]].append(pos)
         parts = 1 + (test_n > 0) + (dev_n > 0)
-        thin = [c for c, cnt in enumerate(counts) if 0 < cnt < parts]
+        thin = [c for c, members in enumerate(groups) if 0 < len(members) < parts]
         if thin:
             raise ValueError(
                 f"stratified split needs at least {parts} samples per class "
                 f"(one per part); classes {thin} are smaller"
             )
-        test_alloc = _largest_remainder(counts, test_n)
-        remaining = [c - a for c, a in zip(counts, test_alloc)]
-        dev_alloc = _largest_remainder(remaining, dev_n)
-        test_list: list[int] = []
-        dev_list: list[int] = []
-        train_list: list[int] = []
-        for members, t_n, d_n in zip(by_class, test_alloc, dev_alloc):
-            test_list.extend(members[:t_n])
-            dev_list.extend(members[t_n : t_n + d_n])
-            train_list.extend(members[t_n + d_n :])
-        test_idx, dev_idx, train_idx = test_list, dev_list, train_list
-
-    return (
-        ds.subset(sorted(int(i) for i in train_idx)),
-        ds.subset(sorted(int(i) for i in dev_idx)),
-        ds.subset(sorted(int(i) for i in test_idx)),
-    )
+    counts = [len(members) for members in groups]
+    test_alloc = _largest_remainder(counts, test_n)
+    dev_alloc = _largest_remainder([c - a for c, a in zip(counts, test_alloc)], dev_n)
+    train_idx: list[int] = []
+    dev_idx: list[int] = []
+    test_idx: list[int] = []
+    for members, t_n, d_n in zip(groups, test_alloc, dev_alloc):
+        test_idx.extend(members[:t_n])
+        dev_idx.extend(members[t_n : t_n + d_n])
+        train_idx.extend(members[t_n + d_n :])
+    return tuple(ds.subset(sorted(idx)) for idx in (train_idx, dev_idx, test_idx))
 
 
 def batch_indices(n: int, batch_size: int, shuffle: bool = False,
@@ -267,9 +255,3 @@ def batch_indices(n: int, batch_size: int, shuffle: bool = False,
     if lengths is not None and shuffle:
         blocks = [blocks[i] for i in stream.spawn("order").permutation(len(blocks))]
     return blocks
-
-
-def batch(ds: LabeledDataset, batch_size: int, shuffle: bool = False,
-          seed: int = 0, epoch: int = 0) -> list[LabeledDataset]:
-    """Slice a dataset into batches; the last one may be short."""
-    return [ds.subset(idx) for idx in batch_indices(len(ds), batch_size, shuffle, seed, epoch)]

@@ -44,6 +44,7 @@ from .optim import (
     select_best_epoch,
 )
 from .rng import Rng
+from .tokenizer import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +233,7 @@ def jsonable(obj):
 
 def write_json(path: str, obj) -> None:
     """``obj`` as indented, key-sorted strict JSON (see ``jsonable``)."""
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         json.dump(jsonable(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
@@ -270,8 +271,6 @@ def train(
             f"metric {config.metric_for_best_model!r} does not apply to {task}; "
             f"choose one of {sorted(valid)}"
         )
-    if train_set.label_kind != dev_set.label_kind:
-        raise ValueError("train and dev sets carry different label kinds")
     train_set = fit_to_head(model, train_set, "training set")
     dev_set = fit_to_head(model, dev_set, "dev set")
 

@@ -30,6 +30,11 @@ class ClassificationReport:
     zero_division: bool
 
 
+def _ratio(num, den) -> tuple[float, bool]:
+    """``num / den`` and False, or 0.0 and True when ``den`` is zero."""
+    return (num / den, False) if den else (0.0, True)
+
+
 def classification_report(y_true, y_pred) -> ClassificationReport:
     """Confusion-matrix metrics over all class ids seen in either vector.
 
@@ -55,18 +60,10 @@ def classification_report(y_true, y_pred) -> ClassificationReport:
         fp = int(np.sum((y_true != c) & (y_pred == c)))
         fn = int(np.sum((y_true == c) & (y_pred != c)))
         support = tp + fn
-        if tp + fp == 0:
-            precision, zero_hit = 0.0, True
-        else:
-            precision = tp / (tp + fp)
-        if support == 0:
-            recall, zero_hit = 0.0, True
-        else:
-            recall = tp / support
-        if precision + recall == 0.0:
-            f1, zero_hit = 0.0, True
-        else:
-            f1 = 2.0 * precision * recall / (precision + recall)
+        precision, zero_p = _ratio(tp, tp + fp)
+        recall, zero_r = _ratio(tp, support)
+        f1, zero_f = _ratio(2.0 * precision * recall, precision + recall)
+        zero_hit = zero_hit or zero_p or zero_r or zero_f
         per_class[c] = ClassMetrics(precision, recall, f1, support)
         w_p += support * precision
         w_r += support * recall

@@ -243,10 +243,8 @@ def run_pretraining(
     stale = 0
     global_step = 0
 
-    ckpt_dir = None
-    if output_dir:
-        os.makedirs(output_dir, exist_ok=True)
-        ckpt_dir = os.path.join(output_dir, "checkpoints")
+    ckpt_dir = os.path.join(output_dir, "checkpoints") if output_dir else None
+    if ckpt_dir:
         os.makedirs(ckpt_dir, exist_ok=True)
 
     for epoch in range(1, config.num_train_epochs + 1):
@@ -293,8 +291,10 @@ def run_pretraining(
     best = Checkpoint(model_config, views(best_vector, params), tokenizer=tokenizer)
     if output_dir:
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
-        _write_loss_log(os.path.join(output_dir, "loss_log.tsv"), loss_log)
-        _write_dev_losses(os.path.join(output_dir, "dev_losses.tsv"), dev_losses)
+        _write_tsv(os.path.join(output_dir, "loss_log.tsv"), "step\tepoch\tloss",
+                   (f"{r['step']}\t{r['epoch']}\t{r['loss']:.6f}" for r in loss_log))
+        _write_tsv(os.path.join(output_dir, "dev_losses.tsv"), "epoch\tdev_loss",
+                   (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(dev_losses)))
     return PretrainResult(
         checkpoint=best,
         dev_losses=dev_losses,
@@ -304,15 +304,6 @@ def run_pretraining(
     )
 
 
-def _write_loss_log(path: str, rows: list[dict]) -> None:
+def _write_tsv(path: str, header: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write("step\tepoch\tloss\n")
-        for row in rows:
-            f.write(f"{row['step']}\t{row['epoch']}\t{row['loss']:.6f}\n")
-
-
-def _write_dev_losses(path: str, losses: list[float]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch\tdev_loss\n")
-        for epoch, loss in enumerate(losses):
-            f.write(f"{epoch}\t{loss:.6f}\n")
+        f.writelines(f"{line}\n" for line in (header, *lines))

@@ -73,7 +73,8 @@ class Rng:
         self._counter += 1
         return _mix64_int((self._seed + self._counter * _GOLDEN) & _MASK64)
 
-    def _raw(self, n: int) -> np.ndarray:
+    def u64(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit values."""
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
         x = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
@@ -81,10 +82,6 @@ class Rng:
         x *= np.uint64(_GOLDEN)
         x += np.uint64(self._seed)
         return _mix64_inplace(x)
-
-    def u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit values."""
-        return self._raw(n)
 
     def random(self, size=None, *, at_least: float | None = None, out=None):
         """Uniform float64 in [0, 1): top 53 bits of a raw draw.
@@ -97,7 +94,7 @@ class Rng:
             value = (self._next() >> 11) * _TWO_NEG53
             return value if at_least is None else value >= at_least
         shape = _shape(size)
-        raw = self._raw(math.prod(shape))
+        raw = self.u64(math.prod(shape))
         raw >>= np.uint64(11)
         if at_least is not None:
             # (raw >> 11) * 2**-53 >= a  <=>  (raw >> 11) >= ceil(a * 2**53), exactly
@@ -123,11 +120,11 @@ class Rng:
                 v = self._next()
             return v % high
         shape = _shape(size)
-        out = self._raw(math.prod(shape))
+        out = self.u64(math.prod(shape))
         limit64 = np.uint64(limit)
         bad = out > limit64
         while bad.any():
-            out[bad] = self._raw(int(bad.sum()))
+            out[bad] = self.u64(int(bad.sum()))
             bad = out > limit64
         out %= np.uint64(high)
         if high <= _INT64_SPAN:
@@ -136,7 +133,7 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n): stable argsort of raw 64-bit keys."""
-        return np.argsort(self._raw(n), kind="stable")
+        return np.argsort(self.u64(n), kind="stable")
 
     def shuffled(self, items: list) -> list:
         return [items[i] for i in self.permutation(len(items))]
@@ -147,8 +144,8 @@ class Rng:
         n = math.prod(shape)
         half = (n + 1) // 2
         # u1 in (0, 1] keeps log finite; u2 in [0, 1)
-        u1 = ((self._raw(half) >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-        u2 = (self._raw(half) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+        u1 = ((self.u64(half) >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
+        u2 = (self.u64(half) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2)])[:n]
         z = z * scale

@@ -300,7 +300,7 @@ def train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel
         best = None
         best_count = 1
         for pair, c in counts.items():
-            if c < 2 or SPACE in pair or (pair[0] + pair[1]) in vocab:
+            if c < 2 or (pair[0] + pair[1]) in vocab:
                 continue
             if c > best_count or (c == best_count and (best is None or pair < best)):
                 best, best_count = pair, c

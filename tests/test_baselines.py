@@ -84,6 +84,10 @@ class TestMultinomialNB:
         with pytest.raises(ValueError, match="class 1 has no"):
             MultinomialNB().fit(X, np.array([0, 0, 2]), num_classes=3)
 
+    def test_label_id_beyond_num_classes_named(self):
+        with pytest.raises(ValueError, match="label id 2 out of range for 2 classes"):
+            MultinomialNB().fit(np.eye(4), np.array([0, 1, 2, 0]), num_classes=2)
+
     def test_roundtrip(self):
         nb, X = self.hand_model()
         clone = MultinomialNB.from_json_dict(nb.to_json_dict())
@@ -107,6 +111,10 @@ class TestMaxEnt:
         assert np.array_equal(model.predict(X), np.zeros(4, dtype=np.int64))
         # intercept difference approaches the log prior ratio log(3)
         assert model.b[0] - model.b[1] == pytest.approx(math.log(3), abs=0.05)
+
+    def test_label_id_beyond_num_classes_named(self):
+        with pytest.raises(ValueError, match="label id 2 out of range for 2 classes"):
+            MaxEnt().fit(np.eye(4), np.array([0, 1, 2, 0]), num_classes=2)
 
     def test_deterministic(self):
         X = np.kron(np.eye(2), np.ones((3, 1)))

@@ -2,6 +2,8 @@
 
 import ast
 import json
+import os
+import shutil
 import subprocess
 import sys
 
@@ -547,6 +549,46 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "corpus.txt").exists()
+
+
+class TestBlasThreads:
+    def _run_dirs(self, cwd, threads) -> dict:
+        """Bytes of every file a CLI pretrain and finetune write under
+        ``OPENBLAS_NUM_THREADS=threads`` (None: unset)."""
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))  # runs outside the repo
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        commands = [
+            ["pretrain", "--output-dir", "pre", "--set", "data.corpus=corpus.txt",
+             "--set", "tokenizer.vocab_size=128", "--set", "model.num_layers=2",
+             "--set", "model.hidden_size=32", "--set", "model.num_heads=2",
+             "--set", "model.ffn_size=64", "--set", "training.num_train_epochs=2",
+             "--set", "training.per_device_train_batch_size=16",
+             "--set", "training.learning_rate=1e-3", "--set", "training.max_length=24"],
+            ["finetune", "--output-dir", "ft", "--set", "checkpoint.path=pre/best.ckpt",
+             "--set", "data.train=topics.csv", "--set", "data.test_size=20",
+             "--set", "data.dev_size=20", "--set", "training.num_train_epochs=2",
+             "--set", "training.per_device_train_batch_size=16",
+             "--set", "training.learning_rate=1e-3", "--set", "training.max_length=24"],
+        ]
+        for args in commands:
+            proc = subprocess.run([sys.executable, "-m", "nanobert", *args], cwd=cwd, env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for run in ("pre", "ft") for p in (cwd / run).rglob("*") if p.is_file()}
+        for run in ("pre", "ft"):
+            shutil.rmtree(cwd / run)
+        return files
+
+    def test_runs_are_byte_identical_at_any_blas_thread_setting(self, tmp_path):
+        (tmp_path / "corpus.txt").write_text(datagen.pretrain_corpus(seed=3, target_chars=12000))
+        texts, labels = datagen.topic_dataset(n_rows=120, seed=3)
+        datagen.write_csv(str(tmp_path / "topics.csv"), texts, labels)
+        runs = [self._run_dirs(tmp_path, threads) for threads in (None, "1", "2")]
+        assert "pre/best.ckpt" in runs[0] and "ft/best.ckpt" in runs[0]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def missing_key_args(workdir):

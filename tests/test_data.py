@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import REPLICA_COUNTS, class_dataset
-from nanobert.data import BUCKET_BATCHES, LabeledDataset, batch, batch_indices, load_csv, split
+from nanobert.data import BUCKET_BATCHES, LabeledDataset, batch_indices, load_csv, split
 
 
 class TestLabeledDataset:
@@ -141,6 +141,18 @@ class TestSplitBehaviour:
         assert (len(train), len(dev), len(test)) == (35, 5, 10)
         assert sorted(train.texts + dev.texts + test.texts) == sorted(ds.texts)
 
+    @pytest.mark.parametrize("stratify", [False, True])
+    @pytest.mark.parametrize("test_size, dev_size, sizes", [
+        (20, 0, (0, 0, 20)),
+        (0, 20, (0, 20, 0)),
+        (5, 15, (0, 15, 5)),
+    ], ids=["test-takes-all", "dev-takes-all", "dev-takes-the-rest"])
+    def test_a_draw_may_take_every_remaining_row(self, stratify, test_size, dev_size, sizes):
+        ds = class_dataset([12, 8])
+        parts = split(ds, test_size, dev_size, seed=3, stratify=stratify)
+        assert tuple(len(p) for p in parts) == sizes
+        assert sorted(t for p in parts for t in p.texts) == sorted(ds.texts)
+
     def test_oversized_request_rejected(self):
         ds = class_dataset([10, 10])
         with pytest.raises(ValueError, match="exceeds dataset size"):
@@ -213,12 +225,6 @@ class TestBatching:
     def test_lengths_must_cover_every_row(self):
         with pytest.raises(ValueError, match="3 lengths for 4 rows"):
             batch_indices(4, 2, lengths=[1, 2, 3])
-
-    def test_batch_of_datasets(self):
-        ds = class_dataset([3, 3])
-        parts = batch(ds, 4)
-        assert [len(p) for p in parts] == [4, 2]
-        assert parts[1].texts == ds.texts[4:]
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):

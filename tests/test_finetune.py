@@ -250,6 +250,27 @@ class TestTrain:
         with pytest.raises(ValueError, match="the dev set has no examples"):
             train(config, model, train_set, empty)
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_dev_label_kind_the_head_cannot_score_refused_before_the_first_step(
+            self, task, monkeypatch):
+        config, model, train_set, dev_set = clf_setup()
+        if task == "regression":
+            model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
+            config = config.with_overrides(metric_for_best_model="rmse")
+            train_set = LabeledDataset(train_set.texts, [float(y) for y in train_set.labels],
+                                       "real")
+            match = "regression head requires real-valued labels"
+        else:
+            dev_set = LabeledDataset(dev_set.texts, [float(y) for y in dev_set.labels], "real")
+            match = "classification head requires class-labeled data"
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(finetune, "_train_step", no_step)
+        with pytest.raises(ValueError, match=match):
+            train(config, model, train_set, dev_set)
+
     def test_dev_classes_in_another_order_select_the_same_epoch(self, tmp_path):
         # dev accuracy is 0.5 for four epochs and 1.0 on the fifth
         config, model, train_set, dev_set = clf_setup(num_train_epochs=5)
@@ -585,6 +606,13 @@ class TestTaskMetrics:
         path = tmp_path / "metrics.json"
         write_json(str(path), out)  # how every command writes metrics.json
         assert json.loads(path.read_text())["metrics"]["pearson_r"] is None
+
+
+    def test_non_finite_metric_leaves_no_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(path), {"metrics": {"mse": math.inf}})
+        assert not path.exists() and not (tmp_path / "metrics.json.tmp").exists()
 
 
 class TestGridSearch:
