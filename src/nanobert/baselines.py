@@ -8,16 +8,15 @@ to them by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint
-from .data import LabeledDataset
+from .data import LabeledDataset, read_json, write_json
 from .model import encoder_forward, scoring_batches
-from .tokenizer import pre_tokenize, replacing
+from .tokenizer import pre_tokenize
 
 FORMAT_VERSION = 1
 
@@ -80,15 +79,42 @@ def _check_labels(y: np.ndarray, num_classes: int | None) -> np.ndarray:
     return counts
 
 
-class MultinomialNB:
+class _Fitted:
+    """A model whose state is its constructor settings (``SETTINGS``) and the
+    arrays ``fit`` sets (``FITTED``, None until then), saved by those names."""
+
+    SETTINGS: tuple[str, ...] = ()
+    FITTED: tuple[str, ...] = ()
+
+    def _fitted(self, X) -> np.ndarray:
+        """``X`` as float64, once the model is fitted."""
+        if getattr(self, self.FITTED[0]) is None:
+            raise ValueError("fit before predicting")
+        return np.asarray(X, dtype=np.float64)
+
+    def to_json_dict(self) -> dict:
+        return {**{name: getattr(self, name) for name in self.SETTINGS},
+                **{name: np.asarray(getattr(self, name)).tolist() for name in self.FITTED}}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        model = cls(**{name: data[name] for name in cls.SETTINGS})
+        for name in cls.FITTED:
+            setattr(model, name, np.asarray(data[name], dtype=np.float64))
+        return model
+
+
+class MultinomialNB(_Fitted):
     """Count-based naive Bayes with additive smoothing."""
+
+    SETTINGS = ("alpha",)
+    FITTED = ("class_log_prior", "feature_log_prob")
+    class_log_prior = feature_log_prob = None
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.alpha = alpha
-        self.class_log_prior: np.ndarray | None = None
-        self.feature_log_prob: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int | None = None) -> "MultinomialNB":
         X = np.asarray(X, dtype=np.float64)
@@ -104,35 +130,23 @@ class MultinomialNB:
         return self
 
     def predict_log_joint(self, X: np.ndarray) -> np.ndarray:
-        if self.feature_log_prob is None:
-            raise ValueError("fit before predicting")
-        return np.asarray(X, dtype=np.float64) @ self.feature_log_prob.T + self.class_log_prior
+        return self._fitted(X) @ self.feature_log_prob.T + self.class_log_prior
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_log_joint(X), axis=1).astype(np.int64)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "class_log_prior": self.class_log_prior.tolist(),
-            "feature_log_prob": self.feature_log_prob.tolist(),
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultinomialNB":
-        model = cls(alpha=float(data["alpha"]))
-        model.class_log_prior = np.asarray(data["class_log_prior"], dtype=np.float64)
-        model.feature_log_prob = np.asarray(data["feature_log_prob"], dtype=np.float64)
-        return model
-
-
-class MaxEnt:
+class MaxEnt(_Fitted):
     """Multiclass logistic regression, full-batch gradient descent.
 
     The L2 penalty touches the weight matrix only; the intercept stays
     free, so with a crushing penalty the model falls back to the class
     priors instead of a uniform guess.
     """
+
+    SETTINGS = ("l2", "learning_rate", "epochs")
+    FITTED = ("w", "b")
+    w = b = None
 
     def __init__(self, l2: float = 1e-3, learning_rate: float = 0.5, epochs: int = 500):
         if l2 < 0:
@@ -142,8 +156,6 @@ class MaxEnt:
         self.l2 = l2
         self.learning_rate = learning_rate
         self.epochs = epochs
-        self.w: np.ndarray | None = None
-        self.b: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int | None = None) -> "MaxEnt":
         X = np.asarray(X, dtype=np.float64)
@@ -165,32 +177,13 @@ class MaxEnt:
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if self.w is None:
-            raise ValueError("fit before predicting")
-        return np.asarray(X, dtype=np.float64) @ self.w + self.b
+        return self._fitted(X) @ self.w + self.b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1).astype(np.int64)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "w": self.w.tolist(),
-            "b": self.b.tolist(),
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MaxEnt":
-        model = cls(l2=float(data["l2"]), learning_rate=float(data["learning_rate"]),
-                    epochs=int(data["epochs"]))
-        model.w = np.asarray(data["w"], dtype=np.float64)
-        model.b = np.asarray(data["b"], dtype=np.float64)
-        return model
-
-
-class Ridge:
+class Ridge(_Fitted):
     """L2-regularized least squares with an unpenalized intercept.
 
     Features and targets are centered before solving the normal
@@ -198,12 +191,14 @@ class Ridge:
     prediction collapses to the target mean.
     """
 
+    SETTINGS = ("l2",)
+    FITTED = ("w", "b")
+    w = b = None
+
     def __init__(self, l2: float = 1.0):
         if l2 < 0:
             raise ValueError(f"l2 must be >= 0, got {l2}")
         self.l2 = l2
-        self.w: np.ndarray | None = None
-        self.b: float | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Ridge":
         X = np.asarray(X, dtype=np.float64)
@@ -222,19 +217,7 @@ class Ridge:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.w is None:
-            raise ValueError("fit before predicting")
-        return np.asarray(X, dtype=np.float64) @ self.w + self.b
-
-    def to_json_dict(self) -> dict:
-        return {"l2": self.l2, "w": self.w.tolist(), "b": self.b}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Ridge":
-        model = cls(l2=float(data["l2"]))
-        model.w = np.asarray(data["w"], dtype=np.float64)
-        model.b = float(data["b"])
-        return model
+        return self._fitted(X) @ self.w + self.b
 
 
 def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = None,
@@ -249,7 +232,8 @@ def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = N
     return out
 
 
-BASELINE_KINDS = ("naive_bayes", "maxent")
+# the bag-of-words classifier of each kind; callers iterate kinds in this order
+BASELINE_KINDS = {"naive_bayes": MultinomialNB, "maxent": MaxEnt}
 
 
 @dataclass
@@ -278,25 +262,19 @@ class TextBaseline:
         if data.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported baseline format {data.get('format_version')!r}")
         kind = data["kind"]
-        if kind == "naive_bayes":
-            model = MultinomialNB.from_json_dict(data["model"])
-        elif kind == "maxent":
-            model = MaxEnt.from_json_dict(data["model"])
-        else:
+        if kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {kind!r}")
         names = data.get("label_names")
         return cls(kind=kind, vectorizer=BowVectorizer.from_json_dict(data["vectorizer"]),
-                   model=model, label_names=list(names) if names else None)
+                   model=BASELINE_KINDS[kind].from_json_dict(data["model"]),
+                   label_names=list(names) if names else None)
 
     def save(self, path: str) -> None:
-        with replacing(path) as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True, allow_nan=False)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "TextBaseline":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+        return read_json(path, cls.from_json_dict)
 
 
 def fit_text_baseline(kind: str, dataset: LabeledDataset, *, min_df: int = 1,
@@ -304,16 +282,14 @@ def fit_text_baseline(kind: str, dataset: LabeledDataset, *, min_df: int = 1,
                       learning_rate: float = 0.5, epochs: int = 500) -> TextBaseline:
     """Fit a bag-of-words classifier on a class-labeled dataset."""
     if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
+        raise ValueError(f"kind must be one of {tuple(BASELINE_KINDS)}, got {kind!r}")
     if dataset.label_kind != "class":
         raise ValueError("bag-of-words baselines require class labels")
     vectorizer = BowVectorizer.fit(dataset.texts, min_df=min_df)
     X = vectorizer.transform(dataset.texts)
-    y = dataset.label_array()
-    if kind == "naive_bayes":
-        model = MultinomialNB(alpha=alpha).fit(X, y, num_classes=dataset.num_classes)
-    else:
-        model = MaxEnt(l2=l2, learning_rate=learning_rate, epochs=epochs).fit(
-            X, y, num_classes=dataset.num_classes)
+    settings = dict(alpha=alpha, l2=l2, learning_rate=learning_rate, epochs=epochs)
+    classifier = BASELINE_KINDS[kind]
+    model = classifier(**{name: settings[name] for name in classifier.SETTINGS}).fit(
+        X, dataset.label_array(), num_classes=dataset.num_classes)
     return TextBaseline(kind=kind, vectorizer=vectorizer, model=model,
                         label_names=dataset.label_names)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import replacing
 from .model import ModelConfig, flatten, param_shapes, views
-from .tokenizer import TokenizerModel, replacing
+from .tokenizer import TokenizerModel
 
 FORMAT_VERSION = 1
 

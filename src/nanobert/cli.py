@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import load_csv, split
-from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train, write_json
+from .data import load_csv, read_json, split, write_csv, write_json
+from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
 from .pretrain import run_pretraining
@@ -109,49 +109,36 @@ def _defaults(table: dict) -> dict:
             for key, value in table.items() if value is not _ANY}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
+def _merge(config: dict, override: dict, table: dict, prefix: str = "") -> dict:
+    """``config`` with ``override`` merged in section by section. Refuses,
+    naming the dotted key, a key ``table`` does not list, a value where it
+    has a section and a section where it has a value."""
+    out = dict(config)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def _check_keys(config: dict, table: dict, prefix: str = "") -> None:
-    for key, value in config.items():
         path = f"{prefix}{key}"
         if key not in table:
             raise ValueError(f"unknown config key {path!r}")
-        sub = table[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"config key {path!r} must be a section (JSON object)")
-            _check_keys(value, sub, prefix=f"{path}.")
+        section = isinstance(table[key], dict)
+        if section != isinstance(value, dict):
+            raise ValueError(f"config key {path!r} must be "
+                             f"{'a section (JSON object)' if section else 'a value, not a section'}")
+        out[key] = _merge(out[key], value, table[key], f"{path}.") if section else value
+    return out
 
 
-def _parse_set(arg: str) -> tuple[list[str], object]:
-    if "=" not in arg:
-        raise ValueError(f"--set expects key=value, got {arg!r}")
-    dotted, raw = arg.split("=", 1)
+def _parse_set(arg: str) -> dict:
+    """``--set a.b=value`` as the nested dict ``{"a": {"b": value}}``."""
+    dotted, sep, raw = arg.partition("=")
     keys = [k for k in dotted.split(".") if k]
-    if not keys:
+    if not sep or not keys:
         raise ValueError(f"--set expects key=value, got {arg!r}")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings need no quotes
-    return keys, value
-
-
-def _apply_set(config: dict, keys: list[str], value) -> None:
-    node = config
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ValueError(f"--set path {'.'.join(keys)!r} crosses a non-section key")
-    node[keys[-1]] = value
+    for key in reversed(keys):
+        value = {key: value}
+    return value
 
 
 def _check_written(key: str, written, actual) -> None:
@@ -166,23 +153,24 @@ def resolve_config(command: str, args) -> dict:
     A resolved_config.json is accepted as is: its ``command`` must name this
     command, and its ``version`` is ignored.
     """
-    config = _defaults(COMMANDS[command])
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f)
+    table = COMMANDS[command]
+    config = _defaults(table)
+
+    def merge_file(loaded) -> dict:
         if not isinstance(loaded, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object")
-        config = _deep_merge(config, loaded)
+            raise ValueError("a config must hold a JSON object")
+        _check_written("command", loaded.pop("command", command), command)
+        loaded.pop("version", None)
+        return _merge(config, loaded, table)
+
+    if args.config:
+        config = read_json(args.config, merge_file)
     for item in args.set or []:
-        keys, value = _parse_set(item)
-        _apply_set(config, keys, value)
+        config = _merge(config, _parse_set(item), table)
     if getattr(args, "output_dir", None):
         config["output_dir"] = args.output_dir
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
-    _check_written("command", config.pop("command", command), command)
-    config.pop("version", None)
-    _check_keys(config, COMMANDS[command])
     return config
 
 
@@ -209,13 +197,6 @@ def _training_config(section: dict, seed: int) -> TrainingConfig:
 
 def _listing_training_dict(config: TrainingConfig) -> dict:
     return {_LISTING_NAMES.get(key, key): value for key, value in config.to_dict().items()}
-
-
-def _write_resolved(command: str, config: dict, **resolved) -> None:
-    """The config as run, with the sections ``resolved`` replaces, re-runnable
-    through --config."""
-    write_json(os.path.join(config["output_dir"], "resolved_config.json"),
-               {"command": command, "version": __version__, **config, **resolved})
 
 
 def _read_text(path: str) -> str:
@@ -254,6 +235,8 @@ def _load_task_splits(config: dict, *, need_dev: bool, need_test: bool):
         if carve_test:
             test_set = carved_test
 
+    if len(train_set) == 0:
+        raise ValueError("the training set has no examples")
     if need_dev and dev_set is None:
         raise ValueError("a dev set is required: provide data.dev or data.dev_size")
     if need_test and test_set is None:
@@ -394,15 +377,10 @@ def cmd_predict(config: dict, out: str) -> Run:
     else:
         rendered = [f"{float(v):.6f}" for v in values]
 
-    def write_predictions(path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([text_col, "prediction"])
-            writer.writerows(zip(texts, rendered))
-
     pred_path = os.path.join(out, "predictions.csv")
-    return Run(f"wrote {len(texts)} predictions -> {pred_path}",
-               artifacts={pred_path: write_predictions})
+    return Run(f"wrote {len(texts)} predictions -> {pred_path}", artifacts={
+        pred_path: partial(write_csv, texts=texts, labels=rendered, text_column=text_col,
+                           label_column="prediction")})
 
 
 def cmd_baseline(config: dict, out: str) -> Run:
@@ -453,21 +431,27 @@ def cmd_baseline(config: dict, out: str) -> Run:
                f"(model -> {model_path})", metrics, artifacts={model_path: save})
 
 
+def _checked_metrics(doc) -> dict:
+    """A metrics.json body: an object with a task name (or null) and an
+    object of numbers (or nulls) under ``metrics``."""
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not (isinstance(metrics, dict) and isinstance(doc.get("task"), (str, type(None)))
+            and all(v is None or isinstance(v, (int, float)) for v in metrics.values())):
+        raise ValueError("not a metrics.json body: a task and an object of numbers under 'metrics'")
+    return doc
+
+
 def cmd_report(args) -> int:
-    runs = []
-    for run_dir in args.run_dirs:
-        path = os.path.join(run_dir, "metrics.json")
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        name = os.path.basename(os.path.normpath(run_dir))
-        runs.append((name, data))
+    runs = [(os.path.basename(os.path.normpath(run_dir)),
+             read_json(os.path.join(run_dir, "metrics.json"), _checked_metrics))
+            for run_dir in args.run_dirs]
 
     tasks = {name: data.get("task") for name, data in runs}
     if len(set(tasks.values())) > 1:
         listing = ", ".join(f"{n}: {t}" for n, t in tasks.items())
         raise ValueError(f"runs mix tasks and cannot be compared ({listing})")
 
-    metric_sets = {name: set(data.get("metrics", {})) for name, data in runs}
+    metric_sets = {name: set(data["metrics"]) for name, data in runs}
     reference_name, reference = runs[0][0], metric_sets[runs[0][0]]
     for name, found in metric_sets.items():
         if found != reference:
@@ -510,8 +494,7 @@ def cmd_report(args) -> int:
             "task": runs[0][1].get("task"),
             "columns": columns,
             "best": best,
-            "runs": [{"run": name, "metrics": data.get("metrics", {})}
-                     for name, data in runs],
+            "runs": [{"run": name, "metrics": data["metrics"]} for name, data in runs],
         })
         print(f"wrote {args.output}")
     return 0
@@ -567,7 +550,9 @@ def main(argv=None) -> int:
             save(path)
         if run.metrics is not None:
             write_json(os.path.join(out, "metrics.json"), run.metrics)
-        _write_resolved(args.command, config, **run.resolved)
+        # the config as run, with the sections the run derived: a --config for a rerun
+        write_json(os.path.join(out, "resolved_config.json"),
+                   {"command": args.command, "version": __version__, **config, **run.resolved})
         print(run.summary)
         return 0
     except (ValueError, OSError) as exc:

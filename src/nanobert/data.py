@@ -1,4 +1,5 @@
-"""Labeled text datasets: CSV ingestion, seeded splitting, batching.
+"""Labeled text datasets: CSV ingestion, seeded splitting, batching; and
+the rules by which nanobert writes its files and reads its JSON.
 
 Splits are driven by the package RNG, never the host PRNG, so a seed pins
 the exact partition on every platform. Sizes may be absolute counts
@@ -6,13 +7,20 @@ the exact partition on every platform. Sizes may be absolute counts
 pool they draw from: test from the full set, dev from what test leaves).
 Training batches may be bucketed by length (``batch_indices(lengths=)``),
 so that a batch cut to its longest row carries little padding.
+
+Files are written through ``replacing``, so none is ever left half written.
+JSON files are UTF-8, 2-space indented, key-sorted strict JSON with a
+trailing newline; ``read_json`` names the file in every error it raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +83,77 @@ class LabeledDataset:
             label_kind=self.label_kind,
             label_names=self.label_names,
         )
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w"):
+    """Write through ``<path>.tmp`` and rename it onto ``path`` when the block
+    ends, so a crash never leaves a half-written file at ``path``. If the
+    write or the rename fails, the temp file is removed and the error
+    re-raised. Text is UTF-8, written without newline translation."""
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def jsonable(obj):
+    """``obj`` with NumPy scalars made Python ones and NaN made None, so it
+    dumps as strict JSON (null for an undefined metric)."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
+
+
+def write_json(path: str, obj) -> None:
+    """``obj`` as UTF-8, 2-space indented, key-sorted strict JSON with a
+    trailing newline (see ``jsonable``)."""
+    with replacing(path) as f:
+        json.dump(jsonable(obj), f, ensure_ascii=False, indent=2, sort_keys=True,
+                  allow_nan=False)
+        f.write("\n")
+
+
+def write_lines(path: str, lines) -> None:
+    """Each of ``lines`` followed by a newline."""
+    with replacing(path) as f:
+        f.writelines(f"{line}\n" for line in lines)
+
+
+def write_csv(path: str, texts, labels, text_column: str = "text",
+              label_column: str = "label") -> None:
+    """A two-column CSV: a header, then one row per text and label."""
+    with replacing(path) as f:
+        writer = csv.writer(f)
+        writer.writerow([text_column, label_column])
+        writer.writerows(zip(texts, labels))
+
+
+def read_json(path: str, parse=None):
+    """The JSON document at ``path``, passed through ``parse`` when given.
+
+    A file that is not UTF-8 JSON, or that ``parse`` cannot read (a decode,
+    lookup, type or attribute error), raises a ValueError naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        return doc if parse is None else parse(doc)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: {detail}") from exc
 
 
 def load_csv(

@@ -15,9 +15,9 @@ corpus, keeping the tokenizer free of unknown tokens downstream:
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 
+from .data import write_csv, write_lines
 from .rng import Rng
 
 FILLER_WORDS = [
@@ -198,15 +198,6 @@ def order_dataset(n_rows: int, seed: int = 11) -> tuple[list[str], list[str]]:
     return [texts[i] for i in order], [labels[i] for i in order]
 
 
-def write_csv(path: str, texts: list[str], labels, text_column: str = "text",
-              label_column: str = "label") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([text_column, label_column])
-        for text, label in zip(texts, labels):
-            writer.writerow([text, label])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m nanobert.datagen",
@@ -221,8 +212,7 @@ def main(argv=None) -> int:
     os.makedirs(out, exist_ok=True)
 
     corpus = pretrain_corpus(seed=args.seed, target_chars=args.corpus_chars)
-    with open(os.path.join(out, "corpus.txt"), "w", encoding="utf-8") as f:
-        f.write(corpus + "\n")
+    write_lines(os.path.join(out, "corpus.txt"), [corpus])
 
     texts, labels = topic_dataset(seed=args.seed)
     write_csv(os.path.join(out, "topics.csv"), texts, labels)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
-from .data import LabeledDataset, batch_indices
+from .data import LabeledDataset, batch_indices, jsonable, write_json, write_lines
 from .metrics import classification_report, pearson_r, report_to_json_dict, rmse
 from .model import (
     INIT_SCALE,
@@ -44,7 +44,6 @@ from .optim import (
     select_best_epoch,
 )
 from .rng import Rng
-from .tokenizer import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -217,27 +216,6 @@ def task_metrics(task: str, labels: np.ndarray, preds: np.ndarray,
     }
 
 
-def jsonable(obj):
-    """``obj`` with NumPy scalars made Python ones and NaN made None, so it
-    dumps as strict JSON (null for an undefined metric)."""
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
-
-
-def write_json(path: str, obj) -> None:
-    """``obj`` as indented, key-sorted strict JSON (see ``jsonable``)."""
-    with replacing(path) as f:
-        json.dump(jsonable(obj), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
-
-
 @dataclass
 class FinetuneResult:
     checkpoint: Checkpoint
@@ -329,9 +307,9 @@ def train(
                       label_names=model.label_names)
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
-        with open(os.path.join(output_dir, "metrics_log.jsonl"), "w", encoding="utf-8") as f:
-            for entry in history:
-                f.write(json.dumps(jsonable(entry), sort_keys=True, allow_nan=False) + "\n")
+        write_lines(os.path.join(output_dir, "metrics_log.jsonl"),
+                    (json.dumps(jsonable(entry), sort_keys=True, allow_nan=False)
+                     for entry in history))
         write_json(os.path.join(output_dir, "selection.json"), {
             "metric": metric,
             "greater_is_better": greater,

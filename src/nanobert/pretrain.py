@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
-from .data import batch_indices
+from .data import batch_indices, write_lines
 from .model import (
     ModelConfig,
     encoder_backward,
@@ -291,10 +291,10 @@ def run_pretraining(
     best = Checkpoint(model_config, views(best_vector, params), tokenizer=tokenizer)
     if output_dir:
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
-        _write_tsv(os.path.join(output_dir, "loss_log.tsv"), "step\tepoch\tloss",
-                   (f"{r['step']}\t{r['epoch']}\t{r['loss']:.6f}" for r in loss_log))
-        _write_tsv(os.path.join(output_dir, "dev_losses.tsv"), "epoch\tdev_loss",
-                   (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(dev_losses)))
+        write_lines(os.path.join(output_dir, "loss_log.tsv"), ["step\tepoch\tloss", *(
+            f"{r['step']}\t{r['epoch']}\t{r['loss']:.6f}" for r in loss_log)])
+        write_lines(os.path.join(output_dir, "dev_losses.tsv"), ["epoch\tdev_loss", *(
+            f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(dev_losses))])
     return PretrainResult(
         checkpoint=best,
         dev_losses=dev_losses,
@@ -302,8 +302,3 @@ def run_pretraining(
         best_epoch=best_epoch,
         stopped_early=stopped_early,
     )
-
-
-def _write_tsv(path: str, header: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(f"{line}\n" for line in (header, *lines))

@@ -15,12 +15,11 @@ its marker string.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+
+from .data import read_json, write_json
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -63,23 +62,6 @@ def frame(body: list[int], max_length: int) -> Encoding:
     ids = [CLS_ID] + body + [SEP_ID]
     pad = max_length - len(ids)
     return Encoding(ids + [PAD_ID] * pad, [1] * len(ids) + [0] * pad)
-
-
-@contextlib.contextmanager
-def replacing(path: str, mode: str = "w"):
-    """Write through ``<path>.tmp`` and rename it onto ``path`` when the block
-    ends, so a crash never leaves a half-written file at ``path``. If the
-    write or the rename fails, the temp file is removed and the error
-    re-raised."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def _apply_merges(symbols: tuple[str, ...], merges: list[tuple[str, str]]) -> tuple[str, ...]:
@@ -232,15 +214,11 @@ class TokenizerModel:
         return cls(vocab, merges, bool(doc["casing"]))
 
     def save(self, path: str) -> None:
-        with replacing(path) as f:
-            json.dump(self.to_json_dict(), f, ensure_ascii=False, indent=2, sort_keys=True,
-                      allow_nan=False)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "TokenizerModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+        return read_json(path, cls.from_json_dict)
 
 
 def count_pairs(words: dict[tuple[str, ...], int]) -> Counter:

@@ -175,6 +175,12 @@ class TestRidge:
         assert np.allclose(clone.predict(np.eye(2)), model.predict(np.eye(2)))
 
 
+@pytest.mark.parametrize("model", [MultinomialNB(), MaxEnt(), Ridge()])
+def test_predicting_before_fit_refused(model):
+    with pytest.raises(ValueError, match="fit before predicting"):
+        model.predict(np.eye(2))
+
+
 class TestMeanPooledFeatures:
     def small_model(self, texts, max_positions=8):
         tok = train_bpe(texts, vocab_size=40)

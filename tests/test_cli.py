@@ -118,6 +118,34 @@ class TestTrainTokenizer:
         assert rc == 2
         assert "unknown config key 'tokenizer.vocab'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loaded, sets, message", [
+        ({"seed": {"x": 1}}, [], "config key 'seed' must be a value, not a section"),
+        ({}, ["seed.x=1"], "config key 'seed' must be a value, not a section"),
+        ({"tokenizer": {"lowercase": {"on": True}}}, [],
+         "config key 'tokenizer.lowercase' must be a value"),
+        ({"data": "corpus.txt"}, [], "config key 'data' must be a section"),
+        ({}, ["tokenizer=64"], "config key 'tokenizer' must be a section"),
+    ])
+    def test_sections_and_values_kept_apart(self, workdir, tmp_path, capsys, loaded, sets,
+                                            message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(loaded))
+        argv = ["train-tokenizer", "--config", str(config_path),
+                "--output-dir", str(tmp_path / "out"),
+                "--set", f"data.corpus={workdir['data'] / 'corpus.txt'}"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("{'seed': 1}")
+        assert main(["train-tokenizer", "--config", str(config_path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {config_path}: Expecting property name" in capsys.readouterr().err
+
 
 class TestPretrainCommand:
     def test_artifacts(self, workdir):
@@ -384,6 +412,24 @@ class TestBaselineCommand:
         assert metrics["task"] == "regression"
         assert set(metrics["metrics"]) == {"mse", "rmse", "pearson_r"}
 
+    @pytest.mark.parametrize("algorithm", ["naive_bayes", "ridge"])
+    def test_empty_training_set_named(self, algorithm, workdir, tmp_path, capsys):
+        """A test split that takes every row leaves nothing to fit."""
+        sets = {
+            "naive_bayes": [f"data.train={workdir['data'] / 'topics.csv'}",
+                            "data.test_size=150"],
+            "ridge": ["baseline.algorithm=ridge",
+                      f"baseline.checkpoint={workdir['pretrain'] / 'best.ckpt'}",
+                      "data.label_kind=real", "data.label_column=anxiety",
+                      f"data.train={workdir['data'] / 'anxiety.csv'}", "data.test_size=120"],
+        }[algorithm]
+        argv = ["baseline", "--output-dir", str(tmp_path / "out")]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert "error: the training set has no examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_algorithm(self, workdir, tmp_path, capsys):
         rc = main([
             "baseline", "--output-dir", str(tmp_path),
@@ -444,6 +490,16 @@ class TestReportCommand:
         assert "inconsistent metric sets" in err
         assert "extra_metric" in err
 
+
+    @pytest.mark.parametrize("cut", [None, 0.5], ids=["list", "truncated"])
+    def test_bad_metrics_file_named(self, finetune_run, tmp_path, capsys, cut):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        body = (finetune_run / "metrics.json").read_bytes()
+        path = broken / "metrics.json"
+        path.write_bytes(b"[]\n" if cut is None else body[: int(len(body) * cut)])
+        assert main(["report", str(finetune_run), str(broken)]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
     def test_lowest_dev_loss_is_best(self, workdir, tmp_path, capsys):
         worse = tmp_path / "worse"

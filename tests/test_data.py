@@ -1,4 +1,10 @@
-"""CSV loading, seeded splits with stratification, batching."""
+"""CSV loading, seeded splits with stratification, batching, file writing
+and reading."""
+
+import argparse
+import json
+import os
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import REPLICA_COUNTS, class_dataset
-from nanobert.data import BUCKET_BATCHES, LabeledDataset, batch_indices, load_csv, split
+from nanobert import cli
+from nanobert.baselines import TextBaseline, fit_text_baseline
+from nanobert.data import (
+    BUCKET_BATCHES,
+    LabeledDataset,
+    batch_indices,
+    load_csv,
+    read_json,
+    split,
+    write_csv,
+    write_json,
+    write_lines,
+)
+from nanobert.tokenizer import TokenizerModel, train_bpe
 
 
 class TestLabeledDataset:
@@ -229,3 +248,105 @@ class TestBatching:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             batch_indices(5, 0)
+
+
+def _failing_rows():
+    yield "first"
+    yield "second"
+    raise RuntimeError("row 3")
+
+
+def _mutations(blob: bytes, count: int, seed: int = 7):
+    """``count`` seeded corruptions of ``blob``: one byte rewritten, one bit
+    flipped, or the file cut short."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = bytearray(blob)
+        pos = rng.randrange(len(data))
+        op = rng.randrange(3)
+        if op == 0:
+            data[pos] = rng.randrange(256)
+        elif op == 1:
+            data[pos] ^= 1 << rng.randrange(8)
+        else:
+            del data[pos:]
+        yield bytes(data)
+
+
+def _save_tokenizer(path):
+    train_bpe(["the cat sat on the mat", "a cat, a mat"], vocab_size=40).save(path)
+
+
+def _save_naive_bayes(path):
+    texts = ["red green blue", "cat dog bird", "blue red", "dog cat", "green", "bird"]
+    fit_text_baseline("naive_bayes", LabeledDataset(texts, [0, 1, 0, 1, 0, 1], "class",
+                                                    ["colors", "animals"])).save(path)
+
+
+def _save_config(path):
+    write_json(path, {"command": "pretrain", "version": "0.1.0", "seed": 3,
+                      "data": {"corpus": "corpus.txt"}, "tokenizer": {"vocab_size": 64},
+                      "model": {"num_layers": 1, "hidden_size": 16, "dropout": 0.0},
+                      "training": {"num_train_epochs": 1, "per_device_train_batch_size": 8}})
+
+
+def _resolve_pretrain_config(path):
+    return cli.resolve_config("pretrain", argparse.Namespace(config=path, set=None,
+                                                             output_dir=None, seed=None))
+
+
+class TestFiles:
+    def test_json_format(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(str(path), {"b": "caf\u00e9", "a": [np.float64(1.5), float("nan")]})
+        assert path.read_bytes() == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": "caf\u00e9"\n}\n'.encode()
+        assert read_json(str(path)) == {"a": [1.5, None], "b": "caf\u00e9"}
+
+    @pytest.mark.parametrize("write", [
+        write_lines,
+        lambda path, rows: write_csv(path, ["a", "b", "c"], rows),
+    ])
+    def test_rows_that_raise_leave_no_file(self, tmp_path, write):
+        path = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError, match="row 3"):
+            write(str(path), _failing_rows())
+        assert os.listdir(tmp_path) == []
+
+    def test_csv_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), ["a, b", "c"], [1, "x"], label_column="y")
+        assert path.read_bytes() == b'text,y\r\n"a, b",1\r\nc,x\r\n'
+
+    @pytest.mark.parametrize("parse, exc", [(None, json.JSONDecodeError),
+                                            (lambda doc: doc[5], IndexError),
+                                            (lambda doc: doc["key"], TypeError),
+                                            (lambda doc: doc.items(), AttributeError)])
+    def test_read_errors_name_the_file(self, tmp_path, parse, exc):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2" if parse is None else "[1, 2]")
+        with pytest.raises(ValueError) as info:
+            read_json(str(path), parse)
+        assert str(path) in str(info.value)
+        assert isinstance(info.value.__cause__, exc)
+
+    @pytest.mark.parametrize("save, load", [
+        (_save_tokenizer, TokenizerModel.load),
+        (_save_naive_bayes, TextBaseline.load),
+        (_save_config, _resolve_pretrain_config),
+    ], ids=["tokenizer", "naive_bayes", "config"])
+    def test_corrupt_files_load_or_name_themselves(self, tmp_path, save, load):
+        path = str(tmp_path / "artifact.json")
+        save(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        load(path)
+        refused = 0
+        for corrupt in _mutations(blob, 200):
+            with open(path, "wb") as f:
+                f.write(corrupt)
+            try:
+                load(path)
+            except ValueError as exc:
+                assert path in str(exc)
+                refused += 1
+        assert refused > 0
