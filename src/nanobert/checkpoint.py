@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import replacing
+from .data import reading, replacing
 from .model import ModelConfig, flatten, param_shapes, views
 from .tokenizer import TokenizerModel
 
@@ -77,65 +77,68 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw_len = f.read(8)
-        if len(raw_len) != 8:
-            raise ValueError(f"{path}: truncated before header length")
-        (header_len,) = struct.unpack("<Q", raw_len)
-        blob = f.read(header_len)
-        if len(blob) != header_len:
-            raise ValueError(f"{path}: truncated header")
-        header = json.loads(blob.decode("utf-8"))
+    """The checkpoint at ``path``, read whole; every error names the file."""
+    with reading(path, "rb") as f:
+        raw = f.read()
+        if len(raw) < 8:
+            raise ValueError("truncated before header length")
+        start = 8 + struct.unpack("<Q", raw[:8])[0]
+        if len(raw) < start:
+            raise ValueError("truncated header")
+        header = json.loads(raw[8:start].decode("utf-8"))
         if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported format version {header.get('format_version')}"
-            )
+            raise ValueError(f"unsupported format version {header.get('format_version')}")
         config = ModelConfig(**header["model_config"])
-        shapes = _checked_shapes(config, header["params"], path)
+        shapes = _checked_shapes(config, header["params"])
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
-        body = f.read(size)
-        if len(body) != size:
-            raise ValueError(f"{path}: truncated body: {len(body)} of {size} bytes")
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after last parameter")
-
-    tokenizer = None
-    ref = header.get("tokenizer_ref")
-    if ref:
-        sibling = os.path.join(os.path.dirname(path) or ".", ref)
-        if not os.path.exists(sibling):
-            raise ValueError(f"{path}: the tokenizer it names is missing: {sibling}")
-        tokenizer = TokenizerModel.load(sibling)
-        if tokenizer.vocab_size != config.vocab_size:
-            raise ValueError(
-                f"{path}: tokenizer {sibling} has {tokenizer.vocab_size} tokens, "
-                f"but the model's vocabulary has {config.vocab_size}"
-            )
+        if len(raw) - start < size:
+            raise ValueError(f"truncated body: {len(raw) - start} of {size} bytes")
+        if len(raw) - start > size:
+            raise ValueError("trailing bytes after last parameter")
+        label_names = _checked_label_names(header.get("label_names"), shapes.get("head.w"))
+        tokenizer = None
+        ref = header.get("tokenizer_ref")
+        if ref:
+            sibling = os.path.join(os.path.dirname(path) or ".", ref)
+            if not os.path.exists(sibling):
+                raise ValueError(f"the tokenizer it names is missing: {sibling}")
+            tokenizer = TokenizerModel.load(sibling)
+            if tokenizer.vocab_size != config.vocab_size:
+                raise ValueError(f"tokenizer {sibling} has {tokenizer.vocab_size} tokens, "
+                                 f"but the model's vocabulary has {config.vocab_size}")
     return Checkpoint(
         model_config=config,
-        params=views(np.frombuffer(body, dtype="<f8").astype(np.float64), shapes),
+        params=views(np.frombuffer(raw, "<f8", offset=start).astype(np.float64), shapes),
         tokenizer=tokenizer,
-        label_names=header.get("label_names"),
+        label_names=label_names,
     )
 
 
-def _checked_shapes(config: ModelConfig, table: list, path: str) -> dict[str, tuple[int, ...]]:
+def _checked_shapes(config: ModelConfig, table: list) -> dict[str, tuple[int, ...]]:
     """The shapes ``config`` and its head call for, once the header's table
     lists exactly those, once each, in ``flatten``'s sorted order."""
     names = [name for name, _ in table]
     if names != sorted(set(names)):
-        raise ValueError(f"{path}: parameter names are not unique and in sorted order")
+        raise ValueError("parameter names are not unique and in sorted order")
     shapes = {name: tuple(shape) for name, shape in table}
     head = shapes.get("head.w")
     expected = param_shapes(config, head[-1] if head else None)
     missing = set(expected) - set(shapes)
     extra = set(shapes) - set(expected)
     if missing or extra:
-        raise ValueError(
-            f"{path}: parameter names do not match the model configuration "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-        )
+        raise ValueError(f"parameter names do not match the model configuration "
+                         f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
     for name, shape in expected.items():
         if shapes[name] != shape:
-            raise ValueError(f"{path}: {name} has shape {shapes[name]}, expected {shape}")
+            raise ValueError(f"{name} has shape {shapes[name]}, expected {shape}")
     return expected
+
+
+def _checked_label_names(names, head: tuple[int, int] | None) -> list[str] | None:
+    """``names`` once they are None, or K distinct strings for a K-column classifier."""
+    k = head[1] if head and head[1] > 1 else 0  # a 1-column head is a regressor
+    if names is None or (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                         and len(set(names)) == len(names) == k > 0):
+        return names
+    raise ValueError(f"label_names must be None{f' or {k} distinct strings' if k else ''} "
+                     f"for this head, got {names!r}")

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import load_csv, read_json, split, write_csv, write_json
+from .data import load_csv, read_json, reading, split, write_csv, write_json
 from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
@@ -199,11 +199,6 @@ def _listing_training_dict(config: TrainingConfig) -> dict:
     return {_LISTING_NAMES.get(key, key): value for key, value in config.to_dict().items()}
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
 def _load_task_splits(config: dict, *, need_dev: bool, need_test: bool):
     """Train/dev/test from explicit files, or carved out of the train CSV."""
     data_cfg, seed = config["data"], config["seed"]
@@ -254,7 +249,8 @@ class Run(NamedTuple):
 
 
 def cmd_train_tokenizer(config: dict, out: str) -> Run:
-    corpus = _read_text(_require(config, "data", "corpus"))
+    with reading(_require(config, "data", "corpus")) as f:
+        corpus = f.read()
     tokenizer = train_bpe([corpus], vocab_size=_require(config, "tokenizer", "vocab_size"),
                           lowercase=config["tokenizer"]["lowercase"])
     path = os.path.join(out, "tokenizer.json")
@@ -263,7 +259,8 @@ def cmd_train_tokenizer(config: dict, out: str) -> Run:
 
 
 def cmd_pretrain(config: dict, out: str) -> Run:
-    corpus = _read_text(_require(config, "data", "corpus"))
+    with reading(_require(config, "data", "corpus")) as f:
+        corpus = f.read()
 
     tok_cfg = config["tokenizer"]
     if tok_cfg["path"]:
@@ -360,11 +357,14 @@ def cmd_predict(config: dict, out: str) -> Run:
     input_path = _require(config, "data", "input")
 
     texts = []
-    with open(input_path, encoding="utf-8", newline="") as f:
+    with reading(input_path) as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or text_col not in reader.fieldnames:
-            raise ValueError(f"{input_path} has no column {text_col!r}")
-        for row in reader:
+        header = reader.fieldnames or []
+        if text_col not in header:
+            raise ValueError(f"column {text_col!r} not found; file has {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if row[text_col] is None:
+                raise ValueError(f"line {lineno}: no {text_col!r} field")
             texts.append(row[text_col])
 
     pred_cfg = config["predict"]

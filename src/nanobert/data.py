@@ -1,5 +1,5 @@
 """Labeled text datasets: CSV ingestion, seeded splitting, batching; and
-the rules by which nanobert writes its files and reads its JSON.
+the rules by which nanobert writes and reads its files.
 
 Splits are driven by the package RNG, never the host PRNG, so a seed pins
 the exact partition on every platform. Sizes may be absolute counts
@@ -8,9 +8,10 @@ pool they draw from: test from the full set, dev from what test leaves).
 Training batches may be bucketed by length (``batch_indices(lengths=)``),
 so that a batch cut to its longest row carries little padding.
 
-Files are written through ``replacing``, so none is ever left half written.
-JSON files are UTF-8, 2-space indented, key-sorted strict JSON with a
-trailing newline; ``read_json`` names the file in every error it raises.
+Files are written through ``replacing``, so none is ever left half written,
+and read through ``reading``, so every error in what they hold names the
+file. JSON files are UTF-8, 2-space indented, key-sorted strict JSON with a
+trailing newline.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def replacing(path: str, mode: str = "w"):
         raise
 
 
+@contextlib.contextmanager
+def reading(path: str, mode: str = "r"):
+    """``path`` opened for reading: UTF-8 text without newline translation,
+    or bytes for ``"rb"``. A decode, lookup, type, attribute or value error
+    raised in the block is re-raised as a ValueError naming ``path``."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(path, mode, **text) as f:
+            yield f
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: {detail}") from exc
+
+
 def jsonable(obj):
     """``obj`` with NumPy scalars made Python ones and NaN made None, so it
     dumps as strict JSON (null for an undefined metric)."""
@@ -142,18 +157,10 @@ def write_csv(path: str, texts, labels, text_column: str = "text",
 
 
 def read_json(path: str, parse=None):
-    """The JSON document at ``path``, passed through ``parse`` when given.
-
-    A file that is not UTF-8 JSON, or that ``parse`` cannot read (a decode,
-    lookup, type or attribute error), raises a ValueError naming ``path``.
-    """
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+    """The JSON document at ``path``, passed through ``parse`` when given."""
+    with reading(path) as f:
+        doc = json.load(f)
         return doc if parse is None else parse(doc)
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
-        raise ValueError(f"{path}: {detail}") from exc
 
 
 def load_csv(
@@ -172,21 +179,17 @@ def load_csv(
     """
     if label_kind not in LABEL_KINDS:
         raise ValueError(f"label_kind must be one of {LABEL_KINDS}, got {label_kind!r}")
-    mapping: dict[str, int] = {}
     frozen = label_names is not None
-    if frozen:
-        mapping = {name: i for i, name in enumerate(label_names)}
+    mapping = {name: i for i, name in enumerate(label_names or [])}  # ids in insertion order
     texts: list[str] = []
     labels: list = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as f:
+    with reading(path) as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         for col in (text_column, label_column):
             if col not in header:
-                raise ValueError(
-                    f"{path}: column {col!r} not found; file has {header}"
-                )
+                raise ValueError(f"column {col!r} not found; file has {header}")
         for lineno, row in enumerate(reader, start=2):
             text = (row[text_column] or "").strip()
             raw = (row[label_column] or "").strip()
@@ -194,27 +197,22 @@ def load_csv(
                 skipped += 1
                 continue
             if label_kind == "class":
-                if raw not in mapping:
-                    if frozen:
-                        raise ValueError(
-                            f"{path} line {lineno}: label {raw!r} not in the provided mapping"
-                        )
-                    mapping[raw] = len(mapping)
-                labels.append(mapping[raw])
+                if frozen and raw not in mapping:
+                    raise ValueError(f"line {lineno}: label {raw!r} not in the provided mapping")
+                labels.append(mapping.setdefault(raw, len(mapping)))
             else:
                 try:
                     value = float(raw)
                 except ValueError:
                     raise ValueError(
-                        f"{path} line {lineno}: cannot parse {raw!r} as a real label"
-                    ) from None
+                        f"line {lineno}: cannot parse {raw!r} as a real label") from None
                 if not math.isfinite(value):
-                    raise ValueError(f"{path} line {lineno}: real label {raw!r} is not finite")
+                    raise ValueError(f"line {lineno}: real label {raw!r} is not finite")
                 labels.append(value)
             texts.append(text)
     if skipped:
         logger.warning("%s: skipped %d rows with empty text", path, skipped)
-    names = label_names if frozen else [name for name, _ in sorted(mapping.items(), key=lambda kv: kv[1])]
+    names = label_names if frozen else list(mapping)
     return LabeledDataset(
         texts=texts,
         labels=labels,

@@ -79,7 +79,7 @@ def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
     """Copy of the model with fresh head.w / head.b appended.
 
     Adds hidden_size * num_labels + num_labels parameters; everything else
-    is carried over unchanged. An existing head is replaced.
+    is carried over unchanged. An existing head and its label names are replaced.
     """
     if label_names is not None:
         if head.task != CLASSIFICATION:
@@ -92,10 +92,7 @@ def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
     out = model.copy()
     out.params["head.w"] = rng.normal((n, head.num_labels), INIT_SCALE)
     out.params["head.b"] = np.zeros(head.num_labels)
-    if label_names is not None:
-        out.label_names = list(label_names)
-    elif head.task == REGRESSION:
-        out.label_names = None
+    out.label_names = None if label_names is None else list(label_names)
     return out
 
 

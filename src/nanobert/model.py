@@ -61,12 +61,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        if min(self.hidden_size, self.num_heads, self.ffn_size, self.vocab_size, self.max_positions) < 1:
+            raise ValueError("all size fields must be positive")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
-        if min(self.hidden_size, self.num_heads, self.ffn_size, self.vocab_size, self.max_positions) < 1:
-            raise ValueError("all size fields must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 

@@ -147,6 +147,42 @@ class TestRejection:
                            match=r"mlm_bias has shape \(1000000000000,\), expected \(12,\)"):
             load_checkpoint(path)
 
+    def test_huge_header_length_named(self, tmp_path):
+        """A corrupt length asks for no more memory than the file holds."""
+        path = self.write_good(tmp_path)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(struct.pack("<Q", 2**62) + blob[8:])
+        with pytest.raises(ValueError, match=f"^{path}: truncated header$"):
+            load_checkpoint(path)
+
+    def test_zero_heads_named(self, tmp_path):
+        """Sizes are checked before they divide, so no ZeroDivisionError escapes."""
+        path = self.write_good(tmp_path)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(blob.replace(b'"num_heads": 2', b'"num_heads": 0', 1))
+        with pytest.raises(ValueError, match=f"^{path}: all size fields must be positive"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("num_labels, names", [
+        (3, ["a", "b"]),
+        (3, ["a", "b", "b"]),
+        (3, ["a", "b", 3]),
+        (3, "abc"),
+        (3, []),
+        (1, ["a"]),
+        (None, ["a", "b"]),
+        (None, []),
+    ])
+    def test_label_names_must_fit_the_head(self, tmp_path, num_labels, names):
+        ckpt = make_checkpoint(num_labels=num_labels)
+        ckpt.label_names = names
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, path)
+        with pytest.raises(ValueError, match=f"^{path}: label_names must be None"):
+            load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = self.write_good(tmp_path)
         with open(path, "ab") as f:

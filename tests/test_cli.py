@@ -109,6 +109,15 @@ class TestTrainTokenizer:
         assert rc == 2
         assert "/nope/missing.txt" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"the cat sat \xff on the mat\n")
+        rc = main(["train-tokenizer", "--output-dir", str(tmp_path / "out"),
+                   "--set", f"data.corpus={corpus}"])
+        assert rc == 2
+        assert f"error: {corpus}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         rc = main([
             "train-tokenizer", "--output-dir", str(tmp_path),
@@ -352,7 +361,21 @@ class TestPredictCommand:
             "--set", "data.text_column=body",
         ])
         assert rc == 2
-        assert "'body'" in capsys.readouterr().err
+        assert (f"error: {workdir['data'] / 'topics.csv'}: column 'body' not found; "
+                f"file has ['text', 'label']") in capsys.readouterr().err
+
+    def test_row_without_text_field_named(self, finetune_run, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("id,text\n1\n")
+        out = tmp_path / "pred"
+        rc = main([
+            "predict", "--output-dir", str(out),
+            "--set", f"checkpoint.path={finetune_run / 'best.ckpt'}",
+            "--set", f"data.input={short}",
+        ])
+        assert rc == 2
+        assert f"error: {short}: line 2: no 'text' field" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBaselineCommand:
@@ -428,6 +451,18 @@ class TestBaselineCommand:
             argv += ["--set", item]
         assert main(argv) == 2
         assert "error: the training set has no examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_train_names_the_file(self, workdir, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_bytes(b"text,label\nred sky,colors\ncaf\xe9 cat,animals\n")
+        rc = main([
+            "baseline", "--output-dir", str(tmp_path / "out"),
+            "--set", f"data.train={train}",
+            "--set", f"data.test={workdir['data'] / 'order_test.csv'}",
+        ])
+        assert rc == 2
+        assert f"error: {train}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_algorithm(self, workdir, tmp_path, capsys):

@@ -2,6 +2,8 @@
 and reading."""
 
 import argparse
+import ast
+import glob
 import json
 import os
 import random
@@ -12,19 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import REPLICA_COUNTS, class_dataset
+import nanobert
 from nanobert import cli
 from nanobert.baselines import TextBaseline, fit_text_baseline
+from nanobert.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from nanobert.data import (
     BUCKET_BATCHES,
     LabeledDataset,
     batch_indices,
     load_csv,
     read_json,
+    reading,
     split,
     write_csv,
     write_json,
     write_lines,
 )
+from nanobert.model import ModelConfig, init_params
+from nanobert.rng import Rng
 from nanobert.tokenizer import TokenizerModel, train_bpe
 
 
@@ -83,7 +90,7 @@ class TestLoadCsv:
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_real_label_names_line(self, tmp_path, raw):
         path = self.write(tmp_path, f"text,score\na,1.5\nb,{raw}\n")
-        with pytest.raises(ValueError, match=f"{path} line 3: real label '{raw}' is not finite"):
+        with pytest.raises(ValueError, match=f"{path}: line 3: real label '{raw}' is not finite"):
             load_csv(path, "text", "score", "real")
 
     def test_missing_column_named(self, tmp_path):
@@ -290,6 +297,15 @@ def _save_config(path):
                       "training": {"num_train_epochs": 1, "per_device_train_batch_size": 8}})
 
 
+def _save_checkpoint(path):
+    """A tiny classifier, its label names and its tokenizer sibling."""
+    tok = train_bpe(["the cat sat on the mat", "a cat, a mat"], vocab_size=40)
+    cfg = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
+                      vocab_size=tok.vocab_size, max_positions=6, dropout=0.0)
+    save_checkpoint(Checkpoint(cfg, init_params(cfg, Rng(5), num_labels=2), tok,
+                               ["animals", "colors"]), path)
+
+
 def _resolve_pretrain_config(path):
     return cli.resolve_config("pretrain", argparse.Namespace(config=path, set=None,
                                                              output_dir=None, seed=None))
@@ -333,7 +349,8 @@ class TestFiles:
         (_save_tokenizer, TokenizerModel.load),
         (_save_naive_bayes, TextBaseline.load),
         (_save_config, _resolve_pretrain_config),
-    ], ids=["tokenizer", "naive_bayes", "config"])
+        (_save_checkpoint, load_checkpoint),
+    ], ids=["tokenizer", "naive_bayes", "config", "checkpoint"])
     def test_corrupt_files_load_or_name_themselves(self, tmp_path, save, load):
         path = str(tmp_path / "artifact.json")
         save(path)
@@ -350,3 +367,33 @@ class TestFiles:
                 assert path in str(exc)
                 refused += 1
         assert refused > 0
+
+    @pytest.mark.parametrize("mode, content", [("r", "a\r\nb"), ("rb", b"a\r\nb")])
+    def test_reading_keeps_newlines(self, tmp_path, mode, content):
+        path = tmp_path / "doc.txt"
+        path.write_bytes(b"a\r\nb")
+        with reading(str(path), mode) as f:
+            assert f.read() == content
+
+    def test_reading_names_the_file_once(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_bytes(b"caf\xe9")
+        with pytest.raises(ValueError, match=f"^{path}: 'utf-8' codec can't decode") as info:
+            with reading(str(path)) as f:
+                f.read()
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_only_data_calls_open(self):
+        """Every file is written through ``replacing`` and read through
+        ``reading``, so the rules for both live in ``nanobert.data``."""
+        package = os.path.dirname(nanobert.__file__)
+        callers = []
+        for module in sorted(glob.glob(os.path.join(package, "*.py"))):
+            with open(module, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            callers += [f"{os.path.basename(module)}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"]
+        assert [c for c in callers if not c.startswith("data.py:")] == []
+        assert callers  # the walk does see data.py's own calls

@@ -115,6 +115,14 @@ class TestAttachHead:
         with pytest.raises(ValueError, match="label names"):
             attach_head(base, HeadConfig(2), Rng(2), label_names=["just_one"])
 
+    @pytest.mark.parametrize("num_labels", [3, 15, 20])
+    def test_new_head_drops_the_old_label_names(self, num_labels):
+        train_set, _ = classification_task()
+        names = [f"topic_{c}" for c in range(15)]
+        old = attach_head(base_model(train_set.texts), HeadConfig(15), Rng(2), label_names=names)
+        assert attach_head(old, HeadConfig(num_labels), Rng(3)).label_names is None
+        assert old.label_names == names
+
     def test_head_task_inference(self):
         train_set, _ = classification_task()
         base = base_model(train_set.texts)
