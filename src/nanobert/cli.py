@@ -362,9 +362,9 @@ def cmd_predict(config: dict, out: str) -> Run:
         header = reader.fieldnames or []
         if text_col not in header:
             raise ValueError(f"column {text_col!r} not found; file has {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if row[text_col] is None:
-                raise ValueError(f"line {lineno}: no {text_col!r} field")
+                raise ValueError(f"line {reader.line_num}: no {text_col!r} field")
             texts.append(row[text_col])
 
     pred_cfg = config["predict"]

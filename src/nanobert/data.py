@@ -190,7 +190,8 @@ def load_csv(
         for col in (text_column, label_column):
             if col not in header:
                 raise ValueError(f"column {col!r} not found; file has {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # physical line, past blank lines and quoted newlines
             text = (row[text_column] or "").strip()
             raw = (row[label_column] or "").strip()
             if not text:

@@ -1,6 +1,7 @@
 """Task heads on a pretrained encoder: attach, train, select, predict.
 
-A head is a single linear layer read off the first-position hidden state.
+A head is a single linear layer read off the first-position hidden state,
+so training and scoring run the encoder's last layer at that position only.
 K >= 2 output columns make a classifier trained with cross-entropy; K = 1
 makes a regressor trained with mean squared error. Training keeps the
 epoch whose dev metric is best and returns that snapshot, never the last
@@ -135,12 +136,18 @@ def fit_to_head(model: Checkpoint, dataset: LabeledDataset, name: str) -> Labele
     return dataset
 
 
+def _cls_positions(rows: int) -> np.ndarray:
+    """The one position a head reads, [CLS], for each of ``rows`` rows."""
+    return np.zeros((rows, 1), dtype=np.int64)
+
+
 def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1), scored batch by batch."""
     task = head_task(params)
     logits = np.empty((len(ids), params["head.b"].size))  # zero texts give [0, K]
     for sel, batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
-        h = encoder_forward(cfg, params, batch_ids, batch_masks)
+        h = encoder_forward(cfg, params, batch_ids, batch_masks,
+                            positions=_cls_positions(sel.size))
         logits[sel] = pool_first_token(h) @ params["head.w"] + params["head.b"]
     if task == CLASSIFICATION:
         return np.argmax(logits, axis=1).astype(np.int64)
@@ -175,7 +182,8 @@ def _train_step(cfg, params: dict, grads: dict, workspace: dict, ids: np.ndarray
     activations live in ``workspace``; the step's other arrays go when it
     returns."""
     h, cache = encoder_forward_with_cache(cfg, params, *trim_padding(ids, masks),
-                                          dropout_rng=dropout_rng, cache=workspace)
+                                          dropout_rng=dropout_rng, cache=workspace,
+                                          positions=_cls_positions(len(ids)))
     loss, d_h, _ = head_loss_and_grads(params, h, labels, grads)
     encoder_backward(cfg, params, cache, d_h, grads)
     return loss

@@ -27,6 +27,19 @@ from length-sorted windows of each epoch's shuffle
 in order of length and hands back their input positions. BLAS blocking and
 summation order depend on T and on a row's batch, so outputs differ from a
 pass over the full padded width by about 1e-15.
+
+The losses read the final hidden states at few positions: the task heads
+at [CLS] (position 0), the MLM loss at the masked tokens. A caller names
+them with ``positions`` ([B, Q]), and the last layer then runs its query
+side only there: it gathers those rows of its input, takes keys and values
+from every position, and computes the Q projection, the [B, A, Q, T]
+attention rows, the output projection, both residuals and LayerNorms and
+the FFN on [B, Q, N]. Its dropout masks are drawn at those shapes. The
+backward scatters the query side's input gradient (Q projection plus
+residual) back with ``np.add.at``, so a position may be named twice, and a
+slot no loss reads (padding to a row's Q) carries exact zeros. Without
+``positions`` every layer runs at every position, as mean pooling needs.
+The pruned pass gives the same loss and gradients up to rounding.
 """
 
 from __future__ import annotations
@@ -201,29 +214,35 @@ def _kept(x: np.ndarray, keep: np.ndarray | None, p: float,
     return y
 
 
-def _attention_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int, p: float,
-                       rng: Rng | None, ws: dict | None) -> tuple[np.ndarray, dict | None]:
-    q = _split_heads(_affine(x, lp["attn.wq"], lp["attn.bq"], _slot(ws, "q", x.shape)), num_heads)
+def _attention_forward(lp: dict, x: np.ndarray, xq: np.ndarray, key_bias: np.ndarray,
+                       num_heads: int, p: float, rng: Rng | None,
+                       ws: dict | None) -> tuple[np.ndarray, dict | None]:
+    """Queries from ``xq`` ([B, Q, N]; ``x`` itself on the full path), keys
+    and values from every position of ``x``."""
+    q = _split_heads(_affine(xq, lp["attn.wq"], lp["attn.bq"], _slot(ws, "q", xq.shape)), num_heads)
     k = _split_heads(_affine(x, lp["attn.wk"], lp["attn.bk"], _slot(ws, "k", x.shape)), num_heads)
     v = _split_heads(_affine(x, lp["attn.wv"], lp["attn.bv"], _slot(ws, "v", x.shape)), num_heads)
     scale = 1.0 / math.sqrt(q.shape[-1])
-    b, a, t, _ = q.shape
-    scores = np.matmul(q, np.swapaxes(k, -1, -2), out=_slot(ws, "probs", (b, a, t, t)))
+    b, a, nq, _ = q.shape
+    scores = np.matmul(q, np.swapaxes(k, -1, -2), out=_slot(ws, "probs", (b, a, nq, x.shape[1])))
     scores *= scale
     scores += key_bias
     probs = nn.softmax(scores, out=scores)
     pmask = _keep_mask(probs.shape, rng, p, ws, "pmask")
-    ctx = _merge_heads(np.matmul(_kept(probs, pmask, p), v), _slot(ws, "ctx", x.shape))
+    ctx = _merge_heads(np.matmul(_kept(probs, pmask, p), v), _slot(ws, "ctx", xq.shape))
     out = _affine(ctx, lp["attn.wo"], lp["attn.bo"])
     if ws is None:
         return out, None
-    return out, {"x": x, "q": q, "k": k, "v": v, "scale": scale, "probs": probs,
+    return out, {"x": x, "xq": xq, "q": q, "k": k, "v": v, "scale": scale, "probs": probs,
                  "pmask": pmask, "ctx": ctx}
 
 
 def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray, p: float,
-                        grads: dict) -> np.ndarray:
-    x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
+                        grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """d loss / d ``x`` through the keys and values and d loss / d ``xq``
+    through the queries; one array when ``xq`` is ``x``, where the three
+    parts add up in the order q, k, v."""
+    x, xq, q, k, v = cache["x"], cache["xq"], cache["q"], cache["k"], cache["v"]
     num_heads = q.shape[1]
     d_ctx_m, _ = nn.matmul_backward(d_out, cache["ctx"], lp["attn.wo"], out=grads["attn.wo"])
     _sum_leading(d_out, grads["attn.bo"])
@@ -236,13 +255,14 @@ def _attention_backward(lp: dict, cache: dict, d_out: np.ndarray, p: float,
     d_q = np.matmul(d_scores, k)
     d_k = np.matmul(np.swapaxes(d_scores, -1, -2), q)
     d_x = np.zeros_like(x)
-    for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)):
+    d_xq = d_x if xq is x else np.zeros_like(xq)
+    for name, d_h, inp, d_inp in (("q", d_q, xq, d_xq), ("k", d_k, x, d_x), ("v", d_v, x, d_x)):
         d_merged = _merge_heads(d_h)
-        d_x_part, _ = nn.matmul_backward(d_merged, x, lp[f"attn.w{name}"],
+        d_x_part, _ = nn.matmul_backward(d_merged, inp, lp[f"attn.w{name}"],
                                          out=grads[f"attn.w{name}"])
         _sum_leading(d_merged, grads[f"attn.b{name}"])
-        d_x += d_x_part
-    return d_x
+        d_inp += d_x_part
+    return d_x, d_xq
 
 
 def _ffn_forward(lp: dict, x: np.ndarray, p: float, rng: Rng | None,
@@ -266,25 +286,35 @@ def _ffn_backward(lp: dict, lc: dict, d_out: np.ndarray, p: float, grads: dict) 
 
 
 def _layer_forward(lp: dict, x: np.ndarray, key_bias: np.ndarray, num_heads: int, p: float,
-                   rng: Rng | None, ws: dict | None,
-                   out: np.ndarray | None) -> tuple[np.ndarray, dict | None]:
+                   rng: Rng | None, ws: dict | None, out: np.ndarray | None,
+                   positions: np.ndarray | None = None) -> tuple[np.ndarray, dict | None]:
     """One post-norm layer, its output written to ``out`` when given.
 
-    With a workspace ``ws`` (training), every tensor the backward reads is
-    written into it and comes back as the layer's cache. Scoring passes
-    None, so each sublayer's intermediates are freed when it returns.
+    With ``positions`` ([B, Q]) the layer's output is computed at those
+    positions of each row only, [B, Q, N]; keys and values still come from
+    every position. With a workspace ``ws`` (training), every tensor the
+    backward reads is written into it and comes back as the layer's cache.
+    Scoring passes None, so each sublayer's intermediates are freed when it
+    returns.
     """
-    attn_out, attn_cache = _attention_forward(lp, x, key_bias, num_heads, p, rng, ws)
+    xq, flat = x, None
+    if positions is not None:
+        b, t, n = x.shape
+        flat = (positions + t * np.arange(b)[:, None]).ravel()
+        xq = np.take(x.reshape(b * t, n), flat, axis=0,
+                     out=_slot(ws, "xq", (flat.size, n))).reshape(b, -1, n)
+    attn_out, attn_cache = _attention_forward(lp, x, xq, key_bias, num_heads, p, rng, ws)
     keep1 = _keep_mask(attn_out.shape, rng, p, ws, "keep1")
     _kept(attn_out, keep1, p, out=attn_out)
-    r1 = np.add(x, attn_out, out=_slot(ws, "r1", x.shape))
-    h1 = nn.layer_norm(r1, lp["ln1.gamma"], lp["ln1.beta"], out=_slot(ws, "h1", x.shape))
+    r1 = np.add(xq, attn_out, out=_slot(ws, "r1", xq.shape))
+    h1 = nn.layer_norm(r1, lp["ln1.gamma"], lp["ln1.beta"], out=_slot(ws, "h1", xq.shape))
     f_out, ffn_cache = _ffn_forward(lp, h1, p, rng, ws)
-    r2 = np.add(h1, f_out, out=_slot(ws, "r2", x.shape))
+    r2 = np.add(h1, f_out, out=_slot(ws, "r2", xq.shape))
     y = nn.layer_norm(r2, lp["ln2.gamma"], lp["ln2.beta"], out=out)
     if ws is None:
         return y, None
-    return y, {"attn": attn_cache, "amask1": keep1, "r1": r1, "h1": h1, "r2": r2, **ffn_cache}
+    return y, {"attn": attn_cache, "flat": flat, "amask1": keep1, "r1": r1, "h1": h1, "r2": r2,
+               **ffn_cache}
 
 
 def _layer_backward(lp: dict, lc: dict, d_y: np.ndarray, p: float, grads: dict) -> np.ndarray:
@@ -297,8 +327,12 @@ def _layer_backward(lp: dict, lc: dict, d_y: np.ndarray, p: float, grads: dict) 
     d_h1 += d_r2
     d_r1, _, _ = nn.layer_norm_backward(d_h1, lc["r1"], lp["ln1.gamma"],
                                         out=(grads["ln1.gamma"], grads["ln1.beta"]))
-    d_x = _attention_backward(lp, lc["attn"], _kept(d_r1, lc["amask1"], p), p, grads)
-    d_x += d_r1
+    d_x, d_xq = _attention_backward(lp, lc["attn"], _kept(d_r1, lc["amask1"], p), p, grads)
+    d_xq += d_r1
+    if lc["flat"] is not None:
+        # positions may repeat: every query slot adds its gradient at its
+        # position, and a slot no loss reads adds exact zeros
+        np.add.at(d_x.reshape(-1, d_x.shape[-1]), lc["flat"], d_xq.reshape(-1, d_xq.shape[-1]))
     return d_x
 
 
@@ -325,12 +359,30 @@ def scoring_batches(ids: np.ndarray, masks: np.ndarray, batch_size: int):
         yield (sel, *trim_padding(ids[sel], masks[sel]))
 
 
+def _checked_positions(positions, shape: tuple[int, int]) -> np.ndarray:
+    """``positions`` as an int [B, Q] array, Q >= 1, of values in [0, T)."""
+    positions = np.asarray(positions)
+    b, t = shape
+    if positions.dtype.kind not in "iu" or positions.ndim != 2 or positions.shape[0] != b \
+            or positions.shape[1] < 1:
+        raise ValueError(f"positions must be an int [B, Q] array with B = {b} and Q >= 1, "
+                         f"got {positions.dtype} {positions.shape}")
+    bad = (positions < 0) | (positions >= t)
+    if bad.any():
+        raise ValueError(f"position {positions[bad][0]} is outside [0, {t})")
+    return positions.astype(np.int64, copy=False)
+
+
 def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
                     ids: np.ndarray, attention_mask: np.ndarray,
-                    dropout_rng: Rng | None = None, cache: dict | None = None) -> np.ndarray:
-    """[B, T] ids -> [B, T, N] hidden states.
+                    dropout_rng: Rng | None = None, cache: dict | None = None,
+                    positions: np.ndarray | None = None) -> np.ndarray:
+    """[B, T] ids -> [B, T, N] hidden states, or [B, Q, N] at ``positions``.
 
-    Dropout fires only when a rng is supplied. Without a ``cache`` dict the
+    ``positions`` ([B, Q] ints in [0, T), repeats allowed) names the
+    positions of each row whose final states the caller reads; the last
+    layer then runs only there (see the module docstring). Dropout fires
+    only when a rng is supplied. Without a ``cache`` dict the
     pass scores: it holds one layer's intermediates at a time. With one, it
     records what ``encoder_backward`` reads: per layer the layer input,
     q/k/v, the attention probabilities and context, both residual sums, the
@@ -347,6 +399,8 @@ def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
         raise ValueError(f"ids {ids.shape} and attention_mask {mask.shape} must both be [B, T]")
     if (mask.sum(axis=1) == 0).any():
         raise ValueError("a sequence with every position masked has no attendable key")
+    if positions is not None:
+        positions = _checked_positions(positions, ids.shape)
     p = config.dropout if dropout_rng is not None else 0.0
     key_bias = (1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS
     buffers = None
@@ -360,10 +414,12 @@ def encoder_forward(config: ModelConfig, params: dict[str, np.ndarray],
     emb_mask = _keep_mask(x.shape, dropout_rng, p, buffers, "emb_mask")
     _kept(x, emb_mask, p, out=x)
     layers = []
+    last = config.num_layers - 1
     for i, ws in enumerate(workspaces):
-        out = _slot(workspaces[i + 1], "x", x.shape) if i + 1 < len(workspaces) else None
+        out = None if i == last else _slot(workspaces[i + 1], "x", x.shape)
         x, layer_cache = _layer_forward(_layer_params(params, i), x, key_bias, config.num_heads,
-                                        p, dropout_rng, ws, out)
+                                        p, dropout_rng, ws, out,
+                                        positions if i == last else None)
         layers.append(layer_cache)
     if cache is not None:
         cache.update(buffers=buffers, ids=ids, dropout=p, emb_mask=emb_mask, layers=layers)
@@ -377,18 +433,22 @@ def encoder_forward_with_cache(
     attention_mask: np.ndarray,
     dropout_rng: Rng | None = None,
     cache: dict | None = None,
+    positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Training forward pass: hidden states plus the cache ``encoder_backward``
-    reads. Passing the cache of an earlier step reuses its buffers."""
+    """Training forward pass: hidden states (at ``positions`` when given)
+    plus the cache ``encoder_backward`` reads. Passing the cache of an
+    earlier step reuses its buffers."""
     cache = {} if cache is None else cache
-    h = encoder_forward(config, params, ids, attention_mask, dropout_rng, cache)
+    h = encoder_forward(config, params, ids, attention_mask, dropout_rng, cache, positions)
     return h, cache
 
 
 def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray], cache: dict,
                      d_h: np.ndarray, grads: dict | None = None) -> dict[str, np.ndarray]:
-    """Gradients of every encoder parameter given d loss / d output, written
-    into the arrays of ``grads`` when given (a new dict of them otherwise)."""
+    """Gradients of every encoder parameter given d loss / d output ``d_h``
+    (shaped like the forward's output: [B, Q, N] when it took positions),
+    written into the arrays of ``grads`` when given (a new dict of them
+    otherwise)."""
     if grads is None:
         grads = {name: np.empty(shape) for name, shape in param_shapes(config).items()
                  if name != "mlm_bias"}
@@ -423,7 +483,7 @@ def self_attention(config: ModelConfig, params: dict[str, np.ndarray], layer: in
         raise ValueError(f"layer {layer} out of range for {config.num_layers} layers")
     lp = _layer_params(params, layer)
     key_bias = (1.0 - mask)[None, None, None, :] * ATTENTION_MASK_BIAS
-    out, _ = _attention_forward(lp, h[None], key_bias, config.num_heads, 0.0, None, None)
+    out, _ = _attention_forward(lp, h[None], h[None], key_bias, config.num_heads, 0.0, None, None)
     return out[0]
 
 

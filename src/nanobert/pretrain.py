@@ -8,6 +8,7 @@ comparable.
 
 The output projection is tied to the token embedding: logits at a masked
 position are H @ tok_emb^T + mlm_bias, computed only where labels exist.
+The encoder's last layer runs only at those positions as well.
 """
 
 from __future__ import annotations
@@ -118,24 +119,38 @@ def chunk_corpus(tokenizer: TokenizerModel, text: str, max_length: int) -> tuple
             np.asarray([r.attention_mask for r in rows], dtype=np.int64))
 
 
-def _mlm_head(params: dict, batch: MaskedBatch, h: np.ndarray):
-    """Labeled positions, their hidden states, targets and tied-projection
-    logits; None when nothing is labeled."""
-    rows, cols = np.nonzero(batch.labels != IGNORE_LABEL)
+def _labeled_positions(batch: MaskedBatch):
+    """Where the loss reads the encoder: each row's labeled positions in
+    order, padded with 0 to the longest row's count, [B, Q]; the (row, slot)
+    of every labeled position, row by row; and their targets. None when
+    nothing is labeled. The padding names [CLS], which masking never
+    selects; the loss reads no pad slot."""
+    labeled = batch.labels != IGNORE_LABEL
+    rows, cols = np.nonzero(labeled)
     if rows.size == 0:
         return None
-    h_masked = h[rows, cols]
-    logits = h_masked @ params["tok_emb"].T + params["mlm_bias"]
-    return rows, cols, h_masked, batch.labels[rows, cols], logits
+    slots = np.cumsum(labeled, axis=1)[rows, cols] - 1
+    positions = np.zeros((labeled.shape[0], int(slots.max()) + 1), dtype=np.int64)
+    positions[rows, slots] = cols
+    return positions, (rows, slots), batch.labels[rows, cols]
+
+
+def _mlm_head(params: dict, h: np.ndarray, slots: tuple):
+    """Hidden states at the labeled ``slots`` of ``h`` ([B, Q, N]) and their
+    tied-projection logits."""
+    h_masked = h[slots]
+    return h_masked, h_masked @ params["tok_emb"].T + params["mlm_bias"]
 
 
 def mlm_loss(config: ModelConfig, params: dict, batch: MaskedBatch) -> float:
     """Mean cross-entropy over labeled positions; 0.0 when none are labeled."""
-    h = encoder_forward(config, params, batch.input_ids, batch.attention_mask)
-    out = _mlm_head(params, batch, h)
-    if out is None:
+    where = _labeled_positions(batch)
+    if where is None:
         return 0.0
-    _, _, _, targets, logits = out
+    positions, slots, targets = where
+    h = encoder_forward(config, params, batch.input_ids, batch.attention_mask,
+                        positions=positions)
+    _, logits = _mlm_head(params, h, slots)
     loss, _ = nn.softmax_cross_entropy(logits, targets)
     return loss
 
@@ -150,17 +165,18 @@ def mlm_loss_and_grads(config: ModelConfig, params: dict, batch: MaskedBatch,
     The tied embedding receives two contributions: the output-projection
     gradient at labeled positions and the usual lookup scatter.
     """
+    where = _labeled_positions(batch)
+    if where is None:
+        return None
+    positions, slots, targets = where
     h, cache = encoder_forward_with_cache(
         config, params, batch.input_ids, batch.attention_mask, dropout_rng=dropout_rng,
-        cache=cache
+        cache=cache, positions=positions
     )
-    out = _mlm_head(params, batch, h)
-    if out is None:
-        return None
-    rows, cols, h_masked, targets, logits = out
+    h_masked, logits = _mlm_head(params, h, slots)
     loss, d_logits = nn.softmax_cross_entropy(logits, targets)
     d_h = np.zeros_like(h)
-    d_h[rows, cols] = d_logits @ params["tok_emb"]
+    d_h[slots] = d_logits @ params["tok_emb"]
     grads = encoder_backward(config, params, cache, d_h, grads)
     grads["tok_emb"] += d_logits.T @ h_masked
     grads["mlm_bias"] = np.sum(d_logits, axis=0, out=grads.get("mlm_bias"))

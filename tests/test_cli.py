@@ -377,6 +377,18 @@ class TestPredictCommand:
         assert f"error: {short}: line 2: no 'text' field" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_row_without_text_field_names_its_physical_line(self, finetune_run, tmp_path,
+                                                             capsys):
+        short = tmp_path / "short.csv"
+        short.write_text('id,text\n\n1,"a\nb"\n2\n')
+        rc = main([
+            "predict", "--output-dir", str(tmp_path / "pred"),
+            "--set", f"checkpoint.path={finetune_run / 'best.ckpt'}",
+            "--set", f"data.input={short}",
+        ])
+        assert rc == 2
+        assert f"error: {short}: line 5: no 'text' field" in capsys.readouterr().err
+
 
 class TestBaselineCommand:
     def test_naive_bayes_on_split_files(self, workdir, tmp_path):

@@ -93,6 +93,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"{path}: line 3: real label '{raw}' is not finite"):
             load_csv(path, "text", "score", "real")
 
+    def test_line_number_counts_blank_lines_and_quoted_newlines(self, tmp_path):
+        path = self.write(tmp_path, 'text,score\n\n"a\nb",1.5\nc,nan\n')
+        with pytest.raises(ValueError, match=f"{path}: line 5: real label 'nan' is not finite"):
+            load_csv(path, "text", "score", "real")
+
     def test_missing_column_named(self, tmp_path):
         path = self.write(tmp_path, "text,label\na,b\n")
         with pytest.raises(ValueError, match="'body'"):

@@ -1,6 +1,8 @@
 """Property test: the hand-written encoder backward and both loss heads (MLM
 and task head) agree with central finite differences over random small
-shapes, pad patterns and dropout settings.
+shapes, pad patterns and dropout settings, with the last layer run at every
+position or only at drawn ``positions`` (repeats included; the MLM head
+always runs it at its labeled positions).
 
 Each parameter tensor is checked along a random direction. Every loss
 evaluation draws its dropout masks from a fresh ``Rng`` with the same seed,
@@ -35,6 +37,11 @@ def cases(draw):
     # hidden size 2 every gradient through it is ~1e-20 and finite
     # differences read only rounding noise; hidden sizes start at 3
     head_dim = draw(st.integers(-(-3 // num_heads), 3))
+    # the positions the encoder, classification and regression heads read;
+    # None runs the last layer at every position
+    positions = draw(st.one_of(st.none(), st.integers(1, t + 1).flatmap(
+        lambda q: st.lists(st.lists(st.integers(0, t - 1), min_size=q, max_size=q),
+                           min_size=b, max_size=b))))
     return {
         "num_layers": draw(st.integers(1, 2)),
         "num_heads": num_heads,
@@ -44,6 +51,7 @@ def cases(draw):
         "dropout": draw(st.sampled_from([0.0, 0.25])),
         "head": draw(st.sampled_from(HEADS)),
         "seed": draw(st.integers(0, 2**32 - 1)),
+        "positions": positions,
     }
 
 
@@ -51,8 +59,10 @@ def loss_and_grads(case, cfg, params, ids, mask, data_rng):
     """``f(params) -> (loss, grads)`` for the head the case names."""
     head = case["head"]
     dropout_seed = case["seed"] + 1 if case["dropout"] else None
+    positions = None if case["positions"] is None else np.asarray(case["positions"])
     if head == "encoder":
-        readout = data_rng.normal(ids.shape + (cfg.hidden_size,))
+        width = ids.shape[1] if positions is None else positions.shape[1]
+        readout = data_rng.normal((ids.shape[0], width, cfg.hidden_size))
     elif head == "mlm":
         labels = np.where(mask, np.asarray(data_rng.integers(cfg.vocab_size, ids.shape)),
                           IGNORE_LABEL)
@@ -66,7 +76,8 @@ def loss_and_grads(case, cfg, params, ids, mask, data_rng):
         rng = Rng(dropout_seed) if dropout_seed is not None else None
         if head == "mlm":
             return mlm_loss_and_grads(cfg, p, batch, dropout_rng=rng)
-        h, cache = encoder_forward_with_cache(cfg, p, ids, mask, dropout_rng=rng)
+        h, cache = encoder_forward_with_cache(cfg, p, ids, mask, dropout_rng=rng,
+                                              positions=positions)
         if head == "encoder":
             return float(np.sum(h * readout)), encoder_backward(cfg, p, cache, readout)
         loss, d_h, grads = head_loss_and_grads(p, h, labels)
@@ -82,7 +93,13 @@ def loss_and_grads(case, cfg, params, ids, mask, data_rng):
                "mask": [[True, True, False, True, False, False],
                         [True, False, False, False, False, False],
                         [True, True, True, True, True, False]],
-               "dropout": 0.25, "head": "classification", "seed": 3})
+               "dropout": 0.25, "head": "classification", "seed": 3, "positions": None})
+@example(case={"num_layers": 2, "num_heads": 2, "head_dim": 2, "ffn_size": 4,
+               "mask": [[True, True, False, True, False, False],
+                        [True, False, False, False, False, False],
+                        [True, True, True, True, True, False]],
+               "dropout": 0.25, "head": "encoder", "seed": 5,
+               "positions": [[3, 0, 3, 5], [0, 0, 2, 1], [4, 4, 4, 4]]})
 def test_gradients_match_finite_differences(case):
     mask = np.asarray(case["mask"], dtype=np.int64)
     num_labels = {"classification": 3, "regression": 1}.get(case["head"])

@@ -319,6 +319,94 @@ class TestEncoderGradients:
         assert (grads["tok_emb"][19] == 0.0).all()
 
 
+def full_path_mlm(cfg, params, batch):
+    """The MLM loss and gradients with every layer at every position."""
+    h, cache = encoder_forward_with_cache(cfg, params, batch.input_ids, batch.attention_mask)
+    rows, cols = np.nonzero(batch.labels != IGNORE_LABEL)
+    logits = h[rows, cols] @ params["tok_emb"].T + params["mlm_bias"]
+    loss, d_logits = nn.softmax_cross_entropy(logits, batch.labels[rows, cols])
+    d_h = np.zeros_like(h)
+    d_h[rows, cols] = d_logits @ params["tok_emb"]
+    grads = encoder_backward(cfg, params, cache, d_h)
+    grads["tok_emb"] += d_logits.T @ h[rows, cols]
+    grads["mlm_bias"] = d_logits.sum(axis=0)
+    return loss, grads
+
+
+class TestPrunedLastLayer:
+    """The last layer run at the positions a loss reads gives the full
+    path's outputs there, and its loss and gradients, up to rounding."""
+
+    def setup(self, num_labels=None, num_layers=2):
+        cfg = tiny_config(num_layers=num_layers, max_positions=7)
+        params = generic_params(cfg, Rng(80), num_labels=num_labels)
+        ids = Rng(81).integers(cfg.vocab_size, (3, 7))
+        mask = np.ones((3, 7))
+        mask[1, 4:] = 0.0  # a padded row
+        mask[2, 2] = 0.0  # an interior pad
+        return cfg, params, ids, mask
+
+    @staticmethod
+    def assert_close(loss, grads, ref_loss, ref_grads):
+        assert set(grads) == set(ref_grads)
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_outputs_match_the_full_path_at_the_positions(self, num_layers):
+        cfg, params, ids, mask = self.setup(num_layers=num_layers)
+        positions = np.array([[0, 3, 3, 6], [5, 0, 1, 1], [2, 2, 2, 2]])  # repeats, pad slots
+        full = encoder_forward(cfg, params, ids, mask)
+        pruned = encoder_forward(cfg, params, ids, mask, positions=positions)
+        assert pruned.shape == (3, 4, cfg.hidden_size)
+        np.testing.assert_allclose(pruned, np.take_along_axis(full, positions[..., None], 1),
+                                   rtol=0, atol=1e-12)
+
+    def test_full_path_is_unchanged_by_the_argument(self):
+        cfg, params, ids, mask = self.setup()
+        h, _ = encoder_forward_with_cache(cfg, params, ids, mask, positions=None)
+        assert np.array_equal(h, encoder_forward(cfg, params, ids, mask))
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_mlm_loss_and_gradients_match_the_full_path(self, num_layers):
+        cfg, params, ids, mask = self.setup(num_layers=num_layers)
+        labels = np.full(ids.shape, IGNORE_LABEL)
+        labels[0, [0, 5]] = ids[0, [0, 5]]  # position 0 labeled; pad slots repeat it
+        labels[1, [1, 2, 3]] = ids[1, [1, 2, 3]]  # the longest row sets Q = 3
+        labels[2, 6] = ids[2, 6]
+        batch = MaskedBatch(ids, labels, mask)
+        loss, grads = mlm_loss_and_grads(cfg, params, batch)
+        self.assert_close(loss, grads, *full_path_mlm(cfg, params, batch))
+
+    @pytest.mark.parametrize("num_labels, labels", [(3, np.array([2, 0, 1])),
+                                                    (1, np.array([0.5, -1.0, 2.0]))])
+    def test_head_loss_and_gradients_match_the_full_path(self, num_labels, labels):
+        cfg, params, ids, mask = self.setup(num_labels=num_labels)
+
+        def step(positions):
+            h, cache = encoder_forward_with_cache(cfg, params, ids, mask, positions=positions)
+            loss, d_h, grads = head_loss_and_grads(params, h, labels)
+            grads.update(encoder_backward(cfg, params, cache, d_h))
+            return loss, grads
+
+        self.assert_close(*step(np.zeros((3, 1), dtype=np.int64)), *step(None))
+
+    @pytest.mark.parametrize("positions, match", [
+        (np.zeros((3, 1)), r"int \[B, Q\] array.*float64 \(3, 1\)"),
+        (np.zeros(3, dtype=np.int64), r"int64 \(3,\)"),
+        (np.zeros((3, 0), dtype=np.int64), r"Q >= 1.*\(3, 0\)"),
+        (np.zeros((2, 1), dtype=np.int64), r"B = 3.*\(2, 1\)"),
+        (np.array([[0], [-1], [0]]), r"position -1 is outside \[0, 7\)"),
+        (np.array([[0], [7], [0]]), r"position 7 is outside \[0, 7\)"),
+    ])
+    def test_refuses_bad_positions(self, positions, match):
+        cfg, params, ids, mask = self.setup()
+        with pytest.raises(ValueError, match=match):
+            encoder_forward(cfg, params, ids, mask, positions=positions)
+
+
 def dropout_step(cfg, params, head, shape, seed, grads=None, cache=None):
     """Loss and gradients of one seeded dropout step through the MLM head or
     a classification head, on random ids with a padded row."""
@@ -371,12 +459,16 @@ class TestTrainingWorkspace:
 
     @pytest.mark.parametrize("head, digest", [
         ("classification", "630adfd1fba6ee160a895cd0b311eb7ac4bfec985aed28d0dc4c27516ddf86e9"),
-        ("mlm", "2fca098542d73fb4359c4c24164086d0b8d005cd0fc80742ab692b3529bc095f"),
+        ("mlm", "17816daba54cbb177a5641bf67c71a905f6ab6b7515b4e29668704bd7b69d5ab"),
     ])
     def test_golden_dropout_step(self, head, digest):
-        # sha256 of the loss and gradient vector, recorded before the
-        # workspace existed (x86-64, NumPy 2.4, OpenBLAS); the digest pins
-        # every bit, so another BLAS or CPU may give another one
+        # sha256 of the loss and gradient vector (x86-64, NumPy 2.4,
+        # OpenBLAS); the digest pins every bit, so another BLAS or CPU may
+        # give another one. The classification digest was recorded before
+        # the workspace existed and runs the full path; the MLM digest was
+        # re-recorded when its step began running the last layer only at
+        # the labeled positions, which draws that layer's dropout masks at
+        # the pruned shapes
         cfg = tiny_config(num_layers=2, max_positions=16, dropout=0.1)
         params = generic_params(cfg, Rng(71), num_labels=3)
         ids = Rng(72).integers(cfg.vocab_size, (4, 16))
