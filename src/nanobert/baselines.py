@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint
-from .data import LabeledDataset, read_json, write_json
+from .data import LabeledDataset, check_format_version, read_json, write_json
 from .model import encoder_forward, scoring_batches
 from .tokenizer import pre_tokenize
 
@@ -259,8 +259,7 @@ class TextBaseline:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TextBaseline":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported baseline format {data.get('format_version')!r}")
+        check_format_version(data, FORMAT_VERSION)
         kind = data["kind"]
         if kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {kind!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import reading, replacing
+from .data import check_format_version, parse_json, reading, replacing
 from .model import ModelConfig, flatten, param_shapes, views
 from .tokenizer import TokenizerModel
 
@@ -60,13 +60,20 @@ def _tokenizer_sibling(path: str) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+    """Write ``ckpt`` to ``path``, and its tokenizer beside it; label names
+    that do not fit the head are refused, naming ``path``, before either."""
     body, params = flatten(ckpt.params)
+    head = params.get("head.w")
+    try:
+        names = checked_label_names(ckpt.label_names, 0 if head is None else head.shape[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": ckpt.model_config.to_dict(),
         "params": [[name, list(p.shape)] for name, p in params.items()],
         "tokenizer_ref": os.path.basename(_tokenizer_sibling(path)) if ckpt.tokenizer else None,
-        "label_names": ckpt.label_names,
+        "label_names": names,
     }
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     if ckpt.tokenizer is not None:
@@ -85,9 +92,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         start = 8 + struct.unpack("<Q", raw[:8])[0]
         if len(raw) < start:
             raise ValueError("truncated header")
-        header = json.loads(raw[8:start].decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {header.get('format_version')}")
+        header = parse_json(raw[8:start].decode("utf-8"))
+        check_format_version(header, FORMAT_VERSION)
         config = ModelConfig(**header["model_config"])
         shapes = _checked_shapes(config, header["params"])
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
@@ -95,7 +101,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"truncated body: {len(raw) - start} of {size} bytes")
         if len(raw) - start > size:
             raise ValueError("trailing bytes after last parameter")
-        label_names = _checked_label_names(header.get("label_names"), shapes.get("head.w"))
+        head = shapes.get("head.w")
+        label_names = checked_label_names(header.get("label_names"), head[1] if head else 0)
         tokenizer = None
         ref = header.get("tokenizer_ref")
         if ref:
@@ -134,9 +141,11 @@ def _checked_shapes(config: ModelConfig, table: list) -> dict[str, tuple[int, ..
     return expected
 
 
-def _checked_label_names(names, head: tuple[int, int] | None) -> list[str] | None:
-    """``names`` once they are None, or K distinct strings for a K-column classifier."""
-    k = head[1] if head and head[1] > 1 else 0  # a 1-column head is a regressor
+def checked_label_names(names, columns: int) -> list[str] | None:
+    """``names`` once they are None, or K distinct strings for a head of
+    K >= 2 columns (a classifier). A 1-column head (a regressor) and a model
+    with no head (``columns`` 0) take no names."""
+    k = columns if columns > 1 else 0
     if names is None or (isinstance(names, list) and all(isinstance(n, str) for n in names)
                          and len(set(names)) == len(names) == k > 0):
         return names

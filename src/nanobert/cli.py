@@ -11,7 +11,6 @@ per_device_eval_batch_size).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import load_csv, read_json, reading, split, write_csv, write_json
+from .data import load_csv, read_csv, read_json, reading, split, write_csv, write_json
 from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
@@ -356,16 +355,7 @@ def cmd_predict(config: dict, out: str) -> Run:
     text_col = config["data"]["text_column"]
     input_path = _require(config, "data", "input")
 
-    texts = []
-    with reading(input_path) as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        if text_col not in header:
-            raise ValueError(f"column {text_col!r} not found; file has {header}")
-        for row in reader:
-            if row[text_col] is None:
-                raise ValueError(f"line {reader.line_num}: no {text_col!r} field")
-            texts.append(row[text_col])
+    texts = read_csv(input_path, [text_col], lambda rows: [row[text_col] for _, row in rows])
 
     pred_cfg = config["predict"]
     values = predict(model, texts, max_length=pred_cfg["max_length"],

@@ -11,7 +11,8 @@ so that a batch cut to its longest row carries little padding.
 Files are written through ``replacing``, so none is ever left half written,
 and read through ``reading``, so every error in what they hold names the
 file. JSON files are UTF-8, 2-space indented, key-sorted strict JSON with a
-trailing newline.
+trailing newline, and are read as strict JSON. CSV files are read through
+``read_csv``, which checks the header and numbers rows by physical line.
 """
 
 from __future__ import annotations
@@ -156,11 +157,51 @@ def write_csv(path: str, texts, labels, text_column: str = "text",
         writer.writerows(zip(texts, labels))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def parse_json(text):
+    """``text`` parsed as strict JSON, as every writer writes it: a ``NaN``,
+    ``Infinity`` or ``-Infinity`` literal is refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def check_format_version(doc: dict, version: int) -> None:
+    """Refuse a file's document unless its ``format_version`` is ``version``."""
+    if doc.get("format_version") != version:
+        raise ValueError(f"unsupported format version {doc.get('format_version')!r}")
+
+
 def read_json(path: str, parse=None):
-    """The JSON document at ``path``, passed through ``parse`` when given."""
+    """The strict JSON document at ``path``, passed through ``parse`` when given."""
     with reading(path) as f:
-        doc = json.load(f)
+        doc = parse_json(f.read())
         return doc if parse is None else parse(doc)
+
+
+def read_csv(path: str, columns, parse):
+    """``parse(rows)`` for the CSV at ``path``, once its header names each of
+    ``columns``. ``rows`` yields ``(line, row)`` per record: the physical
+    line it ends on (past blank lines and quoted newlines) and its fields by
+    column name. A record that ends before a named column is refused by
+    line. ``parse`` runs while the file is read, so its errors name the file
+    too."""
+    with reading(path) as f:
+        reader = csv.DictReader(f)
+        header = reader.fieldnames or []
+        for col in columns:
+            if col not in header:
+                raise ValueError(f"column {col!r} not found; file has {header}")
+
+        def rows():
+            for row in reader:
+                for col in columns:
+                    if row[col] is None:
+                        raise ValueError(f"line {reader.line_num}: no {col!r} field")
+                yield reader.line_num, row
+
+        return parse(rows())
 
 
 def load_csv(
@@ -174,8 +215,9 @@ def load_csv(
 
     Class labels map to contiguous ids by first appearance; pass the
     ``label_names`` of a previous load to reuse its mapping (unknown labels
-    then fail instead of extending it). Real labels must parse as finite
-    floats. Rows with empty text are skipped with a logged count.
+    then fail instead of extending it). An empty class label is refused,
+    and real labels must parse as finite floats. Rows with empty text are
+    skipped with a logged count.
     """
     if label_kind not in LABEL_KINDS:
         raise ValueError(f"label_kind must be one of {LABEL_KINDS}, got {label_kind!r}")
@@ -183,34 +225,34 @@ def load_csv(
     mapping = {name: i for i, name in enumerate(label_names or [])}  # ids in insertion order
     texts: list[str] = []
     labels: list = []
-    skipped = 0
-    with reading(path) as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        for col in (text_column, label_column):
-            if col not in header:
-                raise ValueError(f"column {col!r} not found; file has {header}")
-        for row in reader:
-            lineno = reader.line_num  # physical line, past blank lines and quoted newlines
-            text = (row[text_column] or "").strip()
-            raw = (row[label_column] or "").strip()
+
+    def parse(rows) -> int:
+        skipped = 0
+        for line, row in rows:
+            text = row[text_column].strip()
+            raw = row[label_column].strip()
             if not text:
                 skipped += 1
                 continue
             if label_kind == "class":
+                if not raw:
+                    raise ValueError(f"line {line}: empty class label")
                 if frozen and raw not in mapping:
-                    raise ValueError(f"line {lineno}: label {raw!r} not in the provided mapping")
+                    raise ValueError(f"line {line}: label {raw!r} not in the provided mapping")
                 labels.append(mapping.setdefault(raw, len(mapping)))
             else:
                 try:
                     value = float(raw)
                 except ValueError:
                     raise ValueError(
-                        f"line {lineno}: cannot parse {raw!r} as a real label") from None
+                        f"line {line}: cannot parse {raw!r} as a real label") from None
                 if not math.isfinite(value):
-                    raise ValueError(f"line {lineno}: real label {raw!r} is not finite")
+                    raise ValueError(f"line {line}: real label {raw!r} is not finite")
                 labels.append(value)
             texts.append(text)
+        return skipped
+
+    skipped = read_csv(path, (text_column, label_column), parse)
     if skipped:
         logger.warning("%s: skipped %d rows with empty text", path, skipped)
     names = label_names if frozen else list(mapping)
@@ -308,28 +350,28 @@ def split(
     return tuple(ds.subset(sorted(idx)) for idx in (train_idx, dev_idx, test_idx))
 
 
-def batch_indices(n: int, batch_size: int, shuffle: bool = False,
-                  seed: int = 0, epoch: int = 0, lengths=None) -> list[np.ndarray]:
-    """Index blocks covering range(n); order is seeded by (seed, epoch).
+def batch_indices(n: int, batch_size: int, stream: Rng | None = None,
+                  lengths=None) -> list[np.ndarray]:
+    """Index blocks covering range(n), in the order the epoch's ``stream``
+    draws, or in order without one.
 
-    The rows are taken in the epoch's permutation (``shuffle``) or in order.
-    With ``lengths``, each window of ``BUCKET_BATCHES * batch_size`` of
-    those rows is stable-sorted by length before the blocks are cut, so a
-    block holds rows of similar length, and when shuffling the blocks are
-    then put in an order drawn from a stream spawned off the epoch's. A
-    block is thus a run of similar lengths within one stretch of the
-    permutation, not a slice of the whole set sorted by length.
+    The rows are taken in ``stream``'s permutation, or in order. With
+    ``lengths``, each window of ``BUCKET_BATCHES * batch_size`` of those
+    rows is stable-sorted by length before the blocks are cut, so a block
+    holds rows of similar length, and with a stream the blocks are then put
+    in an order drawn from ``stream.spawn("order")``. A block is thus a run
+    of similar lengths within one stretch of the permutation, not a slice of
+    the whole set sorted by length.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    stream = Rng(seed).spawn("batch", epoch) if shuffle else None
-    order = stream.permutation(n) if shuffle else np.arange(n)
+    order = np.arange(n) if stream is None else stream.permutation(n)
     if lengths is not None:
         if len(lengths) != n:
             raise ValueError(f"{len(lengths)} lengths for {n} rows")
         window = np.arange(n) // (BUCKET_BATCHES * batch_size)
         order = order[np.lexsort((np.asarray(lengths)[order], window))]  # stable
     blocks = [order[i : i + batch_size] for i in range(0, n, batch_size)]
-    if lengths is not None and shuffle:
+    if lengths is not None and stream is not None:
         blocks = [blocks[i] for i in stream.spawn("order").permutation(len(blocks))]
     return blocks

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nn
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, checked_label_names, save_checkpoint
 from .data import LabeledDataset, batch_indices, jsonable, write_json, write_lines
 from .metrics import classification_report, pearson_r, report_to_json_dict, rmse
 from .model import (
@@ -80,15 +80,10 @@ def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
     """Copy of the model with fresh head.w / head.b appended.
 
     Adds hidden_size * num_labels + num_labels parameters; everything else
-    is carried over unchanged. An existing head and its label names are replaced.
+    is carried over unchanged. An existing head and its label names are
+    replaced. Label names follow the checkpoint's rule (``checked_label_names``).
     """
-    if label_names is not None:
-        if head.task != CLASSIFICATION:
-            raise ValueError("label names only apply to classification heads")
-        if len(label_names) != head.num_labels:
-            raise ValueError(
-                f"{len(label_names)} label names for a {head.num_labels}-way head"
-            )
+    label_names = checked_label_names(label_names, head.num_labels)
     n = model.model_config.hidden_size
     out = model.copy()
     out.params["head.w"] = rng.normal((n, head.num_labels), INIT_SCALE)
@@ -278,8 +273,8 @@ def train(
 
     for epoch in range(1, config.num_train_epochs + 1):
         loss_sum, seen = 0.0, 0
-        blocks = batch_indices(len(train_set), config.train_batch_size, shuffle=True,
-                               seed=config.seed, epoch=epoch, lengths=train_lengths)
+        blocks = batch_indices(len(train_set), config.train_batch_size,
+                               root.spawn("batch", epoch), lengths=train_lengths)
         workspace: dict = {}  # the epoch's activation buffers, reused by every step
         for step, sel in enumerate(blocks):
             with naming_step(epoch, step + 1):

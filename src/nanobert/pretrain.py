@@ -264,10 +264,11 @@ def run_pretraining(
         os.makedirs(ckpt_dir, exist_ok=True)
 
     for epoch in range(1, config.num_train_epochs + 1):
-        order = train_idx[root.spawn("shuffle", epoch).permutation(len(train_idx))]
+        blocks = batch_indices(len(train_idx), config.train_batch_size,
+                               root.spawn("shuffle", epoch))
         workspace: dict = {}  # the epoch's activation buffers, reused by every step
-        for step_in_epoch, block in enumerate(batch_indices(len(order), config.train_batch_size)):
-            sel = order[block]
+        for step_in_epoch, block in enumerate(blocks):
+            sel = train_idx[block]
             batch = mask_tokens(
                 ids[sel], masks[sel], config.mask_prob,
                 root.spawn("mask", epoch, step_in_epoch), **mask_kwargs

@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .data import read_json, write_json
+from .data import check_format_version, read_json, write_json
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -199,6 +199,7 @@ class TokenizerModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TokenizerModel":
+        check_format_version(doc, FORMAT_VERSION)
         for key in ("vocab", "merges", "specials", "casing"):
             if key not in doc:
                 raise ValueError(f"tokenizer file missing key {key!r}")

@@ -103,18 +103,32 @@ class TestRoundtrip:
         assert sibling.vocab == ckpt.tokenizer.vocab
 
 
+# (head columns, label names that do not fit them); None: no head
+BAD_LABEL_NAMES = pytest.mark.parametrize("num_labels, names", [
+    (3, ["a", "b"]),
+    (3, ["a", "b", "b"]),
+    (3, ["a", "b", 3]),
+    (3, "abc"),
+    (3, []),
+    (1, ["a"]),
+    (None, ["a", "b"]),
+    (None, []),
+])
+
+
 class TestRejection:
     def write_good(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(make_checkpoint(), path)
         return path
 
-    def rewrite_params_table(self, path, edit):
-        """Replace the header's name-to-shape table with ``edit(table)``."""
+    def rewrite_header(self, path, key, edit):
+        """Replace the header's ``key`` (its name-to-shape table, ``params``)
+        with ``edit`` of its value."""
         blob = open(path, "rb").read()
         (hlen,) = struct.unpack("<Q", blob[:8])
         header = json.loads(blob[8 : 8 + hlen])
-        header["params"] = edit(header["params"])
+        header[key] = edit(header[key])
         raw = json.dumps(header).encode("utf-8")
         with open(path, "wb") as f:
             f.write(struct.pack("<Q", len(raw)) + raw + blob[8 + hlen :])
@@ -129,20 +143,20 @@ class TestRejection:
 
     def test_unsorted_names_rejected(self, tmp_path):
         path = self.write_good(tmp_path)
-        self.rewrite_params_table(path, lambda table: table[::-1])
+        self.rewrite_header(path, "params", lambda table: table[::-1])
         with pytest.raises(ValueError, match=f"^{path}: .*sorted order"):
             load_checkpoint(path)
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = self.write_good(tmp_path)
-        self.rewrite_params_table(path, lambda table: [table[0], *table])
+        self.rewrite_header(path, "params", lambda table: [table[0], *table])
         with pytest.raises(ValueError, match=f"^{path}: .*unique"):
             load_checkpoint(path)
 
     def test_huge_shape_rejected_before_reading_the_body(self, tmp_path):
         path = self.write_good(tmp_path)
-        self.rewrite_params_table(
-            path, lambda table: [[n, [10**12] if n == "mlm_bias" else s] for n, s in table])
+        self.rewrite_header(
+            path, "params", lambda table: [[n, [10**12] if n == "mlm_bias" else s] for n, s in table])
         with pytest.raises(ValueError,
                            match=r"mlm_bias has shape \(1000000000000,\), expected \(12,\)"):
             load_checkpoint(path)
@@ -165,23 +179,24 @@ class TestRejection:
         with pytest.raises(ValueError, match=f"^{path}: all size fields must be positive"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("num_labels, names", [
-        (3, ["a", "b"]),
-        (3, ["a", "b", "b"]),
-        (3, ["a", "b", 3]),
-        (3, "abc"),
-        (3, []),
-        (1, ["a"]),
-        (None, ["a", "b"]),
-        (None, []),
-    ])
+    @BAD_LABEL_NAMES
     def test_label_names_must_fit_the_head(self, tmp_path, num_labels, names):
-        ckpt = make_checkpoint(num_labels=num_labels)
-        ckpt.label_names = names
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(ckpt, path)
+        save_checkpoint(make_checkpoint(num_labels=num_labels), path)
+        self.rewrite_header(path, "label_names", lambda _: names)
         with pytest.raises(ValueError, match=f"^{path}: label_names must be None"):
             load_checkpoint(path)
+
+    @BAD_LABEL_NAMES
+    def test_save_refuses_label_names_that_do_not_fit(self, tmp_path, num_labels, names):
+        """What save writes, load reads: the same rule refuses the names
+        first, and nothing is written."""
+        ckpt = make_checkpoint(num_labels=num_labels, with_tokenizer=True)
+        ckpt.label_names = names
+        path = str(tmp_path / "model.ckpt")
+        with pytest.raises(ValueError, match=f"^{path}: label_names must be None"):
+            save_checkpoint(ckpt, path)
+        assert os.listdir(tmp_path) == []
 
     def test_trailing_bytes(self, tmp_path):
         path = self.write_good(tmp_path)

@@ -7,6 +7,7 @@ import glob
 import json
 import os
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestLoadCsv:
         path = self.write(tmp_path, 'text,score\n\n"a\nb",1.5\nc,nan\n')
         with pytest.raises(ValueError, match=f"{path}: line 5: real label 'nan' is not finite"):
             load_csv(path, "text", "score", "real")
+
+    @pytest.mark.parametrize("label_kind, column", [("class", "label"), ("real", "score")])
+    def test_short_row_names_its_physical_line(self, tmp_path, label_kind, column):
+        path = self.write(tmp_path, f'text,{column}\n\n"a\nb",1\nshort row\nc,2\n')
+        with pytest.raises(ValueError, match=f"^{path}: line 5: no '{column}' field$"):
+            load_csv(path, "text", column, label_kind)
+
+    @pytest.mark.parametrize("frozen", [None, ["a", "b"]])
+    def test_empty_class_label_names_its_line(self, tmp_path, frozen):
+        path = self.write(tmp_path, "text,label\nx,a\ny,  \nz,b\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 3: empty class label$"):
+            load_csv(path, "text", "label", "class", label_names=frozen)
 
     def test_missing_column_named(self, tmp_path):
         path = self.write(tmp_path, "text,label\na,b\n")
@@ -211,9 +224,9 @@ class TestBatching:
         assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_shuffle_seeded_and_epoch_varying(self):
-        a = batch_indices(20, 8, shuffle=True, seed=5, epoch=0)
-        b = batch_indices(20, 8, shuffle=True, seed=5, epoch=0)
-        c = batch_indices(20, 8, shuffle=True, seed=5, epoch=1)
+        a = batch_indices(20, 8, Rng(5).spawn("batch", 0))
+        b = batch_indices(20, 8, Rng(5).spawn("batch", 0))
+        c = batch_indices(20, 8, Rng(5).spawn("batch", 1))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
         assert sorted(np.concatenate(a).tolist()) == list(range(20))
@@ -221,7 +234,7 @@ class TestBatching:
     def test_plan_without_lengths_is_frozen(self):
         # taken before batch_indices learned lengths=; pretraining's batches
         # and every seeded run without length bucketing depend on it
-        assert [b.tolist() for b in batch_indices(23, 4, shuffle=True, seed=5, epoch=2)] == [
+        assert [b.tolist() for b in batch_indices(23, 4, Rng(5).spawn("batch", 2))] == [
             [15, 20, 14, 3], [21, 12, 8, 10], [2, 9, 6, 17], [7, 4, 1, 13], [18, 16, 0, 22],
             [11, 19, 5]]
         assert [b.tolist() for b in batch_indices(10, 3)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
@@ -232,15 +245,19 @@ class TestBatching:
     def test_length_buckets(self, lengths, batch_size, shuffle, seed, epoch):
         n = len(lengths)
         lengths = np.array(lengths)
-        plan = batch_indices(n, batch_size, shuffle, seed, epoch, lengths=lengths)
-        again = batch_indices(n, batch_size, shuffle, seed, epoch, lengths=lengths)
+
+        def stream():  # a fresh one per plan: a stream advances as it draws
+            return Rng(seed).spawn("batch", epoch) if shuffle else None
+
+        plan = batch_indices(n, batch_size, stream(), lengths=lengths)
+        again = batch_indices(n, batch_size, stream(), lengths=lengths)
         assert all(np.array_equal(a, b) for a, b in zip(plan, again)) and len(plan) == len(again)
         empty = [np.arange(0)]
         assert sorted(np.concatenate(empty + plan).tolist()) == list(range(n))
         assert all(np.all(np.diff(lengths[b]) >= 0) for b in plan)
         # the plan is the unbucketed order with each window stable-sorted by
         # length and cut; shuffling then reorders the blocks
-        order = np.concatenate(empty + batch_indices(n, batch_size, shuffle, seed, epoch))
+        order = np.concatenate(empty + batch_indices(n, batch_size, stream()))
         window = BUCKET_BATCHES * batch_size
         expected = []
         for i in range(0, n, window):
@@ -316,6 +333,53 @@ def _resolve_pretrain_config(path):
                                                              output_dir=None, seed=None))
 
 
+def _number_paths(node, path=()):
+    """The key path of every number in a parsed JSON document."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _number_paths(value, (*path, key))
+
+
+def _rewrite_document(path: str, edit, load) -> None:
+    """Rewrite the JSON document at ``path`` (the header, for a checkpoint)
+    as ``edit`` leaves it, dumped with NaN and Infinity allowed."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    framed = load is load_checkpoint
+    start, end = (8, 8 + struct.unpack("<Q", blob[:8])[0]) if framed else (0, len(blob))
+    doc = json.loads(blob[start:end])
+    edit(doc)
+    raw = json.dumps(doc).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write((struct.pack("<Q", len(raw)) if framed else b"") + raw + blob[end:])
+
+
+def _set_number(doc, value, seed: int) -> None:
+    """Set one number of ``doc``, picked by ``seed``, to ``value``."""
+    *keys, last = random.Random(seed).choice(list(_number_paths(doc)))
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _package_modules():
+    """(file name, syntax tree) of each module of the package."""
+    package = os.path.dirname(nanobert.__file__)
+    for module in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(module, encoding="utf-8") as f:
+            yield os.path.basename(module), ast.parse(f.read())
+
+
+ARTIFACTS = pytest.mark.parametrize("save, load", [
+    (_save_tokenizer, TokenizerModel.load),
+    (_save_naive_bayes, TextBaseline.load),
+    (_save_config, _resolve_pretrain_config),
+    (_save_checkpoint, load_checkpoint),
+], ids=["tokenizer", "naive_bayes", "config", "checkpoint"])
+
+
 class TestFiles:
     def test_json_format(self, tmp_path):
         path = tmp_path / "doc.json"
@@ -350,12 +414,7 @@ class TestFiles:
         assert str(path) in str(info.value)
         assert isinstance(info.value.__cause__, exc)
 
-    @pytest.mark.parametrize("save, load", [
-        (_save_tokenizer, TokenizerModel.load),
-        (_save_naive_bayes, TextBaseline.load),
-        (_save_config, _resolve_pretrain_config),
-        (_save_checkpoint, load_checkpoint),
-    ], ids=["tokenizer", "naive_bayes", "config", "checkpoint"])
+    @ARTIFACTS
     def test_corrupt_files_load_or_name_themselves(self, tmp_path, save, load):
         path = str(tmp_path / "artifact.json")
         save(path)
@@ -372,6 +431,32 @@ class TestFiles:
                 assert path in str(exc)
                 refused += 1
         assert refused > 0
+
+    @ARTIFACTS
+    @pytest.mark.parametrize("value, literal", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                                (float("-inf"), "-Infinity")])
+    def test_non_finite_literals_refused_by_file(self, tmp_path, save, load, value, literal):
+        """Every writer writes strict JSON, so a NaN or Infinity literal
+        in a file is corruption, wherever it stands."""
+        path = str(tmp_path / "artifact.json")
+        save(path)
+        _rewrite_document(path, lambda doc: _set_number(doc, value, seed=7), load)
+        with pytest.raises(ValueError, match=f"^{path}: {literal} is not a JSON number$"):
+            load(path)
+
+    @pytest.mark.parametrize("save, load", [
+        (_save_tokenizer, TokenizerModel.load),
+        (_save_naive_bayes, TextBaseline.load),
+        (_save_checkpoint, load_checkpoint),
+    ], ids=["tokenizer", "naive_bayes", "checkpoint"])
+    @pytest.mark.parametrize("version", [99, None])
+    def test_format_version_checked_by_file(self, tmp_path, save, load, version):
+        path = str(tmp_path / "artifact.json")
+        save(path)
+        _rewrite_document(path, (lambda doc: doc.pop("format_version")) if version is None
+                          else (lambda doc: doc.update(format_version=version)), load)
+        with pytest.raises(ValueError, match=f"^{path}: unsupported format version {version}$"):
+            load(path)
 
     @pytest.mark.parametrize("mode, content", [("r", "a\r\nb"), ("rb", b"a\r\nb")])
     def test_reading_keeps_newlines(self, tmp_path, mode, content):
@@ -392,13 +477,18 @@ class TestFiles:
     def test_only_data_calls_open(self):
         """Every file is written through ``replacing`` and read through
         ``reading``, so the rules for both live in ``nanobert.data``."""
-        package = os.path.dirname(nanobert.__file__)
-        callers = []
-        for module in sorted(glob.glob(os.path.join(package, "*.py"))):
-            with open(module, encoding="utf-8") as f:
-                tree = ast.parse(f.read())
-            callers += [f"{os.path.basename(module)}:{node.lineno}" for node in ast.walk(tree)
-                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "open"]
+        callers = [f"{name}:{node.lineno}" for name, tree in _package_modules()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "open"]
         assert [c for c in callers if not c.startswith("data.py:")] == []
         assert callers  # the walk does see data.py's own calls
+
+    def test_only_data_imports_csv(self):
+        """CSV files are read through ``read_csv`` and written through
+        ``write_csv``, so one set of row rules covers every CSV."""
+        importers = [name for name, tree in _package_modules() for node in ast.walk(tree)
+                     if (isinstance(node, ast.Import)
+                         and any(alias.name == "csv" for alias in node.names))
+                     or (isinstance(node, ast.ImportFrom) and node.module == "csv")]
+        assert importers == ["data.py"]

@@ -112,8 +112,20 @@ class TestAttachHead:
     def test_label_name_count_must_match(self):
         train_set, _ = classification_task()
         base = base_model(train_set.texts)
-        with pytest.raises(ValueError, match="label names"):
+        with pytest.raises(ValueError, match="label_names must be None or 2 distinct strings"):
             attach_head(base, HeadConfig(2), Rng(2), label_names=["just_one"])
+
+    @pytest.mark.parametrize("head, names", [
+        (HeadConfig(2), ["a", "a"]),
+        (HeadConfig(2), ["a", 3]),
+        (HeadConfig(3), ["a", "b"]),
+        (HeadConfig(1, task="regression"), ["a"]),
+    ])
+    def test_label_names_follow_the_checkpoint_rule(self, head, names):
+        """A head takes only names its checkpoint can save and load."""
+        train_set, _ = classification_task()
+        with pytest.raises(ValueError, match="^label_names must be None.* for this head"):
+            attach_head(base_model(train_set.texts), head, Rng(2), label_names=names)
 
     @pytest.mark.parametrize("num_labels", [3, 15, 20])
     def test_new_head_drops_the_old_label_names(self, num_labels):
@@ -544,7 +556,7 @@ class TestLengthAwareBatches:
         widths = [args[2].shape[1] for args, _ in seen]
         expected = [int(masks[sel].sum(axis=1).max())
                     for epoch in (1, 2)
-                    for sel in batch_indices(len(ds), 5, shuffle=True, seed=7, epoch=epoch,
+                    for sel in batch_indices(len(ds), 5, Rng(7).spawn("batch", epoch),
                                              lengths=masks.sum(axis=1))]
         assert widths == expected
 
@@ -578,7 +590,7 @@ class TestLengthAwareBatches:
         train(config, model, ds, ds)
         assert len(before) == 1
 
-        (sel,) = batch_indices(len(ds), len(ds), shuffle=True, seed=7, epoch=1)
+        (sel,) = batch_indices(len(ds), len(ds), Rng(7).spawn("batch", 1))
         cfg = model.model_config
         h, cache = encoder_forward_with_cache(cfg, model.params, ids[sel], masks[sel])
         assert h.shape[1] == self.MAX_LENGTH

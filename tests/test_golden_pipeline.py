@@ -18,7 +18,7 @@ import sys
 
 from nanobert import cli, datagen  # first: importing nanobert pins BLAS to one thread
 
-import numpy as np  # noqa: E402
+import numpy as np
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_pipeline.json")
 
