@@ -36,6 +36,24 @@ class Checkpoint:
     tokenizer: TokenizerModel | None = None
     label_names: list[str] | None = None
 
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """The one checkpoint rule, run when a checkpoint is made and saved:
+        refuse parameters other than the shapes the config and its head call
+        for, label names that do not fit the head, a tokenizer of another
+        vocab size, and a parameter holding NaN or an infinity (the first)."""
+        config = self.model_config
+        shapes = checked_shapes(config, {name: np.shape(p) for name, p in self.params.items()})
+        checked_label_names(self.label_names, shapes.get("head.w", (0, 0))[1])
+        if self.tokenizer is not None and self.tokenizer.vocab_size != config.vocab_size:
+            raise ValueError(f"model vocab_size {config.vocab_size} does not match "
+                             f"tokenizer vocab of {self.tokenizer.vocab_size}")
+        for name in sorted(self.params):
+            if not np.isfinite(self.params[name]).all():
+                raise ValueError(f"parameter {name} holds a non-finite value")
+
     def copy(self) -> "Checkpoint":
         return Checkpoint(self.model_config, flatten(self.params)[1], self.tokenizer,
                           list(self.label_names) if self.label_names else None)
@@ -60,20 +78,20 @@ def _tokenizer_sibling(path: str) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write ``ckpt`` to ``path``, and its tokenizer beside it; label names
-    that do not fit the head are refused, naming ``path``, before either."""
-    body, params = flatten(ckpt.params)
-    head = params.get("head.w")
+    """Write ``ckpt`` to ``path``, and its tokenizer beside it. Its dict may
+    have changed since it was made, so the checkpoint rule is applied again
+    first: a refusal names ``path``, and nothing is written."""
     try:
-        names = checked_label_names(ckpt.label_names, 0 if head is None else head.shape[1])
+        ckpt.check()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    body, params = flatten(ckpt.params)
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": ckpt.model_config.to_dict(),
         "params": [[name, list(p.shape)] for name, p in params.items()],
         "tokenizer_ref": os.path.basename(_tokenizer_sibling(path)) if ckpt.tokenizer else None,
-        "label_names": names,
+        "label_names": ckpt.label_names,
     }
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     if ckpt.tokenizer is not None:
@@ -95,14 +113,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = parse_json(raw[8:start].decode("utf-8"))
         check_format_version(header, FORMAT_VERSION)
         config = ModelConfig(**header["model_config"])
-        shapes = _checked_shapes(config, header["params"])
+        names = [name for name, _ in header["params"]]
+        if names != sorted(set(names)):
+            raise ValueError("parameter names are not unique and in sorted order")
+        shapes = checked_shapes(config, {name: tuple(shape) for name, shape in header["params"]})
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
         if len(raw) - start < size:
             raise ValueError(f"truncated body: {len(raw) - start} of {size} bytes")
         if len(raw) - start > size:
             raise ValueError("trailing bytes after last parameter")
-        head = shapes.get("head.w")
-        label_names = checked_label_names(header.get("label_names"), head[1] if head else 0)
         tokenizer = None
         ref = header.get("tokenizer_ref")
         if ref:
@@ -110,24 +129,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             if not os.path.exists(sibling):
                 raise ValueError(f"the tokenizer it names is missing: {sibling}")
             tokenizer = TokenizerModel.load(sibling)
-            if tokenizer.vocab_size != config.vocab_size:
-                raise ValueError(f"tokenizer {sibling} has {tokenizer.vocab_size} tokens, "
-                                 f"but the model's vocabulary has {config.vocab_size}")
-    return Checkpoint(
-        model_config=config,
-        params=views(np.frombuffer(raw, "<f8", offset=start).astype(np.float64), shapes),
-        tokenizer=tokenizer,
-        label_names=label_names,
-    )
+        body = np.frombuffer(raw, "<f8", offset=start).astype(np.float64)
+        return Checkpoint(config, views(body, shapes), tokenizer, header.get("label_names"))
 
 
-def _checked_shapes(config: ModelConfig, table: list) -> dict[str, tuple[int, ...]]:
-    """The shapes ``config`` and its head call for, once the header's table
-    lists exactly those, once each, in ``flatten``'s sorted order."""
-    names = [name for name, _ in table]
-    if names != sorted(set(names)):
-        raise ValueError("parameter names are not unique and in sorted order")
-    shapes = {name: tuple(shape) for name, shape in table}
+def checked_shapes(config: ModelConfig, shapes: dict) -> dict[str, tuple[int, ...]]:
+    """The shapes ``config`` and its head call for, once ``shapes`` (name to
+    shape tuple) holds exactly those names with exactly those shapes."""
     head = shapes.get("head.w")
     expected = param_shapes(config, head[-1] if head else None)
     missing = set(expected) - set(shapes)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import load_csv, read_csv, read_json, reading, split, write_csv, write_json
+from .data import load_csv, parse_json, read_csv, read_json, reading, split, write_csv, write_json
 from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
@@ -132,9 +132,11 @@ def _parse_set(arg: str) -> dict:
     if not sep or not keys:
         raise ValueError(f"--set expects key=value, got {arg!r}")
     try:
-        value = json.loads(raw)
+        value = parse_json(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings need no quotes
+    except ValueError as exc:  # a NaN or Infinity literal
+        raise ValueError(f"--set {arg!r}: {exc}") from None
     for key in reversed(keys):
         value = {key: value}
     return value

@@ -10,6 +10,7 @@ one.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import logging
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nn
-from .checkpoint import Checkpoint, checked_label_names, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .data import LabeledDataset, batch_indices, jsonable, write_json, write_lines
 from .metrics import classification_report, pearson_r, report_to_json_dict, rmse
 from .model import (
@@ -81,15 +82,14 @@ def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
 
     Adds hidden_size * num_labels + num_labels parameters; everything else
     is carried over unchanged. An existing head and its label names are
-    replaced. Label names follow the checkpoint's rule (``checked_label_names``).
+    replaced. The copy is a ``Checkpoint``, so its label names are held to
+    the checkpoint rule.
     """
-    label_names = checked_label_names(label_names, head.num_labels)
-    n = model.model_config.hidden_size
-    out = model.copy()
-    out.params["head.w"] = rng.normal((n, head.num_labels), INIT_SCALE)
-    out.params["head.b"] = np.zeros(head.num_labels)
-    out.label_names = None if label_names is None else list(label_names)
-    return out
+    params = dict(model.params)
+    params["head.w"] = rng.normal((model.model_config.hidden_size, head.num_labels), INIT_SCALE)
+    params["head.b"] = np.zeros(head.num_labels)
+    return Checkpoint(model.model_config, flatten(params)[1], model.tokenizer,
+                      copy.copy(label_names))
 
 
 def _check_head_fits(params: dict, dataset: LabeledDataset) -> None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import mse
+
 
 @dataclass
 class ClassMetrics:
@@ -110,13 +112,7 @@ def report_to_json_dict(report: ClassificationReport,
 
 
 def rmse(pred, target) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if pred.size == 0:
-        raise ValueError("rmse over zero elements")
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
+    return math.sqrt(mse(pred, target))
 
 
 def pearson_r(x, y) -> float:

@@ -196,8 +196,6 @@ def _dev_loss(config: ModelConfig, params: dict, dev_batches: list[MaskedBatch])
     total, count = 0.0, 0
     for b in dev_batches:
         m = b.num_labeled
-        if m == 0:
-            continue
         total += mlm_loss(config, params, b) * m
         count += m
     if count == 0:
@@ -220,14 +218,11 @@ def run_pretraining(
     Stops early when dev loss has not improved on its best by more than
     ``min_delta`` for ``patience`` consecutive epochs.
     """
-    if model_config.vocab_size != tokenizer.vocab_size:
-        raise ValueError(
-            f"model vocab_size {model_config.vocab_size} does not match "
-            f"tokenizer vocab of {tokenizer.vocab_size}"
-        )
+    root = Rng(config.seed)
+    vector, params = flatten(init_params(model_config, root.spawn("init")))
+    model = Checkpoint(model_config, params, tokenizer=tokenizer)  # refuses another vocab size
     ids, masks = chunk_corpus(tokenizer, corpus, config.max_length)
     n_chunks = ids.shape[0]
-    root = Rng(config.seed)
     dev_n = max(1, int(round(dev_fraction * n_chunks)))
     if dev_n >= n_chunks:
         raise ValueError(f"dev slice of {dev_n} chunks leaves no training chunks")
@@ -245,7 +240,6 @@ def run_pretraining(
         for b in batch_indices(dev_n, config.eval_batch_size)
     ]
 
-    vector, params = flatten(init_params(model_config, root.spawn("init")))
     grad_vector = np.zeros_like(vector)
     grad_views = views(grad_vector, params)
     optimizer = AdamW(params, config.learning_rate, config.weight_decay, config.warmup_steps)
@@ -294,8 +288,7 @@ def run_pretraining(
             best_vector = vector.copy()
             best_epoch = epoch
         if ckpt_dir:
-            epoch_ckpt = Checkpoint(model_config, params, tokenizer=tokenizer)
-            save_checkpoint(epoch_ckpt, os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"))
+            save_checkpoint(model, os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"))
         if dev < stop_ref - min_delta:
             stop_ref = dev
             stale = 0

@@ -5,12 +5,16 @@ import json
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nanobert.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from nanobert.model import ModelConfig, init_params, param_shapes
+from nanobert.model import ModelConfig, init_params, param_shapes, views
 from nanobert.rng import Rng
 from nanobert.tokenizer import TokenizerModel, train_bpe
 
@@ -27,7 +31,49 @@ def make_checkpoint(num_labels=None, with_tokenizer=False):
     )
 
 
+TOKENIZER = train_bpe(["low", "low", "lower"], vocab_size=12)
+
+
+@st.composite
+def checkpoints(draw):
+    """A checkpoint that can be made: 1-2 layers, no head, a regressor or a
+    K-class head, label names or none, a tokenizer or none, and any finite
+    parameter values."""
+    tokenizer = draw(st.sampled_from([None, TOKENIZER]))
+    num_heads = draw(st.integers(1, 2))
+    cfg = ModelConfig(num_layers=draw(st.integers(1, 2)),
+                      hidden_size=num_heads * draw(st.integers(1, 3)), num_heads=num_heads,
+                      ffn_size=draw(st.integers(1, 5)),
+                      vocab_size=tokenizer.vocab_size if tokenizer else draw(st.integers(1, 12)),
+                      max_positions=draw(st.integers(1, 6)), dropout=draw(st.floats(0.0, 0.5)))
+    num_labels = draw(st.none() | st.integers(1, 4))
+    names = None
+    if num_labels and num_labels > 1:
+        names = draw(st.none() | st.lists(st.text(max_size=4), min_size=num_labels,
+                                          max_size=num_labels, unique=True))
+    shapes = param_shapes(cfg, num_labels)
+    vector = draw(arrays(np.float64, sum(math.prod(s) for s in shapes.values()),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return Checkpoint(cfg, views(vector, shapes), tokenizer, names)
+
+
 class TestRoundtrip:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ckpt=checkpoints())
+    def test_every_checkpoint_that_can_be_made_loads_back_bit_for_bit(self, ckpt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(ckpt, path)
+            loaded = load_checkpoint(path)
+        assert loaded.model_config == ckpt.model_config
+        assert list(loaded.params) == sorted(ckpt.params)
+        for name, p in ckpt.params.items():
+            assert loaded.params[name].shape == p.shape
+            assert loaded.params[name].tobytes() == p.tobytes(), name
+        assert loaded.label_names == ckpt.label_names
+        assert (loaded.tokenizer and loaded.tokenizer.to_json_dict()) == (
+            ckpt.tokenizer and ckpt.tokenizer.to_json_dict())
+
     def test_bit_exact(self, tmp_path):
         ckpt = make_checkpoint(num_labels=3)
         path = str(tmp_path / "model.ckpt")
@@ -113,6 +159,41 @@ BAD_LABEL_NAMES = pytest.mark.parametrize("num_labels, names", [
     (1, ["a"]),
     (None, ["a", "b"]),
     (None, []),
+])
+
+
+def _set_entries(value, *names):
+    def edit(params, ckpt):
+        for name in names:
+            params[name] = params[name].copy()
+            params[name].flat[3] = value
+    return edit
+
+
+def _other_tokenizer(params, ckpt):
+    ckpt.tokenizer = train_bpe(["low", "low", "lower"], vocab_size=11)
+
+
+# an edit of a checkpoint's params dict, or of the checkpoint itself, that
+# breaks the checkpoint rule, and the rule's refusal, for make_checkpoint's
+# 12-token model without a head
+BREAKS = pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda params, ckpt: params.pop("mlm_bias"),
+                 r"parameter names do not match the model configuration "
+                 r"\(missing \['mlm_bias'\], unexpected \[\]\)", id="missing"),
+    pytest.param(lambda params, ckpt: params.update(zz=np.zeros(2)),
+                 r"parameter names do not match the model configuration "
+                 r"\(missing \[\], unexpected \['zz'\]\)", id="extra"),
+    pytest.param(lambda params, ckpt: params.update(pos_emb=np.zeros((5, 8))),
+                 r"pos_emb has shape \(5, 8\), expected \(6, 8\)", id="misshapen"),
+    pytest.param(_other_tokenizer, "model vocab_size 12 does not match tokenizer vocab of 11",
+                 id="tokenizer"),
+    pytest.param(_set_entries(np.nan, "layers.0.ffn.w1"),
+                 r"parameter layers\.0\.ffn\.w1 holds a non-finite value", id="nan"),
+    pytest.param(_set_entries(np.inf, "mlm_bias"),
+                 "parameter mlm_bias holds a non-finite value", id="inf"),
+    pytest.param(_set_entries(-np.inf, "tok_emb", "pos_emb"),
+                 "parameter pos_emb holds a non-finite value", id="-inf-first-named"),
 ])
 
 
@@ -218,20 +299,37 @@ class TestRejection:
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        ckpt = make_checkpoint()
-        del ckpt.params["mlm_bias"]
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(ckpt, path)
-        with pytest.raises(ValueError, match="missing"):
+        path = self.write_good(tmp_path)
+        self.rewrite_header(path, "params", lambda table: [e for e in table if e[0] != "mlm_bias"])
+        with pytest.raises(ValueError,
+                           match=rf"^{path}: .*\(missing \['mlm_bias'\], unexpected \[\]\)$"):
+            load_checkpoint(path)
+
+    def test_extra_parameter_rejected(self, tmp_path):
+        path = self.write_good(tmp_path)
+        self.rewrite_header(path, "params", lambda table: [*table, ["zz", [2]]])
+        with pytest.raises(ValueError,
+                           match=rf"^{path}: .*\(missing \[\], unexpected \['zz'\]\)$"):
             load_checkpoint(path)
 
     def test_wrong_shape_rejected(self, tmp_path):
-        ckpt = make_checkpoint()
-        ckpt.params["mlm_bias"] = np.zeros(5)
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(ckpt, path)
-        with pytest.raises(ValueError, match="expected"):
+        path = self.write_good(tmp_path)
+        self.rewrite_header(
+            path, "params", lambda table: [[n, [5, 8] if n == "pos_emb" else s] for n, s in table])
+        with pytest.raises(ValueError,
+                           match=rf"^{path}: pos_emb has shape \(5, 8\), expected \(6, 8\)$"):
             load_checkpoint(path)
+
+    @BREAKS
+    def test_save_refuses_what_load_refuses(self, tmp_path, edit, message):
+        """The checkpoint rule runs again on save, since the dict may have
+        changed after the checkpoint was made; nothing is written."""
+        ckpt = make_checkpoint(with_tokenizer=True)
+        edit(ckpt.params, ckpt)
+        path = str(tmp_path / "model.ckpt")
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+            save_checkpoint(ckpt, path)
+        assert os.listdir(tmp_path) == []
 
     def test_missing_tokenizer_named_in_header(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -242,13 +340,22 @@ class TestRejection:
             load_checkpoint(str(path))
 
     def test_tokenizer_vocab_differs_from_model(self, tmp_path):
-        ckpt = make_checkpoint()  # a 12-token model
-        ckpt.tokenizer = train_bpe(["low", "low", "lower"], vocab_size=11)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(ckpt, str(path))
+        save_checkpoint(make_checkpoint(with_tokenizer=True), str(path))  # a 12-token model
         sibling = tmp_path / "model.ckpt.tokenizer.json"
-        with pytest.raises(ValueError, match=f"tokenizer {sibling} has 11 tokens.* 12"):
+        train_bpe(["low", "low", "lower"], vocab_size=11).save(str(sibling))
+        with pytest.raises(ValueError, match=f"^{path}: model vocab_size 12 does not match "
+                                             f"tokenizer vocab of 11$"):
             load_checkpoint(str(path))
+
+
+@BREAKS
+def test_construction_refuses_what_load_refuses(edit, message):
+    ckpt = make_checkpoint(with_tokenizer=True)
+    params = dict(ckpt.params)
+    edit(params, ckpt)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Checkpoint(ckpt.model_config, params, ckpt.tokenizer, ckpt.label_names)
 
 
 def test_copy_is_deep_for_params():

@@ -148,6 +148,18 @@ class TestTrainTokenizer:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("item", ["seed=NaN", "tokenizer.vocab_size=Infinity",
+                                      "seed=-Infinity"])
+    def test_non_finite_set_values_refused(self, workdir, tmp_path, capsys, item):
+        """``--set`` values are strict JSON, like every file nanobert reads,
+        so the run directory never records a value its run did not use."""
+        rc = main(["train-tokenizer", "--output-dir", str(tmp_path / "out"),
+                   "--set", f"data.corpus={workdir['data'] / 'corpus.txt'}", "--set", item])
+        assert rc == 2
+        literal = item.partition("=")[2]
+        assert f"error: --set {item!r}: {literal} is not a JSON number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_names_the_file(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{'seed': 1}")

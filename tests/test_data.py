@@ -364,6 +364,21 @@ def _set_number(doc, value, seed: int) -> None:
     doc[last] = value
 
 
+def _set_body_entry(path: str, value, seed: int) -> str:
+    """Set one entry of the checkpoint body at ``path``, picked by ``seed``,
+    to ``value``; the name of the parameter that holds it."""
+    params = load_checkpoint(path).params
+    ends = np.cumsum([p.size for p in params.values()])
+    index = random.Random(seed).randrange(int(ends[-1]))
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
+    at = len(blob) - 8 * (int(ends[-1]) - index)
+    blob[at : at + 8] = struct.pack("<d", value)
+    with open(path, "wb") as f:
+        f.write(blob)
+    return list(params)[int(np.searchsorted(ends, index, side="right"))]
+
+
 def _package_modules():
     """(file name, syntax tree) of each module of the package."""
     package = os.path.dirname(nanobert.__file__)
@@ -444,6 +459,18 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"^{path}: {literal} is not a JSON number$"):
             load(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_non_finite_parameters_refused_by_file(self, tmp_path, value, seed):
+        """The checkpoint rule holds every parameter finite, so a NaN or an
+        infinity in a body is refused by file and by parameter."""
+        path = str(tmp_path / "model.ckpt")
+        _save_checkpoint(path)
+        name = _set_body_entry(path, value, seed)
+        with pytest.raises(ValueError,
+                           match=f"^{path}: parameter {name} holds a non-finite value$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("save, load", [
         (_save_tokenizer, TokenizerModel.load),
         (_save_naive_bayes, TextBaseline.load),
@@ -483,6 +510,15 @@ class TestFiles:
                    and node.func.id == "open"]
         assert [c for c in callers if not c.startswith("data.py:")] == []
         assert callers  # the walk does see data.py's own calls
+
+    def test_only_checkpoint_calls_the_checkpoint_rule(self):
+        """Parameter shapes and label names are checked by the ``Checkpoint``
+        type alone, so no caller keeps a copy of the rule of its own."""
+        callers = {name for name, tree in _package_modules() for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                   in ("checked_shapes", "checked_label_names")}
+        assert callers == {"checkpoint.py"}
 
     def test_only_data_imports_csv(self):
         """CSV files are read through ``read_csv`` and written through

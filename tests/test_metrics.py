@@ -122,6 +122,16 @@ class TestRmse:
         with pytest.raises(ValueError, match="mismatch"):
             rmse([1.0], [1.0, 2.0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="over zero elements"):
+            rmse([], [])
+
+    def test_bits_of_the_direct_formula(self):
+        rng = Rng(103)
+        for n in (1, 7, 50):
+            p, t = rng.normal(n), rng.normal(n)
+            assert rmse(p, t) == float(np.sqrt(np.mean((p - t) ** 2)))
+
 
 class TestPearson:
     def test_hand_case(self):
