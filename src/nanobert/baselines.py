@@ -229,6 +229,7 @@ def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = N
         h = encoder_forward(model.model_config, model.params, batch_ids, batch_masks)
         weights = batch_masks.astype(np.float64)
         out[sel] = (h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True)
+    nn.ensure_finite_rows(out, "features")
     return out
 
 

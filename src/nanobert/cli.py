@@ -135,7 +135,7 @@ def _parse_set(arg: str) -> dict:
         value = parse_json(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings need no quotes
-    except ValueError as exc:  # a NaN or Infinity literal
+    except ValueError as exc:  # a NaN, an Infinity or an out-of-range number
         raise ValueError(f"--set {arg!r}: {exc}") from None
     for key in reversed(keys):
         value = {key: value}

@@ -161,10 +161,18 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite JSON number")
+    return value
+
+
 def parse_json(text):
     """``text`` parsed as strict JSON, as every writer writes it: a ``NaN``,
-    ``Infinity`` or ``-Infinity`` literal is refused."""
-    return json.loads(text, parse_constant=_refuse_constant)
+    ``Infinity`` or ``-Infinity`` literal is refused, and so is a number too
+    large for a float, such as ``1e999``."""
+    return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
 
 
 def check_format_version(doc: dict, version: int) -> None:

@@ -144,6 +144,7 @@ def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
         h = encoder_forward(cfg, params, batch_ids, batch_masks,
                             positions=_cls_positions(sel.size))
         logits[sel] = pool_first_token(h) @ params["head.w"] + params["head.b"]
+    nn.ensure_finite_rows(logits, "logits")  # argmax would read NaN as class 0
     if task == CLASSIFICATION:
         return np.argmax(logits, axis=1).astype(np.int64)
     return logits[:, 0].astype(np.float64)

@@ -36,6 +36,13 @@ def ensure_finite(x, name: str = "tensor") -> None:
         raise ValueError(f"{name} contains NaN or Inf")
 
 
+def ensure_finite_rows(x: np.ndarray, name: str) -> None:
+    """Refuse a 2-D ``x`` that holds NaN or an infinity, naming its first such row."""
+    rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if rows.size:
+        raise ValueError(f"{name} row {rows[0]} holds a non-finite value")
+
+
 def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Rowwise softmax along ``axis``, stabilized by max subtraction, written
     to ``out`` when given (``out=x`` computes it in place)."""

@@ -15,8 +15,9 @@ its marker string.
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .data import check_format_version, read_json, write_json
@@ -222,15 +223,6 @@ class TokenizerModel:
         return read_json(path, cls.from_json_dict)
 
 
-def count_pairs(words: dict[tuple[str, ...], int]) -> Counter:
-    """Occurrence count of each adjacent symbol pair, weighted by word frequency."""
-    counts: Counter = Counter()
-    for word, freq in words.items():
-        for pair in zip(word, word[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel:
     """Learn a BPE vocab of exactly vocab_size tokens (or fewer if merges run out).
 
@@ -238,6 +230,14 @@ def train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel
     the lexicographically smallest (left, right). Stops early when no pair
     occurs at least twice. Pairs whose concatenation collides with an
     existing token string are skipped to keep token strings unique.
+
+    The pair statistics are kept across merges (Sennrich et al.,
+    arXiv:1508.07909) rather than recounted: a pair -> count table, a
+    pair -> word-indices index and a lazy max-heap of (-count, pair). A
+    merge rewrites only the words that hold the chosen pair, subtracts their
+    old pair counts, adds the new ones and pushes each pair whose count
+    changed. Heap entries whose count went stale are skipped when popped;
+    pairs that collide are dropped for good, because the vocab only grows.
     """
     corpus = list(corpus)
     if not corpus:
@@ -245,21 +245,12 @@ def train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel
     if lowercase:
         corpus = [text.lower() for text in corpus]
 
-    words: dict[tuple[str, ...], int] = {}
-    chars: set[str] = set()
-    has_space = False
-    for text in corpus:
-        if not has_space and any(c.isspace() for c in text):
-            has_space = True
-        for chunk, _ in pre_tokenize(text):
-            word = tuple(chunk)
-            words[word] = words.get(word, 0) + 1
-            chars.update(word)
-    if not words:
+    chunks = Counter(chunk for text in corpus for _, chunk in _CHUNK.findall(text))
+    if not chunks:
         raise ValueError("corpus contains no tokenizable characters")
 
-    alphabet = sorted(chars)
-    if has_space:
+    alphabet = sorted(set("".join(chunks)))
+    if any(c.isspace() for text in corpus for c in text):
         alphabet.append(SPACE)
         alphabet.sort()
     floor = NUM_SPECIALS + len(alphabet)
@@ -272,25 +263,59 @@ def train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel
     vocab = dict(SPECIAL_TOKENS)
     for ch in alphabet:
         vocab[ch] = len(vocab)
+    merges = _learn_merges(chunks, vocab, vocab_size)
+    return TokenizerModel(vocab, merges, lowercase)
+
+
+def _learn_merges(chunks: dict[str, int], vocab: dict[str, int],
+                  vocab_size: int) -> list[tuple[str, str]]:
+    """The merges ``train_bpe`` learns from each chunk's count, each added
+    to ``vocab`` with the next id until it holds ``vocab_size`` tokens."""
+    symbols = [tuple(chunk) for chunk in chunks]
+    freqs = list(chunks.values())
+    counts: dict[tuple[str, str], int] = defaultdict(int)
+    index: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for w, word in enumerate(symbols):
+        for pair in zip(word, word[1:]):
+            counts[pair] += freqs[w]
+            index[pair].add(w)
+    # only pairs occurring at least twice can be merged, and a pair's count
+    # is pushed again whenever it changes
+    heap = [(-c, pair) for pair, c in counts.items() if c >= 2]
+    heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size:
-        counts = count_pairs(words)
-        best = None
-        best_count = 1
-        for pair, c in counts.items():
-            if c < 2 or (pair[0] + pair[1]) in vocab:
-                continue
-            if c > best_count or (c == best_count and (best is None or pair < best)):
-                best, best_count = pair, c
-        if best is None:
+        while heap:
+            neg_count, best = heapq.heappop(heap)
+            if counts.get(best) == -neg_count and best[0] + best[1] not in vocab:
+                break
+        else:
             break
         merges.append(best)
         vocab[best[0] + best[1]] = len(vocab)
-        merged_words: dict[tuple[str, ...], int] = {}
-        for word, freq in words.items():
-            new = _apply_merges(word, [best])
-            merged_words[new] = merged_words.get(new, 0) + freq
-        words = merged_words
-
-    return TokenizerModel(vocab, merges, lowercase)
+        delta: dict[tuple[str, str], int] = defaultdict(int)
+        for w in index.pop(best):
+            old = symbols[w]
+            new = _apply_merges(old, [best])
+            if new == old:  # the index keeps words that lost the pair
+                continue
+            symbols[w] = new
+            freq = freqs[w]
+            for pair in zip(old, old[1:]):
+                delta[pair] -= freq
+            for pair in zip(new, new[1:]):
+                delta[pair] += freq
+                index[pair].add(w)
+        for pair, d in delta.items():
+            if not d:
+                continue
+            c = counts[pair] + d
+            if c:
+                counts[pair] = c
+            else:
+                del counts[pair]
+                index.pop(pair, None)
+            if c >= 2:
+                heapq.heappush(heap, (-c, pair))
+    return merges

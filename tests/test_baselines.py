@@ -217,6 +217,13 @@ class TestMeanPooledFeatures:
         b = mean_pooled_features(model, texts, batch_size=64)
         assert np.allclose(a, b, atol=1e-12)
 
+    def test_non_finite_features_refused(self):
+        texts = ["cat dog", "cat cat dog mat"]
+        model = self.small_model(texts)
+        model.params["layers.0.ffn.w1"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="^features row 0 holds a non-finite value$"):
+            mean_pooled_features(model, texts, max_length=8)
+
 
     def test_matches_the_full_width_forward(self):
         texts = ["cat", "dog mat", "cat dog mat", "mat", "dog dog cat mat", "cat dog"]

@@ -149,7 +149,8 @@ class TestTrainTokenizer:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("item", ["seed=NaN", "tokenizer.vocab_size=Infinity",
-                                      "seed=-Infinity"])
+                                      "seed=-Infinity", "tokenizer.vocab_size=1e999",
+                                      "seed=-1e999"])
     def test_non_finite_set_values_refused(self, workdir, tmp_path, capsys, item):
         """``--set`` values are strict JSON, like every file nanobert reads,
         so the run directory never records a value its run did not use."""
@@ -157,7 +158,8 @@ class TestTrainTokenizer:
                    "--set", f"data.corpus={workdir['data'] / 'corpus.txt'}", "--set", item])
         assert rc == 2
         literal = item.partition("=")[2]
-        assert f"error: --set {item!r}: {literal} is not a JSON number" in capsys.readouterr().err
+        number = "a finite JSON number" if literal.endswith("e999") else "a JSON number"
+        assert f"error: --set {item!r}: {literal} is not {number}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_malformed_config_names_the_file(self, tmp_path, capsys):

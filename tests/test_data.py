@@ -7,6 +7,7 @@ import glob
 import json
 import os
 import random
+import re
 import struct
 
 import numpy as np
@@ -342,16 +343,22 @@ def _number_paths(node, path=()):
             yield from _number_paths(value, (*path, key))
 
 
+def _raw(literal: str) -> str:
+    """A value ``_rewrite_document`` writes as the bare ``literal``."""
+    return f"<raw {literal}>"
+
+
 def _rewrite_document(path: str, edit, load) -> None:
     """Rewrite the JSON document at ``path`` (the header, for a checkpoint)
-    as ``edit`` leaves it, dumped with NaN and Infinity allowed."""
+    as ``edit`` leaves it, dumped with NaN and Infinity allowed and each
+    ``_raw`` value written bare."""
     with open(path, "rb") as f:
         blob = f.read()
     framed = load is load_checkpoint
     start, end = (8, 8 + struct.unpack("<Q", blob[:8])[0]) if framed else (0, len(blob))
     doc = json.loads(blob[start:end])
     edit(doc)
-    raw = json.dumps(doc).encode("utf-8")
+    raw = re.sub(r'"<raw (\S+)>"', r"\1", json.dumps(doc)).encode("utf-8")
     with open(path, "wb") as f:
         f.write((struct.pack("<Q", len(raw)) if framed else b"") + raw + blob[end:])
 
@@ -448,16 +455,38 @@ class TestFiles:
         assert refused > 0
 
     @ARTIFACTS
-    @pytest.mark.parametrize("value, literal", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
-                                                (float("-inf"), "-Infinity")])
+    @pytest.mark.parametrize("value, literal", [
+        (float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity"),
+        pytest.param(_raw("1e999"), "1e999", id="1e999"),
+        pytest.param(_raw("-1e999"), "-1e999", id="-1e999"),
+    ])
     def test_non_finite_literals_refused_by_file(self, tmp_path, save, load, value, literal):
-        """Every writer writes strict JSON, so a NaN or Infinity literal
-        in a file is corruption, wherever it stands."""
+        """Every writer writes strict JSON, so a NaN or Infinity literal,
+        or a number too large for a float, in a file is corruption,
+        wherever it stands."""
         path = str(tmp_path / "artifact.json")
         save(path)
         _rewrite_document(path, lambda doc: _set_number(doc, value, seed=7), load)
-        with pytest.raises(ValueError, match=f"^{path}: {literal} is not a JSON number$"):
+        number = "a finite JSON number" if isinstance(value, str) else "a JSON number"
+        with pytest.raises(ValueError, match=f"^{path}: {re.escape(literal)} is not {number}$"):
             load(path)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    @pytest.mark.parametrize("name", ["class_log_prior", "feature_log_prob"])
+    def test_non_finite_baseline_arrays_refused_by_file(self, tmp_path, name, literal):
+        """A fitted array can take a non-finite value only through an
+        out-of-range number, which strict JSON refuses."""
+        path = str(tmp_path / "baseline_model.json")
+        _save_naive_bayes(path)
+
+        def edit(doc):
+            array = doc["model"][name]
+            if isinstance(array[-1], list):
+                array = array[-1]
+            array[-1] = _raw(literal)
+        _rewrite_document(path, edit, TextBaseline.load)
+        with pytest.raises(ValueError, match=f"^{path}: {literal} is not a finite JSON number$"):
+            TextBaseline.load(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("seed", [7, 8])

@@ -430,6 +430,15 @@ class TestPredictEvaluate:
             preds = predict(model, [])
             assert preds.dtype == dtype and preds.shape == (0,)
 
+    def test_non_finite_logits_refused(self):
+        """A NaN set after the checkpoint rule ran never reaches a softmax,
+        and argmax of NaN logits is class 0, so predict checks its logits."""
+        train_set, _ = classification_task()
+        model = attach_head(base_model(train_set.texts), HeadConfig(2), Rng(2))
+        model.params["layers.0.ffn.w1"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="^logits row 0 holds a non-finite value$"):
+            predict(model, train_set.texts[:2])
+
     @pytest.mark.parametrize("batch_size", [0, -2])
     def test_batch_size_below_one_rejected(self, batch_size):
         train_set, dev_set = classification_task()

@@ -9,6 +9,15 @@ from nanobert import numerics as nn
 from nanobert.rng import Rng
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ensure_finite_rows_names_the_first_row(value):
+    x = np.zeros((5, 3))
+    x[3, 0] = x[2, 2] = value
+    nn.ensure_finite_rows(np.zeros((0, 3)), "scores")
+    with pytest.raises(ValueError, match="^scores row 2 holds a non-finite value$"):
+        nn.ensure_finite_rows(x, "scores")
+
+
 class TestSoftmax:
     def test_known_values(self):
         # exp of [ln 1, ln 2, ln 7] is [1, 2, 7], normalizing to tenths

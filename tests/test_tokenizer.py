@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanobert import datagen
 from nanobert.tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -16,8 +17,10 @@ from nanobert.tokenizer import (
     SPECIAL_TOKENS,
     UNK_ID,
     UNK_TOKEN,
+    SPACE,
     TokenizerModel,
-    count_pairs,
+    _apply_merges,
+    _learn_merges,
     pre_tokenize,
     train_bpe,
 )
@@ -35,12 +38,127 @@ def brute_force_pair_counts(corpus):
     return counts
 
 
+def count_pairs(words: dict[tuple[str, ...], int]) -> Counter:
+    """Occurrence count of each adjacent symbol pair, weighted by word frequency."""
+    counts: Counter = Counter()
+    for word, freq in words.items():
+        for pair in zip(word, word[1:]):
+            counts[pair] += freq
+    return counts
+
+
+def _reference_merges(words: dict[tuple[str, ...], int], vocab: dict[str, int],
+                      vocab_size: int) -> list[tuple[str, str]]:
+    """The oracle for the merge loop: every merge recounts every pair of
+    every word and then rewrites every word."""
+    merges: list[tuple[str, str]] = []
+    while len(vocab) < vocab_size:
+        counts = count_pairs(words)
+        best = None
+        best_count = 1
+        for pair, c in counts.items():
+            if c < 2 or (pair[0] + pair[1]) in vocab:
+                continue
+            if c > best_count or (c == best_count and (best is None or pair < best)):
+                best, best_count = pair, c
+        if best is None:
+            break
+        merges.append(best)
+        vocab[best[0] + best[1]] = len(vocab)
+        merged_words: dict[tuple[str, ...], int] = {}
+        for word, freq in words.items():
+            new = _apply_merges(word, [best])
+            merged_words[new] = merged_words.get(new, 0) + freq
+        words = merged_words
+    return merges
+
+
+def _reference_train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel:
+    """The oracle for ``train_bpe``, with the merges of ``_reference_merges``."""
+    corpus = list(corpus)
+    if not corpus:
+        raise ValueError("corpus is empty")
+    if lowercase:
+        corpus = [text.lower() for text in corpus]
+
+    words: dict[tuple[str, ...], int] = {}
+    chars: set[str] = set()
+    has_space = False
+    for text in corpus:
+        if not has_space and any(c.isspace() for c in text):
+            has_space = True
+        for chunk, _ in pre_tokenize(text):
+            word = tuple(chunk)
+            words[word] = words.get(word, 0) + 1
+            chars.update(word)
+    if not words:
+        raise ValueError("corpus contains no tokenizable characters")
+
+    alphabet = sorted(chars)
+    if has_space:
+        alphabet.append(SPACE)
+        alphabet.sort()
+    floor = NUM_SPECIALS + len(alphabet)
+    if vocab_size < floor:
+        raise ValueError(
+            f"vocab_size {vocab_size} is below the minimum {floor} "
+            f"({NUM_SPECIALS} specials + {len(alphabet)} alphabet characters)"
+        )
+
+    vocab = dict(SPECIAL_TOKENS)
+    for ch in alphabet:
+        vocab[ch] = len(vocab)
+    merges = _reference_merges(words, vocab, vocab_size)
+    return TokenizerModel(vocab, merges, lowercase)
+
+
+def _trained(train, corpus, vocab_size, lowercase):
+    """``train``'s tokenizer as a JSON document, or the message it refused with."""
+    try:
+        return train(corpus, vocab_size, lowercase).to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+# short words over two to four letters (one of them upper case), often
+# repeated, so pair counts tie and merges run out before the vocab is full
+_SMALL_CORPORA = st.lists(
+    st.sampled_from(["ab", "abc", "abcd", "aB"]).flatmap(
+        lambda letters: st.lists(st.text(letters + " ", max_size=12), min_size=1, max_size=6)),
+    min_size=1, max_size=3).map(lambda parts: [text for part in parts for text in part])
+
+
 class TestTraining:
     def test_toy_corpus_pair_counts(self):
         expected = brute_force_pair_counts(TOY_CORPUS)
         assert expected == {("l", "o"): 3, ("o", "w"): 3, ("w", "e"): 1, ("e", "r"): 1}
         words = {("l", "o", "w"): 2, ("l", "o", "w", "e", "r"): 1}
         assert count_pairs(words) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SMALL_CORPORA, st.integers(5, 40), st.booleans())
+    def test_matches_the_full_recount(self, corpus, vocab_size, lowercase):
+        assert (_trained(train_bpe, corpus, vocab_size, lowercase)
+                == _trained(_reference_train_bpe, corpus, vocab_size, lowercase))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text("abc", min_size=1, max_size=8), min_size=1, max_size=12),
+           st.lists(st.text("abc", min_size=2, max_size=4), max_size=6), st.integers(0, 30))
+    def test_merge_loop_matches_the_full_recount(self, chunks, taken, extra):
+        """Tokens already in the vocab make pairs collide, which chunks
+        drawn by ``train_bpe`` alone were not seen to do."""
+        vocab = {token: i for i, token in enumerate(dict.fromkeys(sorted("abc") + taken))}
+        size = len(vocab) + extra
+        expected = dict(vocab)
+        merges = _reference_merges(Counter(tuple(c) for c in chunks), expected, size)
+        assert _learn_merges(Counter(chunks), vocab, size) == merges
+        assert vocab == expected
+
+    @pytest.mark.parametrize("seed, vocab_size", [(7, 200), (401, 400), (1234, 1000)])
+    def test_matches_the_full_recount_on_generated_corpora(self, seed, vocab_size):
+        corpus = [datagen.pretrain_corpus(seed=seed, target_chars=20_000)]
+        assert (train_bpe(corpus, vocab_size).to_json_dict()
+                == _reference_train_bpe(corpus, vocab_size).to_json_dict())
 
     def test_first_merge_breaks_tie_lexicographically(self):
         # ("l","o") and ("o","w") both occur 3 times; the smaller pair wins
