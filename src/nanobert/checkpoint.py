@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_format_version, parse_json, reading, replacing
+from .metrics import check_class_names
 from .model import ModelConfig, flatten, param_shapes, views
 from .tokenizer import TokenizerModel
 
@@ -53,10 +54,6 @@ class Checkpoint:
         for name in sorted(self.params):
             if not np.isfinite(self.params[name]).all():
                 raise ValueError(f"parameter {name} holds a non-finite value")
-
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(self.model_config, flatten(self.params)[1], self.tokenizer,
-                          list(self.label_names) if self.label_names else None)
 
     def encode_texts(self, texts, max_length: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Padded int64 ids and attention masks, [len(texts), L], for raw texts.
@@ -151,11 +148,15 @@ def checked_shapes(config: ModelConfig, shapes: dict) -> dict[str, tuple[int, ..
 
 def checked_label_names(names, columns: int) -> list[str] | None:
     """``names`` once they are None, or K distinct strings for a head of
-    K >= 2 columns (a classifier). A 1-column head (a regressor) and a model
-    with no head (``columns`` 0) take no names."""
+    K >= 2 columns (a classifier), none of them a key of the classification
+    report. A 1-column head (a regressor) and a model with no head
+    (``columns`` 0) take no names."""
     k = columns if columns > 1 else 0
-    if names is None or (isinstance(names, list) and all(isinstance(n, str) for n in names)
-                         and len(set(names)) == len(names) == k > 0):
+    if names is None:
         return names
-    raise ValueError(f"label_names must be None{f' or {k} distinct strings' if k else ''} "
-                     f"for this head, got {names!r}")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names) == k > 0):
+        raise ValueError(f"label_names must be None{f' or {k} distinct strings' if k else ''} "
+                         f"for this head, got {names!r}")
+    check_class_names(names)
+    return names

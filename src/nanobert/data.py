@@ -13,6 +13,8 @@ and read through ``reading``, so every error in what they hold names the
 file. JSON files are UTF-8, 2-space indented, key-sorted strict JSON with a
 trailing newline, and are read as strict JSON. CSV files are read through
 ``read_csv``, which checks the header and numbers rows by physical line.
+A config read from JSON is held to its dataclass's field annotations by
+``check_field_types``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -179,6 +182,23 @@ def check_format_version(doc: dict, version: int) -> None:
     """Refuse a file's document unless its ``format_version`` is ``version``."""
     if doc.get("format_version") != version:
         raise ValueError(f"unsupported format version {doc.get('format_version')!r}")
+
+
+# an annotation's name -> the values it admits; a bool is refused where it is not named
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+                "None": type(None)}
+
+
+def check_field_types(config) -> None:
+    """Refuse, naming the field, a value of the dataclass ``config`` that its
+    field's annotation (such as ``int`` or ``bool | None``) does not admit:
+    a bool passes only for ``bool``, and an int passes for a ``float``."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        kinds = field.type.split(" | ")
+        if (not any(isinstance(value, _FIELD_KINDS[kind]) for kind in kinds)
+                or (isinstance(value, bool) and "bool" not in kinds)):
+            raise ValueError(f"{field.name} must be {' or '.join(kinds)}, got {value!r}")
 
 
 def read_json(path: str, parse=None):

@@ -22,7 +22,14 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
-from .data import LabeledDataset, batch_indices, jsonable, write_json, write_lines
+from .data import (
+    LabeledDataset,
+    batch_indices,
+    check_field_types,
+    jsonable,
+    write_json,
+    write_lines,
+)
 from .metrics import classification_report, pearson_r, report_to_json_dict, rmse
 from .model import (
     INIT_SCALE,
@@ -61,6 +68,7 @@ class HeadConfig:
     task: str = CLASSIFICATION
 
     def __post_init__(self):
+        check_field_types(self)
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ValueError(f"task must be {CLASSIFICATION!r} or {REGRESSION!r}, got {self.task!r}")
         if self.task == REGRESSION and self.num_labels != 1:

@@ -13,6 +13,9 @@ import numpy as np
 
 from .numerics import mse
 
+# the keys ``report_to_json_dict`` sets beside its per-class blocks
+REPORT_KEYS = ("accuracy", "weighted avg", "zero_division")
+
 
 @dataclass
 class ClassMetrics:
@@ -88,8 +91,11 @@ def report_to_json_dict(report: ClassificationReport,
 
     Weighted averages live under "weighted avg" with keys "precision",
     "recall" and "f1-score"; per-class blocks are keyed by label name when
-    names are given, else by the stringified id.
+    names are given, else by the stringified id. A name that is one of
+    ``REPORT_KEYS`` is refused.
     """
+    if label_names:
+        check_class_names(label_names)
     doc: dict = {}
     for c, m in sorted(report.per_class.items()):
         key = label_names[c] if label_names and c < len(label_names) else str(c)
@@ -109,6 +115,13 @@ def report_to_json_dict(report: ClassificationReport,
     if report.zero_division:
         doc["zero_division"] = True
     return doc
+
+
+def check_class_names(names) -> None:
+    """Refuse, naming it, a class name that would overwrite a report key."""
+    for name in names:
+        if name in REPORT_KEYS:
+            raise ValueError(f"class name {name!r} is a key of the classification report")
 
 
 def rmse(pred, target) -> float:

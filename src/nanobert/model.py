@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nn
-from .data import batch_indices
+from .data import batch_indices, check_field_types
 from .rng import Rng
 
 ATTENTION_MASK_BIAS = -1e30
@@ -72,6 +72,7 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if min(self.hidden_size, self.num_heads, self.ffn_size, self.vocab_size, self.max_positions) < 1:

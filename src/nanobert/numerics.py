@@ -43,60 +43,57 @@ def ensure_finite_rows(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} row {rows[0]} holds a non-finite value")
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Rowwise softmax along ``axis``, stabilized by max subtraction, written
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, stabilized by max subtraction, written
     to ``out`` when given (``out=x`` computes it in place)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty array")
     ensure_finite(x, "softmax input")
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def log_softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("log_softmax of an empty array")
     ensure_finite(x, "log_softmax input")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def softmax_backward(d_out: np.ndarray, y: np.ndarray, axis: int = -1,
+def softmax_backward(d_out: np.ndarray, y: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Gradient through softmax given its output ``y``, written to ``out``
     when given (``out=d_out`` computes it in place)."""
-    inner = np.sum(d_out * y, axis=axis, keepdims=True)
+    inner = np.sum(d_out * y, axis=-1, keepdims=True)
     d = np.subtract(d_out, inner, out=out)
     d *= y
     return d
 
 
 def cross_entropy(logits: np.ndarray, target: int) -> float:
-    """Negative log-probability of ``target`` under softmax(logits).
+    """Negative log-probability of ``target`` under softmax(logits): the
+    loss of ``softmax_cross_entropy`` on this one row."""
+    return softmax_cross_entropy(*_one_row(logits, target))[0]
 
-    Computed as logsumexp(logits) - logits[target]; never materializes
-    probabilities, so tiny ones cannot underflow to -log(0).
-    """
+
+def cross_entropy_backward(logits: np.ndarray, target: int) -> np.ndarray:
+    """d loss / d logits = softmax(logits) - onehot(target): the gradient of
+    ``softmax_cross_entropy`` on this one row."""
+    return softmax_cross_entropy(*_one_row(logits, target))[1][0]
+
+
+def _one_row(logits: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
         raise ValueError(f"logits must be 1-D, got shape {logits.shape}")
     if not 0 <= target < logits.shape[0]:
         raise ValueError(f"target {target} out of range for {logits.shape[0]} classes")
-    ensure_finite(logits, "logits")
-    m = float(np.max(logits))
-    lse = m + math.log(float(np.sum(np.exp(logits - m))))
-    return lse - float(logits[target])
-
-
-def cross_entropy_backward(logits: np.ndarray, target: int) -> np.ndarray:
-    """d loss / d logits = softmax(logits) - onehot(target)."""
-    d = softmax(np.asarray(logits, dtype=np.float64))
-    d[target] -= 1.0
-    return d
+    return logits[None], np.array([target])
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -114,7 +111,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
         raise ValueError("cross-entropy over zero rows")
     if targets.min() < 0 or targets.max() >= k:
         raise ValueError("target class id out of range")
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(n), targets]))
     d = np.exp(logp)
     d[np.arange(n), targets] -= 1.0
@@ -161,31 +158,30 @@ def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray,
     raise ValueError(f"unsupported operand ranks: {a.ndim} and {b.ndim}")
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS,
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """Normalize the last axis to zero mean and unit variance, then scale and
     shift; written to ``out`` when given."""
-    xc, std = _center_and_std(x, eps, out)
+    xc, std = _center_and_std(x, out)
     xc /= std
     xc *= gamma
     xc += beta
     return xc
 
 
-def _center_and_std(x: np.ndarray, eps: float,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """x - mean (into ``out`` when given) and sqrt(var + eps) over the last
-    axis; var = mean(xc * xc), the same sums ``np.var`` takes, without
-    recomputing the mean. Means here are ``np.mean``'s own sum and division,
-    without its Python overhead."""
+def _center_and_std(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x - mean (into ``out`` when given) and sqrt(var + LAYER_NORM_EPS) over
+    the last axis; var = mean(xc * xc), the same sums ``np.var`` takes,
+    without recomputing the mean. Means here are ``np.mean``'s own sum and
+    division, without its Python overhead."""
     xc = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1], out=out)
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
-    var += eps
+    var += LAYER_NORM_EPS
     return xc, np.sqrt(var, out=var)
 
 
 def layer_norm_backward(
-    d_out: np.ndarray, x: np.ndarray, gamma: np.ndarray, eps: float = LAYER_NORM_EPS,
+    d_out: np.ndarray, x: np.ndarray, gamma: np.ndarray,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of layer_norm wrt input, gamma, beta; the last two are
@@ -194,7 +190,7 @@ def layer_norm_backward(
     With xhat the normalized input and m the last-axis width:
     dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
     """
-    xhat, std = _center_and_std(x, eps)
+    xhat, std = _center_and_std(x)
     inv_std = np.divide(1.0, std, out=std)
     xhat *= inv_std
     reduce_axes = tuple(range(d_out.ndim - 1))

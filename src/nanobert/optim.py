@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .data import check_field_types
 from .model import flatten
 
 CLASSIFICATION_METRICS = ("precision", "recall", "f1", "accuracy")
@@ -52,6 +53,7 @@ class TrainingConfig:
     random_token_ratio: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_train_epochs < 0:
             raise ValueError(f"num_train_epochs must be >= 0, got {self.num_train_epochs}")
         if min(self.train_batch_size, self.eval_batch_size) < 1:

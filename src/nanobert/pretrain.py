@@ -218,6 +218,12 @@ def run_pretraining(
     Stops early when dev loss has not improved on its best by more than
     ``min_delta`` for ``patience`` consecutive epochs.
     """
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
+    if min_delta < 0:
+        raise ValueError(f"min_delta must be >= 0, got {min_delta}")
+    if not 0 < dev_fraction < 1:
+        raise ValueError(f"dev_fraction must be in (0, 1), got {dev_fraction}")
     root = Rng(config.seed)
     vector, params = flatten(init_params(model_config, root.spawn("init")))
     model = Checkpoint(model_config, params, tokenizer=tokenizer)  # refuses another vocab size
@@ -253,10 +259,6 @@ def run_pretraining(
     stale = 0
     global_step = 0
 
-    ckpt_dir = os.path.join(output_dir, "checkpoints") if output_dir else None
-    if ckpt_dir:
-        os.makedirs(ckpt_dir, exist_ok=True)
-
     for epoch in range(1, config.num_train_epochs + 1):
         blocks = batch_indices(len(train_idx), config.train_batch_size,
                                root.spawn("shuffle", epoch))
@@ -287,7 +289,9 @@ def run_pretraining(
         if select_best_epoch(dev_losses, greater_is_better=False) == epoch:
             best_vector = vector.copy()
             best_epoch = epoch
-        if ckpt_dir:
+        if output_dir:  # made with its first checkpoint: a run failing before it leaves none
+            ckpt_dir = os.path.join(output_dir, "checkpoints")
+            os.makedirs(ckpt_dir, exist_ok=True)
             save_checkpoint(model, os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"))
         if dev < stop_ref - min_delta:
             stop_ref = dev
@@ -300,6 +304,7 @@ def run_pretraining(
 
     best = Checkpoint(model_config, views(best_vector, params), tokenizer=tokenizer)
     if output_dir:
+        os.makedirs(output_dir, exist_ok=True)
         save_checkpoint(best, os.path.join(output_dir, "best.ckpt"))
         write_lines(os.path.join(output_dir, "loss_log.tsv"), ["step\tepoch\tloss", *(
             f"{r['step']}\t{r['epoch']}\t{r['loss']:.6f}" for r in loss_log)])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 
 import numpy as np
 
@@ -29,12 +30,8 @@ _TWO_NEG53 = 2.0 ** -53
 _INT64_SPAN = 1 << 63  # highs up to this give values that fit int64
 
 
-def mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array."""
-    return _mix64_inplace(np.array(x, dtype=np.uint64))
-
-
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied elementwise to a uint64 array, in place."""
     # uint64 array arithmetic wraps modulo 2**64 without warnings
     t = x >> np.uint64(30)
     x ^= t
@@ -66,7 +63,10 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+        try:
+            self._seed = operator.index(seed) & _MASK64
+        except TypeError:
+            raise ValueError(f"seed must be int, got {seed!r}") from None
         self._counter = 0
 
     def _next(self) -> int:

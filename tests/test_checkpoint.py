@@ -349,6 +349,15 @@ class TestRejection:
             load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("names", [["a", "accuracy", "c"], ["weighted avg", "b", "zero_division"]])
+def test_label_name_equal_to_a_report_key_refused(names):
+    ckpt = make_checkpoint(num_labels=3)
+    clash = next(name for name in names if name in ("accuracy", "weighted avg", "zero_division"))
+    with pytest.raises(ValueError, match=f"^class name '{clash}' is a key of the "
+                                         f"classification report$"):
+        Checkpoint(ckpt.model_config, ckpt.params, label_names=names)
+
+
 @BREAKS
 def test_construction_refuses_what_load_refuses(edit, message):
     ckpt = make_checkpoint(with_tokenizer=True)
@@ -356,10 +365,3 @@ def test_construction_refuses_what_load_refuses(edit, message):
     edit(params, ckpt)
     with pytest.raises(ValueError, match=f"^{message}$"):
         Checkpoint(ckpt.model_config, params, ckpt.tokenizer, ckpt.label_names)
-
-
-def test_copy_is_deep_for_params():
-    ckpt = make_checkpoint()
-    dup = ckpt.copy()
-    dup.params["mlm_bias"][0] = 123.0
-    assert ckpt.params["mlm_bias"][0] != 123.0

@@ -40,24 +40,21 @@ def workdir(tmp_path_factory):
                       [f"{v:.3f}" for v in values], label_column="anxiety")
 
     pretrain_dir = root / "pretrain"
-    rc = main([
-        "pretrain",
-        "--output-dir", str(pretrain_dir),
-        "--set", f"data.corpus={data / 'corpus.txt'}",
-        "--set", "tokenizer.vocab_size=96",
-        "--set", "model.num_layers=1",
-        "--set", "model.hidden_size=16",
-        "--set", "model.num_heads=2",
-        "--set", "model.ffn_size=32",
-        "--set", "model.dropout=0.0",
-        "--set", "training.num_train_epochs=1",
-        "--set", "training.per_device_train_batch_size=8",
-        "--set", "training.learning_rate=1e-3",
-        "--set", "training.warmup_steps=5",
-        "--set", "training.max_length=32",
-    ])
-    assert rc == 0
+    assert main(pretrain_argv(data, pretrain_dir)) == 0
     return {"root": root, "data": data, "pretrain": pretrain_dir}
+
+
+def pretrain_argv(data, out, *sets):
+    """A tiny ``pretrain`` of the corpus in ``data`` into ``out``, with
+    ``sets`` as further ``--set`` items."""
+    argv = ["pretrain", "--output-dir", str(out), "--set", f"data.corpus={data / 'corpus.txt'}"]
+    for item in ["tokenizer.vocab_size=96", "model.num_layers=1", "model.hidden_size=16",
+                 "model.num_heads=2", "model.ffn_size=32", "model.dropout=0.0",
+                 "training.num_train_epochs=1", "training.per_device_train_batch_size=8",
+                 "training.learning_rate=1e-3", "training.warmup_steps=5",
+                 "training.max_length=32", *sets]:
+        argv += ["--set", item]
+    return argv
 
 
 def finetune_config(workdir, **training_overrides):
@@ -735,6 +732,58 @@ class TestRunDirectory:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"missing required config key {key!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("training.num_train_epochs=1.5", "num_train_epochs must be int, got 1.5"),
+        ("model.num_layers=true", "num_layers must be int, got True"),
+        ("seed=1.5", "seed must be int, got 1.5"),
+        ("pretrain.patience=0", "patience must be >= 1, got 0"),
+        ("pretrain.patience=-3", "patience must be >= 1, got -3"),
+        ("pretrain.dev_fraction=-1.0", "dev_fraction must be in (0, 1), got -1.0"),
+        ("pretrain.dev_fraction=0.0", "dev_fraction must be in (0, 1), got 0.0"),
+        ("pretrain.min_delta=-1", "min_delta must be >= 0, got -1"),
+        ("training.learning_rate=1e30", "training diverged at epoch 1, step "),
+    ])
+    def test_refused_pretrain_setting_leaves_no_directory(self, item, message, workdir,
+                                                          tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(pretrain_argv(workdir["data"], out, item)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("training.per_device_train_batch_size=16.0", "train_batch_size must be int, got 16.0"),
+        ("head.num_labels=true", "num_labels must be int, got True"),
+        ("seed=1.5", "seed must be int, got 1.5"),
+    ])
+    def test_refused_finetune_setting_leaves_no_directory(self, item, message, workdir,
+                                                          tmp_path, capsys):
+        config_path = tmp_path / "finetune.json"
+        config_path.write_text(json.dumps(finetune_config(workdir)))
+        out = tmp_path / "out"
+        assert main(["finetune", "--config", str(config_path), "--output-dir", str(out),
+                     "--set", item]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "baseline"])
+    def test_class_name_equal_to_a_report_key_refused(self, command, workdir, tmp_path,
+                                                      capsys):
+        """Refused before a finetune trains, and before a baseline writes."""
+        texts, _ = datagen.topic_dataset(n_rows=24, seed=5)
+        train = tmp_path / "train.csv"
+        datagen.write_csv(str(train), texts, ["weighted avg", "accuracy"] * 12)
+        out = tmp_path / "out"
+        sets = {"finetune": [f"checkpoint.path={workdir['pretrain'] / 'best.ckpt'}",
+                             "data.dev_size=6"],
+                "baseline": ["data.test_size=6"]}[command]
+        argv = [command, "--output-dir", str(out), "--set", f"data.train={train}"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: class name 'weighted avg' is a key of the classification report" in err
         assert not out.exists()
 
     def test_cli_imports_no_private_name(self):

@@ -32,9 +32,42 @@ from nanobert.data import (
     write_json,
     write_lines,
 )
+from nanobert.finetune import HeadConfig
 from nanobert.model import ModelConfig, init_params
+from nanobert.optim import TrainingConfig
 from nanobert.rng import Rng
 from nanobert.tokenizer import TokenizerModel, train_bpe
+
+
+MODEL_FIELDS = dict(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16, vocab_size=12,
+                    max_positions=6)
+REQUIRED_FIELDS = {ModelConfig: MODEL_FIELDS, TrainingConfig: {}, HeadConfig: {"num_labels": 2}}
+
+
+class TestFieldTypes:
+    """Each config dataclass holds values of its fields' annotated types."""
+
+    @pytest.mark.parametrize("make, field, value, message", [
+        (ModelConfig, "num_layers", True, "num_layers must be int, got True"),
+        (ModelConfig, "max_positions", 6.0, "max_positions must be int, got 6.0"),
+        (ModelConfig, "dropout", "0.1", "dropout must be float, got '0.1'"),
+        (TrainingConfig, "num_train_epochs", 1.5, "num_train_epochs must be int, got 1.5"),
+        (TrainingConfig, "seed", False, "seed must be int, got False"),
+        (TrainingConfig, "greater_is_better", 1, "greater_is_better must be bool or None, got 1"),
+        (TrainingConfig, "metric_for_best_model", None,
+         "metric_for_best_model must be str, got None"),
+        (HeadConfig, "num_labels", 2.0, "num_labels must be int, got 2.0"),
+        (HeadConfig, "task", 1, "task must be str, got 1"),
+    ])
+    def test_wrong_type_named(self, make, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(**{**REQUIRED_FIELDS[make], field: value})
+
+    def test_ints_pass_for_floats_and_numpy_scalars_pass(self):
+        assert ModelConfig(**MODEL_FIELDS, dropout=0).dropout == 0
+        assert TrainingConfig(learning_rate=1, num_train_epochs=np.int64(2)).learning_rate == 1
+        assert TrainingConfig(greater_is_better=False).greater_is_better is False
+        assert HeadConfig(np.int32(3)).num_labels == 3
 
 
 class TestLabeledDataset:

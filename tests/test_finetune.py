@@ -1,5 +1,6 @@
 """Head attachment, epoch selection, finetuning, prediction, grid search."""
 
+import copy
 import json
 import math
 
@@ -648,11 +649,8 @@ class TestGridSearch:
     def test_sweeps_product_and_picks_best(self):
         config, model, train_set, dev_set = clf_setup(num_train_epochs=2)
 
-        def factory():
-            return model.copy()
-
         result = grid_search(config, {"learning_rate": [1e-5, 5e-3]},
-                             factory, train_set, dev_set)
+                             lambda: copy.deepcopy(model), train_set, dev_set)
         assert len(result.rows) == 2
         assert result.rows[1]["overrides"] == {"learning_rate": 5e-3}
         values = [r["best_value"] for r in result.rows]
@@ -664,7 +662,7 @@ class TestGridSearch:
         result = grid_search(
             config,
             {"learning_rate": [1e-4, 1e-3], "train_batch_size": [4, 8]},
-            model.copy, train_set, dev_set,
+            lambda: copy.deepcopy(model), train_set, dev_set,
         )
         combos = [tuple(r["overrides"].values()) for r in result.rows]
         assert combos == [(1e-4, 4), (1e-4, 8), (1e-3, 4), (1e-3, 8)]
@@ -673,9 +671,9 @@ class TestGridSearch:
         config, model, train_set, dev_set = clf_setup()
         with pytest.raises(ValueError, match="metric_for_best_model"):
             grid_search(config, {"metric_for_best_model": ["accuracy", "f1"]},
-                        model.copy, train_set, dev_set)
+                        lambda: copy.deepcopy(model), train_set, dev_set)
 
     def test_rejects_empty_grid(self):
         config, model, train_set, dev_set = clf_setup()
         with pytest.raises(ValueError, match="empty"):
-            grid_search(config, {}, model.copy, train_set, dev_set)
+            grid_search(config, {}, lambda: copy.deepcopy(model), train_set, dev_set)

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nanobert.metrics import classification_report, pearson_r, report_to_json_dict, rmse
+from nanobert.metrics import (
+    REPORT_KEYS,
+    classification_report,
+    pearson_r,
+    report_to_json_dict,
+    rmse,
+)
 from nanobert.rng import Rng
 
 
@@ -103,6 +109,13 @@ class TestClassificationReport:
         assert doc["cats"]["support"] == 2
         assert abs(doc["dogs"]["f1-score"] - 0.8) < 1e-15
         assert doc["accuracy"] == 0.75
+
+    @pytest.mark.parametrize("key", REPORT_KEYS)
+    def test_class_name_equal_to_a_report_key_refused(self, key):
+        rep = classification_report([0, 0, 1, 1], [0, 1, 1, 1])
+        with pytest.raises(ValueError, match=f"^class name '{key}' is a key of the "
+                                             f"classification report$"):
+            report_to_json_dict(rep, label_names=["cats", key])
 
     def test_json_falls_back_to_id_keys(self):
         doc = report_to_json_dict(classification_report([0, 1], [0, 1]))

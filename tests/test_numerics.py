@@ -27,7 +27,7 @@ class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = Rng(1)
         x = rng.normal((200, 17), scale=30.0)
-        s = nn.softmax(x, axis=-1)
+        s = nn.softmax(x)
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
         assert (s > 0).all()
 
@@ -99,6 +99,22 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="out of range"):
             nn.cross_entropy(np.zeros(3), 3)
 
+    @pytest.mark.parametrize("logits, target", [
+        ([0.0, 200.0], 0), ([0.0, 200.0], 1), ([0.0, 0.0, 0.0], 2),
+        (np.log([0.2, 0.5, 0.3]), 0), (Rng(7).normal(11, 3.0), 4),
+    ])
+    def test_one_row_of_the_batched_loss_bit_for_bit(self, logits, target):
+        loss, d_logits = nn.softmax_cross_entropy(np.asarray(logits)[None], np.array([target]))
+        assert nn.cross_entropy(logits, target) == loss
+        assert nn.cross_entropy_backward(logits, target).tobytes() == d_logits[0].tobytes()
+
+    @pytest.mark.parametrize("call", [nn.cross_entropy, nn.cross_entropy_backward])
+    def test_one_row_refusals(self, call):
+        with pytest.raises(ValueError, match=r"^logits must be 1-D, got shape \(1, 3\)$"):
+            call(np.zeros((1, 3)), 0)
+        with pytest.raises(ValueError, match="^target -1 out of range for 3 classes$"):
+            call(np.zeros(3), -1)
+
     def test_batched_mean_and_gradient(self):
         rng = Rng(5)
         logits = rng.normal((8, 4), scale=2.0)
@@ -166,7 +182,7 @@ class TestTextbookForms:
     def test_softmax_bit_identical(self, shape):
         x = Rng(11).normal(shape, scale=4.0)
         e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-        assert np.array_equal(nn.softmax(x, axis=-1), e / np.sum(e, axis=-1, keepdims=True))
+        assert np.array_equal(nn.softmax(x), e / np.sum(e, axis=-1, keepdims=True))
 
     @pytest.mark.parametrize("shape", TRAINING_SHAPES)
     def test_layer_norm_bit_identical(self, shape):

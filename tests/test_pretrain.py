@@ -320,17 +320,41 @@ class TestRunPretraining:
         assert result.stopped_early
         assert len(result.dev_losses) == 3  # init + two stale epochs
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"patience": 0}, "patience must be >= 1, got 0"),
+        ({"patience": -3}, "patience must be >= 1, got -3"),
+        ({"min_delta": -1}, "min_delta must be >= 0, got -1"),
+        ({"dev_fraction": -1.0}, r"dev_fraction must be in \(0, 1\), got -1.0"),
+        ({"dev_fraction": 0.0}, r"dev_fraction must be in \(0, 1\), got 0.0"),
+        ({"dev_fraction": 1.0}, r"dev_fraction must be in \(0, 1\), got 1.0"),
+    ])
+    def test_out_of_range_setting_named(self, tmp_path, setting, message):
+        corpus, tok, cfg, train = self.small_setup()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_pretraining(train, corpus, tok, cfg, output_dir=str(tmp_path / "run"), **setting)
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_epochs_write_no_checkpoints_directory(self, tmp_path):
+        corpus, tok, cfg, train = self.small_setup()
+        out = tmp_path / "run"
+        run_pretraining(train.with_overrides(num_train_epochs=0), corpus, tok, cfg,
+                        output_dir=str(out))
+        assert (out / "best.ckpt").exists() and not (out / "checkpoints").exists()
+
     def test_vocab_mismatch_rejected(self):
         corpus, tok, cfg, train = self.small_setup()
         bad = tiny_config(vocab_size=tok.vocab_size + 1, max_positions=16)
         with pytest.raises(ValueError, match="does not match"):
             run_pretraining(train, corpus, tok, bad)
 
-    def test_overflowing_forward_names_epoch_and_step(self):
+    def test_overflowing_forward_names_epoch_and_step(self, tmp_path):
         # each update moves the weights by ~1e40, so within a few steps a
-        # forward pass overflows inside softmax, before any loss is formed
+        # forward pass overflows inside softmax, before any loss is formed;
+        # no epoch ended, so no checkpoint and no directory was written
         corpus, tok, cfg, train = self.small_setup()
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=r"diverged at epoch 1, step \d+: softmax") as info:
-            run_pretraining(train.with_overrides(learning_rate=1e40), corpus, tok, cfg)
+            run_pretraining(train.with_overrides(learning_rate=1e40), corpus, tok, cfg,
+                            output_dir=str(tmp_path / "run"))
         assert "NaN or Inf" in str(info.value.__cause__)
+        assert not (tmp_path / "run").exists()

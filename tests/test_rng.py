@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -187,3 +189,16 @@ class TestOneStream:
         # keys of up to 8 bytes keep their little-endian reading
         key = int.from_bytes(b"devsplit", "little")
         assert Rng(7).spawn("devsplit").u64(3).tolist() == Rng(7).spawn(key).u64(3).tolist()
+
+
+
+class TestSeed:
+    def test_integer_types_give_one_stream(self):
+        want = Rng(5).u64(3).tolist()
+        assert Rng(np.int64(5)).u64(3).tolist() == want
+        assert Rng(np.uint8(5)).u64(3).tolist() == want
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_named(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be int, got {re.escape(repr(seed))}$"):
+            Rng(seed)
