@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, fields
 
@@ -391,6 +392,12 @@ def batch_indices(n: int, batch_size: int, stream: Rng | None = None,
     of similar lengths within one stretch of the permutation, not a slice of
     the whole set sorted by length.
     """
+    try:
+        if isinstance(batch_size, bool):
+            raise TypeError
+        batch_size = operator.index(batch_size)
+    except TypeError:
+        raise ValueError(f"batch_size must be an int, got {batch_size!r}") from None
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(n) if stream is None else stream.permutation(n)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import check_field_types
 from .model import flatten
+from .numerics import block_rows, blocks
 
 CLASSIFICATION_METRICS = ("precision", "recall", "f1", "accuracy")
 REGRESSION_METRICS = ("mse", "rmse", "pearson_r")
@@ -166,26 +167,30 @@ class AdamW:
         self.warmup_steps = warmup_steps
         self.t = 0
         size = sum(np.size(p) for p in layout.values())
-        self._m, self._v, self._s1, self._s2 = (np.zeros(size) for _ in range(4))
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._s1, self._s2 = np.empty((2, min(size, block_rows())))  # one block's scratch
         self._decay = None  # weight_decay on matrix entries, 0.0 elsewhere
         if weight_decay > 0.0:
             self._decay, _ = flatten({n: np.full(np.shape(p), weight_decay * (np.ndim(p) >= 2))
                                       for n, p in layout.items()})
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One update of the parameter vector from the gradient vector; the
-        same operations, element by element, as a loop over the tensors."""
+        """One update of the parameter vector from the gradient vector, block
+        by block; the same operations, element by element, as a loop over
+        the tensors."""
         lr = warmup_learning_rate(self.learning_rate, self.t, self.warmup_steps)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        m, v, s1, s2 = self._m, self._v, self._s1, self._s2
-        m += np.multiply(np.subtract(grads, m, out=s1), 1.0 - ADAM_BETA1, out=s1)
-        np.multiply(grads, grads, out=s1)
-        v += np.multiply(np.subtract(s1, v, out=s1), 1.0 - ADAM_BETA2, out=s1)
-        np.sqrt(np.divide(v, bc2, out=s1), out=s1)
-        s1 += ADAM_EPS
-        update = np.divide(np.divide(m, bc1, out=s2), s1, out=s2)
-        if self._decay is not None:
-            update += np.multiply(self._decay, params, out=s1)
-        params -= np.multiply(update, lr, out=s2)
+        for part in blocks(params.size):
+            g, m, v, p = grads[part], self._m[part], self._v[part], params[part]
+            s1, s2 = self._s1[: p.size], self._s2[: p.size]
+            m += np.multiply(np.subtract(g, m, out=s1), 1.0 - ADAM_BETA1, out=s1)
+            np.multiply(g, g, out=s1)
+            v += np.multiply(np.subtract(s1, v, out=s1), 1.0 - ADAM_BETA2, out=s1)
+            np.sqrt(np.divide(v, bc2, out=s1), out=s1)
+            s1 += ADAM_EPS
+            update = np.divide(np.divide(m, bc1, out=s2), s1, out=s2)
+            if self._decay is not None:
+                update += np.multiply(self._decay[part], p, out=s1)
+            p -= np.multiply(update, lr, out=s2)

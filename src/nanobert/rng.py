@@ -28,6 +28,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TWO_NEG53 = 2.0 ** -53
 _INT64_SPAN = 1 << 63  # highs up to this give values that fit int64
+# raw draws per block of a ``random(at_least=)`` mask, so that a large mask
+# never holds its 16 bytes per entry of uint64 draws and shifts at once
+MASK_BLOCK = 65536
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -88,18 +91,26 @@ class Rng:
 
         With ``at_least``, the bool array ``random(size) >= at_least``
         (written to ``out`` when given), tested on the raw integers without
-        building the floats: the same values from the same stream position.
+        building the floats, ``MASK_BLOCK`` draws at a time: the same values
+        from the same stream position.
         """
         if size is None:
             value = (self._next() >> 11) * _TWO_NEG53
             return value if at_least is None else value >= at_least
         shape = _shape(size)
-        raw = self.u64(math.prod(shape))
-        raw >>= np.uint64(11)
         if at_least is not None:
             # (raw >> 11) * 2**-53 >= a  <=>  (raw >> 11) >= ceil(a * 2**53), exactly
-            top = min(max(math.ceil(at_least * 2.0 ** 53), 0), 1 << 53)
-            return np.greater_equal(raw.reshape(shape), np.uint64(top), out=out)
+            top = np.uint64(min(max(math.ceil(at_least * 2.0 ** 53), 0), 1 << 53))
+            mask = np.empty(shape, dtype=bool) if out is None else out
+            if mask.shape != shape or not mask.flags.c_contiguous:
+                raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+            flat = mask.reshape(-1)
+            for start in range(0, flat.size, MASK_BLOCK):
+                part = flat[start : start + MASK_BLOCK]
+                np.greater_equal(self.u64(part.size) >> np.uint64(11), top, out=part)
+            return mask
+        raw = self.u64(math.prod(shape))
+        raw >>= np.uint64(11)
         vals = raw.astype(np.float64)
         vals *= _TWO_NEG53
         return vals.reshape(shape)

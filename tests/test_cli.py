@@ -364,6 +364,23 @@ class TestPredictCommand:
         assert rc == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [("predict", "predict.batch_size", "true"),
+                                                     ("evaluate", "eval.batch_size", "1.5")])
+    def test_batch_size_not_an_int_named(self, workdir, finetune_run, tmp_path, capsys,
+                                         command, key, value):
+        data_key = "data.input" if command == "predict" else "data.test"
+        out = tmp_path / "out"
+        rc = main([
+            command, "--output-dir", str(out),
+            "--set", f"checkpoint.path={finetune_run / 'best.ckpt'}",
+            "--set", f"{data_key}={workdir['data'] / 'topics.csv'}",
+            "--set", f"{key}={value}",
+        ])
+        assert rc == 2
+        message = f"error: batch_size must be an int, got {json.loads(value)!r}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_text_column(self, workdir, finetune_run, tmp_path, capsys):
         rc = main([
             "predict", "--output-dir", str(tmp_path),
@@ -666,11 +683,14 @@ class TestEntryPoints:
 
 
 class TestBlasThreads:
-    def _run_dirs(self, cwd, threads) -> dict:
+    def _run_dirs(self, cwd, threads, hash_seed=None) -> dict:
         """Bytes of every file a CLI pretrain and finetune write under
-        ``OPENBLAS_NUM_THREADS=threads`` (None: unset)."""
+        ``OPENBLAS_NUM_THREADS=threads`` (None: unset) and, when given,
+        ``PYTHONHASHSEED=hash_seed``."""
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))  # runs outside the repo
+        if hash_seed is not None:
+            env["PYTHONHASHSEED"] = hash_seed
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         commands = [
@@ -701,8 +721,10 @@ class TestBlasThreads:
         texts, labels = datagen.topic_dataset(n_rows=120, seed=3)
         datagen.write_csv(str(tmp_path / "topics.csv"), texts, labels)
         runs = [self._run_dirs(tmp_path, threads) for threads in (None, "1", "2")]
+        # string hashing, and so set and dict order, must not reach a byte
+        runs += [self._run_dirs(tmp_path, "1", hash_seed) for hash_seed in ("0", "1")]
         assert "pre/best.ckpt" in runs[0] and "ft/best.ckpt" in runs[0]
-        assert runs[0] == runs[1] == runs[2]
+        assert all(run == runs[0] for run in runs[1:])
 
 
 def missing_key_args(workdir):

@@ -312,6 +312,11 @@ class TestBatching:
         with pytest.raises(ValueError, match="batch_size"):
             batch_indices(5, 0)
 
+    @pytest.mark.parametrize("batch_size", [True, 1.5, 2.0, "2", None])
+    def test_batch_size_that_is_not_an_int(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be an int, got {batch_size!r}"):
+            batch_indices(5, batch_size)
+
 
 def _failing_rows():
     yield "first"

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import generic_params, tiny_config, traced_peak_mb
+from nanobert import model
 from nanobert import numerics as nn
-from nanobert.finetune import head_loss_and_grads
+from nanobert.finetune import _train_step, head_loss_and_grads
 from nanobert.model import (
     embed,
     encoder_backward,
@@ -190,6 +191,17 @@ class TestEncoderForward:
         h, _ = encoder_forward_with_cache(cfg, params, ids, mask)
         assert np.array_equal(encoder_forward(cfg, params, ids, mask), h)
 
+    def test_dropout_pass_without_cache_matches_training_forward(self, monkeypatch):
+        # it stays one group, so it draws the training forward's masks
+        cfg = tiny_config(num_layers=2, dropout=0.2)
+        params = generic_params(cfg, Rng(11))
+        ids = Rng(12).integers(cfg.vocab_size, (5, 7))
+        mask = np.ones((5, 7))
+        mask[1, 4:] = 0.0
+        monkeypatch.setattr(model, "GROUP_POSITIONS", 7)
+        h, _ = encoder_forward_with_cache(cfg, params, ids, mask, dropout_rng=Rng(13))
+        assert np.array_equal(encoder_forward(cfg, params, ids, mask, dropout_rng=Rng(13)), h)
+
     def test_zero_dropout_draws_nothing_from_the_stream(self):
         cfg = tiny_config(num_layers=2, dropout=0.0)
         params = init_params(cfg, Rng(11))
@@ -222,6 +234,36 @@ class TestEncoderForward:
             params = init_params(cfg, Rng(16))
             peaks.append(traced_peak_mb(encoder_forward, cfg, params, ids, mask))
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_scoring_peak_does_not_grow_with_rows(self):
+        # rows run in groups of at most GROUP_POSITIONS positions, and every
+        # group reuses the first group's workspace
+        cfg = tiny_config(num_layers=2, hidden_size=32, num_heads=4, ffn_size=128,
+                          max_positions=32)
+        params = init_params(cfg, Rng(17))
+        peaks = []
+        for rows in (64, 256):
+            ids = Rng(18).integers(cfg.vocab_size, (rows, 32))
+            mask = np.ones((rows, 32))
+            positions = np.zeros((rows, 1), dtype=np.int64)
+            peaks.append(traced_peak_mb(encoder_forward, cfg, params, ids, mask, None, None,
+                                        positions))
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_row_groups_match_one_group(self, monkeypatch, pruned):
+        cfg = tiny_config(num_layers=2, max_positions=16)
+        params = generic_params(cfg, Rng(19))
+        rows = 2 * (model.GROUP_POSITIONS // 16) + 5  # two full groups and a short one
+        ids = Rng(20).integers(cfg.vocab_size, (rows, 16))
+        mask = np.ones((rows, 16))
+        mask[3, 5:] = 0.0
+        mask[rows - 2, 9:] = 0.0
+        positions = Rng(21).integers(16, (rows, 3)) if pruned else None
+        grouped = encoder_forward(cfg, params, ids, mask, positions=positions)
+        monkeypatch.setattr(model, "GROUP_POSITIONS", rows * 16)
+        assert np.array_equal(grouped, encoder_forward(cfg, params, ids, mask,
+                                                       positions=positions))
 
     def test_pool_first_token(self):
         h = Rng(9).normal((2, 5, 3))
@@ -456,6 +498,23 @@ class TestTrainingWorkspace:
         assert probs.shape == (2, 2, 8, 8) and np.shares_memory(
             probs, workspace["buffers"]["layers.0"]["probs"])
         assert workspace["layers"][0]["attn"]["pmask"].dtype == bool
+
+    def test_warm_step_allocates_less_than_one_slot(self):
+        # a step of the shape the workspace was sized for writes every
+        # activation and backward temporary into it
+        cfg = tiny_config(num_layers=2, hidden_size=64, num_heads=4, ffn_size=256,
+                          max_positions=64, dropout=0.1)
+        params = generic_params(cfg, Rng(66), num_labels=3)
+        _, grads = flatten(params)
+        ids = Rng(67).integers(cfg.vocab_size, (16, 64))
+        masks = np.ones((16, 64))
+        masks[3, 40:] = 0.0
+        labels = Rng(68).integers(3, 16)
+        workspace = {}
+        _train_step(cfg, params, grads, workspace, ids, masks, labels, Rng(69))
+        slot_mb = workspace["buffers"]["layers.0"]["u"].nbytes / 2**20
+        assert traced_peak_mb(_train_step, cfg, params, grads, workspace, ids, masks, labels,
+                              Rng(70)) < slot_mb
 
     @pytest.mark.parametrize("head, digest", [
         ("classification", "630adfd1fba6ee160a895cd0b311eb7ac4bfec985aed28d0dc4c27516ddf86e9"),

@@ -247,6 +247,15 @@ class TestTextbookForms:
         assert np.array_equal(d, (x > 0).astype(np.float64))
 
 
+class TestTextbookFormsInSmallBlocks(TestTextbookForms):
+    """The same checks with blocks small enough that the arrays span three
+    or more blocks plus a ragged tail: blocking moves no bit."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1000)
+
+
 class TestEmbedding:
     def test_lookup_rows(self):
         table = np.arange(12.0).reshape(4, 3)

@@ -9,6 +9,7 @@ import pytest
 from helpers import tiny_config
 from nanobert.checkpoint import Checkpoint, save_checkpoint
 from nanobert.model import flatten, init_params, views
+from nanobert.numerics import BLOCK_ENTRIES
 from nanobert.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -156,13 +157,8 @@ class TestAdamW:
             opt.step(vector, np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
         assert params["bias"].tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_the_per_tensor_loop_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        shapes = [tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 3)))
-                  for _ in range(rng.integers(1, 7))]
-        tensors = {f"t{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
-        weight_decay = [0.0, 0.01, 0.3][seed % 3]
+    @staticmethod
+    def check_per_tensor_loop(rng, tensors, weight_decay):
         vector, params = flatten(tensors)
         opt = AdamW(params, 3e-3, weight_decay=weight_decay, warmup_steps=3)
         ref = {n: t.copy() for n, t in tensors.items()}
@@ -176,6 +172,23 @@ class TestAdamW:
             opt.step(vector, flatten(grads)[0])
             for name in ref:
                 assert np.array_equal(params[name], ref[name]), (name, t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_tensor_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 3)))
+                  for _ in range(rng.integers(1, 7))]
+        tensors = {f"t{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+        self.check_per_tensor_loop(rng, tensors, [0.0, 0.01, 0.3][seed % 3])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_blocked_step_matches_the_per_tensor_loop(self, weight_decay):
+        # three full blocks and a ragged tail, with tensors across block bounds
+        rng = np.random.default_rng(7)
+        shapes = [(7,), (BLOCK_ENTRIES + 3, 2), (3, 11), (BLOCK_ENTRIES - 5,), (257, 9)]
+        assert 3 * BLOCK_ENTRIES < sum(math.prod(s) for s in shapes) < 4 * BLOCK_ENTRIES
+        tensors = {f"t{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+        self.check_per_tensor_loop(rng, tensors, weight_decay)
 
 
 class TestClipping:

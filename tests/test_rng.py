@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nanobert.rng import Rng
+from nanobert.rng import MASK_BLOCK, Rng
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -159,6 +159,18 @@ class TestOneStream:
         assert np.array_equal(out, keep)
         # the same stream position afterwards
         assert r.random() == Rng(seed).random(floats.size + 1)[-1]
+
+    def test_at_least_in_blocks_is_the_float_test(self):
+        # three blocks of draws and a ragged tail, written into ``out``
+        shape = (3, MASK_BLOCK + 7)
+        floats = Rng(5).random(shape)
+        r = Rng(5)
+        out = np.empty(shape, bool)
+        assert r.random(shape, at_least=0.3, out=out) is out
+        assert np.array_equal(out, floats >= 0.3)
+        assert r.random() == Rng(5).random(floats.size + 1)[-1]
+        with pytest.raises(ValueError, match="C-contiguous array of shape"):
+            Rng(5).random(shape, at_least=0.3, out=out.T)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, n=st.integers(1, 9), skip=st.integers(0, 5))
