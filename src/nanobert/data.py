@@ -190,16 +190,20 @@ _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "s
                 "None": type(None)}
 
 
+def check_type(name: str, value, annotation: str) -> None:
+    """Refuse, naming it, a setting ``value`` that ``annotation`` (such as
+    ``int`` or ``bool | None``) does not admit: a bool passes only for
+    ``bool``, and an int passes for a ``float``."""
+    kinds = annotation.split(" | ")
+    if (not any(isinstance(value, _FIELD_KINDS[kind]) for kind in kinds)
+            or (isinstance(value, bool) and "bool" not in kinds)):
+        raise ValueError(f"{name} must be {' or '.join(kinds)}, got {value!r}")
+
+
 def check_field_types(config) -> None:
-    """Refuse, naming the field, a value of the dataclass ``config`` that its
-    field's annotation (such as ``int`` or ``bool | None``) does not admit:
-    a bool passes only for ``bool``, and an int passes for a ``float``."""
+    """``check_type`` on each field of the dataclass ``config``, by its annotation."""
     for field in fields(config):
-        value = getattr(config, field.name)
-        kinds = field.type.split(" | ")
-        if (not any(isinstance(value, _FIELD_KINDS[kind]) for kind in kinds)
-                or (isinstance(value, bool) and "bool" not in kinds)):
-            raise ValueError(f"{field.name} must be {' or '.join(kinds)}, got {value!r}")
+        check_type(field.name, getattr(config, field.name), field.type)
 
 
 def read_json(path: str, parse=None):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics as nn
 from .checkpoint import Checkpoint, save_checkpoint
-from .data import batch_indices, write_lines
+from .data import batch_indices, check_type, write_lines
 from .model import (
     ModelConfig,
     encoder_backward,
@@ -139,7 +139,9 @@ def _mlm_head(params: dict, h: np.ndarray, slots: tuple):
     """Hidden states at the labeled ``slots`` of ``h`` ([B, Q, N]) and their
     tied-projection logits."""
     h_masked = h[slots]
-    return h_masked, h_masked @ params["tok_emb"].T + params["mlm_bias"]
+    logits = h_masked @ params["tok_emb"].T
+    logits += params["mlm_bias"]
+    return h_masked, logits
 
 
 def mlm_loss(config: ModelConfig, params: dict, batch: MaskedBatch) -> float:
@@ -218,6 +220,9 @@ def run_pretraining(
     Stops early when dev loss has not improved on its best by more than
     ``min_delta`` for ``patience`` consecutive epochs.
     """
+    check_type("dev_fraction", dev_fraction, "float")
+    check_type("patience", patience, "int")
+    check_type("min_delta", min_delta, "float")
     if patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
     if min_delta < 0:

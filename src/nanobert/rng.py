@@ -7,11 +7,17 @@ The generator is a few integer ops, so identical seeds give bit-identical
 streams on every platform and NumPy build, which host-language PRNGs do not
 guarantee across versions.
 
-Scalar and array draws share that one counter-mode stream: a scalar draw
-runs the finalizer on Python ints (no NumPy dispatch per value), an array
-draw runs it on a uint64 buffer, and both advance the same counter, so
-``random()`` returns exactly ``random(1)[0]`` and interleaving the two
-changes no value.
+Scalar and array draws share that one counter-mode stream. An array draw
+runs the finalizer on a uint64 buffer. A scalar draw takes a Python int from
+a list of the stream's next raw values, drawn ahead of the counter on that
+array path in blocks of 8, 16, ... up to ``AHEAD_BLOCK`` values, so a run of
+scalar draws pays NumPy's dispatch once per block instead of once per value
+and a stream with few scalar draws computes few spare values. The counter
+counts consumed draws only, and an array draw first takes the listed
+values, in order, and then continues the stream after them. So the value at
+every stream position is the same whatever mix of scalar and array draws
+reaches it: ``random()`` returns exactly ``random(1)[0]``, and interleaving
+the two changes no value.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ _INT64_SPAN = 1 << 63  # highs up to this give values that fit int64
 # raw draws per block of a ``random(at_least=)`` mask, so that a large mask
 # never holds its 16 bytes per entry of uint64 draws and shifts at once
 MASK_BLOCK = 65536
+# largest block of raw values ``u64`` draws ahead for scalar draws
+AHEAD_BLOCK = 1024
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -70,21 +78,39 @@ class Rng:
             self._seed = operator.index(seed) & _MASK64
         except TypeError:
             raise ValueError(f"seed must be int, got {seed!r}") from None
-        self._counter = 0
+        self._counter = 0  # draws consumed
+        # the raw values after the counter, last one first, so pop() is the next
+        self._ahead: list[int] = []
+        self._block = 8
 
-    def _next(self) -> int:
-        self._counter += 1
-        return _mix64_int((self._seed + self._counter * _GOLDEN) & _MASK64)
-
-    def u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit values."""
-        if n < 0:
-            raise ValueError(f"draw count must be >= 0, got {n}")
-        x = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
+    def _raw(self, start: int, n: int) -> np.ndarray:
+        """The stream's raw values at positions ``start + 1 .. start + n``."""
+        x = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         x *= np.uint64(_GOLDEN)
         x += np.uint64(self._seed)
         return _mix64_inplace(x)
+
+    def _next(self) -> int:
+        ahead = self._ahead
+        if not ahead:
+            ahead.extend(self._raw(self._counter, self._block)[::-1].tolist())
+            self._block = min(2 * self._block, AHEAD_BLOCK)
+        self._counter += 1
+        return ahead.pop()
+
+    def u64(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit values: the listed ones, then the stream's."""
+        if n < 0:
+            raise ValueError(f"draw count must be >= 0, got {n}")
+        ahead = self._ahead
+        k = min(n, len(ahead))
+        x = self._raw(self._counter + len(ahead), n - k)
+        self._counter += n
+        if k:
+            listed = ahead[-k:]
+            del ahead[-k:]
+            x = np.concatenate([np.array(listed[::-1], dtype=np.uint64), x])
+        return x
 
     def random(self, size=None, *, at_least: float | None = None, out=None):
         """Uniform float64 in [0, 1): top 53 bits of a raw draw.

@@ -245,7 +245,13 @@ def train_bpe(corpus, vocab_size: int, lowercase: bool = True) -> TokenizerModel
     if lowercase:
         corpus = [text.lower() for text in corpus]
 
-    chunks = Counter(chunk for text in corpus for _, chunk in _CHUNK.findall(text))
+    # chunks never span whitespace, and str.split's whitespace is \s, so each
+    # distinct word is chunked once and its chunks counted once per occurrence
+    words = Counter(word for text in corpus for word in text.split())
+    chunks: Counter = Counter()
+    for word, count in words.items():
+        for _, chunk in _CHUNK.findall(word):
+            chunks[chunk] += count
     if not chunks:
         raise ValueError("corpus contains no tokenizable characters")
 

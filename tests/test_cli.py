@@ -765,6 +765,10 @@ class TestRunDirectory:
         ("pretrain.dev_fraction=-1.0", "dev_fraction must be in (0, 1), got -1.0"),
         ("pretrain.dev_fraction=0.0", "dev_fraction must be in (0, 1), got 0.0"),
         ("pretrain.min_delta=-1", "min_delta must be >= 0, got -1"),
+        ("pretrain.patience=true", "patience must be int, got True"),
+        ("pretrain.patience=1.5", "patience must be int, got 1.5"),
+        ("pretrain.min_delta=false", "min_delta must be float, got False"),
+        ("pretrain.dev_fraction=\"0.1\"", "dev_fraction must be float, got '0.1'"),
         ("training.learning_rate=1e30", "training diverged at epoch 1, step "),
     ])
     def test_refused_pretrain_setting_leaves_no_directory(self, item, message, workdir,

@@ -1,10 +1,15 @@
-"""Bundled synthetic data: vocabulary hygiene, label rules, determinism."""
+"""Bundled synthetic data: vocabulary hygiene, label rules, determinism,
+and the pinned bytes of the set-up every run starts from."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from nanobert import datagen
 from nanobert.data import load_csv
+from nanobert.tokenizer import train_bpe
 
 
 class TestVocabulary:
@@ -105,3 +110,38 @@ class TestMain:
         assert all(1.0 <= v <= 9.0 for v in anxiety.labels)
         order = load_csv(str(tmp_path / "order_train.csv"), "text", "label")
         assert order.num_classes == 2
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSetupBytes:
+    """sha256 of the corpus, tokenizers and datasets at the sizes the
+    benchmark's set-up draws, so a change to a generator, the ``Rng`` stream
+    or BPE training that moves any of their bytes fails here. Tokenizers are
+    hashed as key-sorted JSON, datasets as the JSON of their (texts, labels)
+    pair, whose floats keep every bit."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return datagen.pretrain_corpus(seed=7, target_chars=100_000)
+
+    def test_pretrain_corpus(self, corpus):
+        assert _sha256(corpus) == "83f58ddb59a55ce6902bc41cf6f899fc5cc25fcdb8f89a44fdc553dbf9acfd2b"
+
+    @pytest.mark.parametrize("vocab_size, digest", [
+        (200, "81f20b5f0dd6cf37041f067499d0f0045986d01aa1416635c495651eacd0633f"),
+        (400, "ea0a420eb0186f539b29609a30d715b6c1c2a1dcd6be6589b07ca83e3b9516d1"),
+    ])
+    def test_tokenizer(self, corpus, vocab_size, digest):
+        doc = train_bpe([corpus], vocab_size).to_json_dict()
+        assert _sha256(json.dumps(doc, sort_keys=True)) == digest
+
+    @pytest.mark.parametrize("make, rows, digest", [
+        (datagen.topic_dataset, 156, "bb338c39fe9035f4a013d8f001024f73f56fc1c8d965105926a00898cc1934d5"),
+        (datagen.anxiety_dataset, 64, "39b9651f9d31995aed188deaa7c3178c97a2f4989e9ecdb6f0cc20e50e0702e0"),
+        (datagen.order_dataset, 60, "617e027c9e8b339e6d0d1440306f825257820d18e21f964d3a69c0b46960ef4f"),
+    ])
+    def test_dataset(self, make, rows, digest):
+        assert _sha256(json.dumps(make(rows, 7))) == digest

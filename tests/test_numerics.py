@@ -1,6 +1,7 @@
 """Primitive forward values, gradient pairs, and the checker itself."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,47 @@ class TestTextbookFormsInSmallBlocks(TestTextbookForms):
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1000)
+
+
+class TestCrossEntropyInPlace:
+    """``log_softmax`` and ``softmax_cross_entropy`` run their chain in one
+    array beside the input: the same bits as the plain formulas, at any block
+    size, and the input untouched."""
+
+    @pytest.mark.parametrize("block_entries", [nn.BLOCK_ENTRIES, 1000])
+    @pytest.mark.parametrize("n, k", [(289, 400), (7, 3), (1, 50), (40, 1)])
+    def test_bit_identical_to_the_plain_formulas(self, n, k, block_entries, monkeypatch):
+        monkeypatch.setattr(nn, "BLOCK_ENTRIES", block_entries)
+        rng = Rng(21)
+        logits, targets = rng.normal((n, k), scale=4.0), rng.integers(k, n)
+        before = logits.copy()
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        assert np.array_equal(nn.log_softmax(logits), logp)
+        d = np.exp(logp)
+        d[np.arange(n), targets] -= 1.0
+        loss, d_logits = nn.softmax_cross_entropy(logits, targets)
+        assert loss == -float(np.mean(logp[np.arange(n), targets]))
+        assert np.array_equal(d_logits, d / n)
+        assert np.array_equal(logits, before)
+
+    def test_log_softmax_of_any_rank(self):
+        x = Rng(22).normal((2, 3, 5), scale=3.0)
+        assert np.array_equal(nn.log_softmax(x), np.stack([nn.log_softmax(row) for row in x]))
+        shifted = x[0, 0] - np.max(x[0, 0])
+        assert np.array_equal(nn.log_softmax(x[0, 0]), shifted - np.log(np.sum(np.exp(shifted))))
+
+    def test_holds_one_array_beside_the_logits(self):
+        # an MLM head's [M, V] at pretrain-narrow's vocab size
+        logits = Rng(23).normal((1000, 400), scale=3.0)
+        targets = Rng(24).integers(400, 1000)
+        tracemalloc.start()
+        try:
+            nn.softmax_cross_entropy(logits, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * logits.nbytes
 
 
 class TestEmbedding:

@@ -3,13 +3,15 @@
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nanobert.rng import MASK_BLOCK, Rng
+from nanobert import rng as rng_module
+from nanobert.rng import AHEAD_BLOCK, MASK_BLOCK, Rng
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -202,6 +204,114 @@ class TestOneStream:
         key = int.from_bytes(b"devsplit", "little")
         assert Rng(7).spawn("devsplit").u64(3).tolist() == Rng(7).spawn(key).u64(3).tolist()
 
+
+class ReferenceStream:
+    """Each draw of ``Rng`` read by stream position through ``reference_raw``."""
+
+    def __init__(self, seed: int):
+        self.seed, self.pos = seed, 0
+
+    def take(self, n: int) -> np.ndarray:
+        raw = reference_raw(self.seed, self.pos, n)
+        self.pos += n
+        return raw
+
+    def floats(self, n: int) -> np.ndarray:
+        return (self.take(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def integer(self, high: int) -> int:
+        limit = ((1 << 64) // high) * high - 1
+        v = int(self.take(1)[0])
+        while v > limit:
+            v = int(self.take(1)[0])
+        return v % high
+
+    def integers(self, high: int, n: int) -> list[int]:
+        # rejected entries are redrawn together, in order, until none is left
+        limit = np.uint64(((1 << 64) // high) * high - 1)
+        out = self.take(n)
+        bad = out > limit
+        while bad.any():
+            out[bad] = self.take(int(bad.sum()))
+            bad = out > limit
+        return (out % np.uint64(high)).tolist()
+
+    def normal(self, n: int) -> list[float]:
+        half = (n + 1) // 2
+        u1 = ((self.take(half) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = self.floats(half)
+        rad = np.sqrt(-2.0 * np.log(u1))
+        return np.concatenate([rad * np.cos(2.0 * math.pi * u2),
+                               rad * np.sin(2.0 * math.pi * u2)])[:n].tolist()
+
+
+def check_draw(r: Rng, ref: ReferenceStream, kind: str, n: int, high: int) -> None:
+    """One call of ``kind`` (``n`` calls of a scalar kind) on ``r`` against ``ref``."""
+    at_least = (high % 1000) / 1000
+    if kind == "random":
+        assert [r.random() for _ in range(n)] == ref.floats(n).tolist()
+    elif kind == "at_least":
+        assert [r.random(at_least=at_least) for _ in range(n)] == (ref.floats(n) >= at_least).tolist()
+    elif kind == "integers":
+        assert [r.integers(high) for _ in range(n)] == [ref.integer(high) for _ in range(n)]
+    elif kind == "u64":
+        assert r.u64(n).tolist() == ref.take(n).tolist()
+    elif kind == "random_array":
+        assert r.random(n).tolist() == ref.floats(n).tolist()
+    elif kind == "at_least_array":
+        assert r.random(n, at_least=at_least).tolist() == (ref.floats(n) >= at_least).tolist()
+    elif kind == "integers_array":
+        assert r.integers(high, n).tolist() == ref.integers(high, n)
+    elif kind == "normal":
+        assert r.normal(n).tolist() == ref.normal(n)
+    elif kind == "permutation":
+        assert r.permutation(n).tolist() == np.argsort(ref.take(n), kind="stable").tolist()
+    elif kind == "spawn":  # a child starts its own stream; the parent's position stays
+        child, child_ref = r.spawn("draws", high), ReferenceStream(reference_spawn_seed(ref.seed, "draws", high))
+        for _ in range(n):
+            assert child.random() == child_ref.floats(1)[0]
+        assert child.u64(3).tolist() == child_ref.take(3).tolist()
+    else:
+        raise AssertionError(kind)
+
+
+_SCALAR_KINDS = ["random", "at_least", "integers"]
+_ARRAY_KINDS = ["u64", "random_array", "at_least_array", "integers_array", "normal",
+                "permutation", "spawn"]
+# runs of scalar draws long enough to pass several blocks, between array draws
+_DRAWS = st.lists(st.one_of(st.tuples(st.sampled_from(_SCALAR_KINDS), st.integers(1, 300), highs),
+                            st.tuples(st.sampled_from(_ARRAY_KINDS), st.integers(0, 40), highs)),
+                  min_size=1, max_size=12)
+# longer than every block up to and past the largest one
+_LONG = [("random", 1000, 7), ("u64", 5, 1), ("integers", 700, 2**63 + 2**62), ("normal", 3, 1),
+         ("at_least", 900, 250), ("integers_array", 30, 2**63 + 1), ("random", 1100, 1),
+         ("permutation", 9, 1), ("spawn", 20, 3), ("integers", 5, 1000)]
+
+
+class TestListedDraws:
+    """Scalar draws are served from values listed ahead of the counter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, draws=_DRAWS, cap=st.sampled_from([8, 16, AHEAD_BLOCK]))
+    @example(seed=MASK64, draws=_LONG, cap=AHEAD_BLOCK)
+    @example(seed=0, draws=_LONG, cap=8)
+    def test_any_interleaving_reads_the_same_positions(self, seed, draws, cap):
+        r, ref = Rng(seed), ReferenceStream(seed)
+        with mock.patch.object(rng_module, "AHEAD_BLOCK", cap):
+            for kind, n, high in draws:
+                check_draw(r, ref, kind, n, high)
+        # the next value follows the last one consumed, whatever was listed
+        assert r.u64(1).tolist() == ref.take(1).tolist()
+
+    def test_blocks_double_up_to_the_largest(self):
+        r = Rng(3)
+        sizes = []
+        for _ in range(4 * AHEAD_BLOCK):
+            if not r._ahead:
+                sizes.append(r._block)
+            r.random()
+        assert sizes[:3] == [8, 16, 32] and max(sizes) == sizes[-1] == AHEAD_BLOCK
+        assert r._counter == 4 * AHEAD_BLOCK
 
 
 class TestSeed:

@@ -127,6 +127,13 @@ _SMALL_CORPORA = st.lists(
         lambda letters: st.lists(st.text(letters + " ", max_size=12), min_size=1, max_size=6)),
     min_size=1, max_size=3).map(lambda parts: [text for part in parts for text in part])
 
+# every kind of whitespace str.split and \s agree on, beside underscores,
+# digits, punctuation and upper case (one that lowercases to two characters)
+_SPACED_CORPORA = st.lists(
+    st.text(st.sampled_from(list("aAb1_.-\u0130") + [" ", "\t", "\n", "\x1c", "\u2028", "\xa0"]),
+            max_size=24),
+    min_size=1, max_size=5)
+
 
 class TestTraining:
     def test_toy_corpus_pair_counts(self):
@@ -138,6 +145,13 @@ class TestTraining:
     @settings(max_examples=300, deadline=None)
     @given(_SMALL_CORPORA, st.integers(5, 40), st.booleans())
     def test_matches_the_full_recount(self, corpus, vocab_size, lowercase):
+        assert (_trained(train_bpe, corpus, vocab_size, lowercase)
+                == _trained(_reference_train_bpe, corpus, vocab_size, lowercase))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SPACED_CORPORA, st.integers(5, 40), st.booleans())
+    def test_matches_the_full_recount_across_whitespace_kinds(self, corpus, vocab_size, lowercase):
+        """``train_bpe`` chunks each distinct whitespace-split word once."""
         assert (_trained(train_bpe, corpus, vocab_size, lowercase)
                 == _trained(_reference_train_bpe, corpus, vocab_size, lowercase))
 
