@@ -15,12 +15,11 @@ as products (``x * x * x``, not ``x**3``): NumPy sends ``**`` through
 temporaries are reused in place (``np.exp(e, out=e)``, ``xc /= std``)
 instead of allocating a fresh array per operation; the in-place forms
 perform the same roundings in the same order, so they give the same bits.
-And the chains of GELU, softmax, their backwards, log-softmax's exps and the
-LayerNorm forward run block by block (``blocks``): each block of at most
-``BLOCK_ENTRIES`` entries, whole rows for the row-wise functions, goes
-through the whole chain while it is in cache, with block-sized scratch.
-Every entry, and every row's sums, see the same operations as on the whole
-array, so blocking moves no bit.
+And the chains of GELU, softmax, their backwards and the LayerNorm forward
+run block by block (``blocks``): each block of at most ``BLOCK_ENTRIES`` entries, whole
+rows for the row-wise functions, goes through the whole chain while it is
+in cache, with block-sized scratch. Every entry, and every row's sums, see
+the same operations as on the whole array, so blocking moves no bit.
 """
 
 from __future__ import annotations
@@ -101,15 +100,7 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
         raise ValueError("log_softmax of an empty array")
     ensure_finite(x, "log_softmax input")
     shifted = x - np.max(x, axis=-1, keepdims=True)
-    # each row's log-sum-exp, its exps taken a block of rows at a time
-    width = x.shape[-1]
-    rows = shifted.reshape(-1, width)
-    lse = np.empty((len(rows), 1))
-    e = np.empty((min(len(rows), block_rows(width)), width))
-    for r in blocks(len(rows), width):
-        eb = np.exp(rows[r], out=e[: len(rows[r])])
-        np.sum(eb, axis=-1, keepdims=True, out=lse[r])
-    shifted -= np.log(lse, out=lse).reshape(shifted.shape[:-1] + (1,))
+    shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
 
 

@@ -10,9 +10,8 @@ guarantee across versions.
 Scalar and array draws share that one counter-mode stream. An array draw
 runs the finalizer on a uint64 buffer. A scalar draw takes a Python int from
 a list of the stream's next raw values, drawn ahead of the counter on that
-array path in blocks of 8, 16, ... up to ``AHEAD_BLOCK`` values, so a run of
-scalar draws pays NumPy's dispatch once per block instead of once per value
-and a stream with few scalar draws computes few spare values. The counter
+array path ``AHEAD_BLOCK`` values at a time, so a run of scalar draws pays
+NumPy's dispatch once per block instead of once per value. The counter
 counts consumed draws only, and an array draw first takes the listed
 values, in order, and then continues the stream after them. So the value at
 every stream position is the same whatever mix of scalar and array draws
@@ -37,7 +36,7 @@ _INT64_SPAN = 1 << 63  # highs up to this give values that fit int64
 # raw draws per block of a ``random(at_least=)`` mask, so that a large mask
 # never holds its 16 bytes per entry of uint64 draws and shifts at once
 MASK_BLOCK = 65536
-# largest block of raw values ``u64`` draws ahead for scalar draws
+# raw values drawn ahead of the counter per refill for scalar draws
 AHEAD_BLOCK = 1024
 
 
@@ -81,7 +80,6 @@ class Rng:
         self._counter = 0  # draws consumed
         # the raw values after the counter, last one first, so pop() is the next
         self._ahead: list[int] = []
-        self._block = 8
 
     def _raw(self, start: int, n: int) -> np.ndarray:
         """The stream's raw values at positions ``start + 1 .. start + n``."""
@@ -93,8 +91,7 @@ class Rng:
     def _next(self) -> int:
         ahead = self._ahead
         if not ahead:
-            ahead.extend(self._raw(self._counter, self._block)[::-1].tolist())
-            self._block = min(2 * self._block, AHEAD_BLOCK)
+            ahead.extend(self._raw(self._counter, AHEAD_BLOCK)[::-1].tolist())
         self._counter += 1
         return ahead.pop()
 

@@ -258,14 +258,12 @@ class TestTextbookFormsInSmallBlocks(TestTextbookForms):
 
 
 class TestCrossEntropyInPlace:
-    """``log_softmax`` and ``softmax_cross_entropy`` run their chain in one
-    array beside the input: the same bits as the plain formulas, at any block
-    size, and the input untouched."""
+    """``log_softmax`` and ``softmax_cross_entropy`` run their chain in place
+    beside the input: the same bits as the plain formulas, and the input
+    untouched."""
 
-    @pytest.mark.parametrize("block_entries", [nn.BLOCK_ENTRIES, 1000])
     @pytest.mark.parametrize("n, k", [(289, 400), (7, 3), (1, 50), (40, 1)])
-    def test_bit_identical_to_the_plain_formulas(self, n, k, block_entries, monkeypatch):
-        monkeypatch.setattr(nn, "BLOCK_ENTRIES", block_entries)
+    def test_bit_identical_to_the_plain_formulas(self, n, k):
         rng = Rng(21)
         logits, targets = rng.normal((n, k), scale=4.0), rng.integers(k, n)
         before = logits.copy()
@@ -285,7 +283,7 @@ class TestCrossEntropyInPlace:
         shifted = x[0, 0] - np.max(x[0, 0])
         assert np.array_equal(nn.log_softmax(x[0, 0]), shifted - np.log(np.sum(np.exp(shifted))))
 
-    def test_holds_one_array_beside_the_logits(self):
+    def test_holds_at_most_two_arrays_beside_the_logits(self):
         # an MLM head's [M, V] at pretrain-narrow's vocab size
         logits = Rng(23).normal((1000, 400), scale=3.0)
         targets = Rng(24).integers(400, 1000)
@@ -295,7 +293,7 @@ class TestCrossEntropyInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * logits.nbytes
+        assert peak < 2.5 * logits.nbytes
 
 
 class TestEmbedding:

@@ -282,7 +282,7 @@ _ARRAY_KINDS = ["u64", "random_array", "at_least_array", "integers_array", "norm
 _DRAWS = st.lists(st.one_of(st.tuples(st.sampled_from(_SCALAR_KINDS), st.integers(1, 300), highs),
                             st.tuples(st.sampled_from(_ARRAY_KINDS), st.integers(0, 40), highs)),
                   min_size=1, max_size=12)
-# longer than every block up to and past the largest one
+# longer than a block of every size tried
 _LONG = [("random", 1000, 7), ("u64", 5, 1), ("integers", 700, 2**63 + 2**62), ("normal", 3, 1),
          ("at_least", 900, 250), ("integers_array", 30, 2**63 + 1), ("random", 1100, 1),
          ("permutation", 9, 1), ("spawn", 20, 3), ("integers", 5, 1000)]
@@ -292,26 +292,16 @@ class TestListedDraws:
     """Scalar draws are served from values listed ahead of the counter."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=seeds, draws=_DRAWS, cap=st.sampled_from([8, 16, AHEAD_BLOCK]))
-    @example(seed=MASK64, draws=_LONG, cap=AHEAD_BLOCK)
-    @example(seed=0, draws=_LONG, cap=8)
-    def test_any_interleaving_reads_the_same_positions(self, seed, draws, cap):
+    @given(seed=seeds, draws=_DRAWS, block=st.sampled_from([8, 16, AHEAD_BLOCK]))
+    @example(seed=MASK64, draws=_LONG, block=AHEAD_BLOCK)
+    @example(seed=0, draws=_LONG, block=8)
+    def test_any_interleaving_reads_the_same_positions(self, seed, draws, block):
         r, ref = Rng(seed), ReferenceStream(seed)
-        with mock.patch.object(rng_module, "AHEAD_BLOCK", cap):
+        with mock.patch.object(rng_module, "AHEAD_BLOCK", block):
             for kind, n, high in draws:
                 check_draw(r, ref, kind, n, high)
         # the next value follows the last one consumed, whatever was listed
         assert r.u64(1).tolist() == ref.take(1).tolist()
-
-    def test_blocks_double_up_to_the_largest(self):
-        r = Rng(3)
-        sizes = []
-        for _ in range(4 * AHEAD_BLOCK):
-            if not r._ahead:
-                sizes.append(r._block)
-            r.random()
-        assert sizes[:3] == [8, 16, 32] and max(sizes) == sizes[-1] == AHEAD_BLOCK
-        assert r._counter == 4 * AHEAD_BLOCK
 
 
 class TestSeed:
