@@ -1,7 +1,8 @@
 """Config-driven command line covering the whole pipeline.
 
 One JSON config per run; ``--set key=value`` overrides nested keys with
-JSON-literal values. Every command writes a resolved_config.json next to
+JSON-literal values, each held to its key's annotation in ``COMMANDS`` as
+it merges. Every command writes a resolved_config.json next to
 its outputs, and ``--config <run>/resolved_config.json`` re-executes the
 run exactly. Training-section keys are TrainingConfig's fields, with the
 batch sizes under the common trainer names (per_device_train_batch_size,
@@ -24,7 +25,8 @@ import numpy as np
 from . import __version__
 from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import load_csv, parse_json, read_csv, read_json, reading, split, write_csv, write_json
+from .data import (check_type, load_csv, parse_json, read_csv, read_json, reading, split,
+                   write_csv, write_json)
 from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
@@ -41,77 +43,88 @@ _FIELD_NAMES = {listing: name for name, listing in _LISTING_NAMES.items()}
 
 
 def _training_table(**defaults) -> dict:
-    """Every TrainingConfig field under its listing name; TrainingConfig's own
-    defaults apply to the ones not given here."""
-    table = {_LISTING_NAMES.get(f.name, f.name): _ANY for f in fields(TrainingConfig)}
-    table.update(defaults)
+    """Every TrainingConfig field under its listing name, with the field's
+    annotation; TrainingConfig's own defaults apply to the ones not given here."""
+    table = {}
+    for f in fields(TrainingConfig):
+        name = _LISTING_NAMES.get(f.name, f.name)
+        table[name] = (f.type, defaults.get(name, _ANY))
     return table
 
 
 _TASK_DATA = {
-    "train": _ANY, "dev": _ANY, "test": _ANY,
-    "text_column": "text", "label_column": "label", "label_kind": "class",
-    "test_size": _ANY, "dev_size": _ANY, "stratify": None,
+    "train": ("str", _ANY), "dev": ("str | None", _ANY), "test": ("str | None", _ANY),
+    "text_column": ("str", "text"), "label_column": ("str", "label"),
+    "label_kind": ("str", "class"), "test_size": ("int | float | None", _ANY),
+    "dev_size": ("int | float | None", _ANY), "stratify": ("bool | None", None),
 }
 
-# Per command, every key it accepts and its default (_ANY: none). A None
-# default is kept in the config, so resolved_config.json records it.
+# Per command, every key it accepts as (annotation, default); _ANY: no
+# default. A None default is kept in the config, so resolved_config.json
+# records it.
 COMMANDS = {
     "train-tokenizer": {
-        "output_dir": _ANY, "seed": 11,
-        "data": {"corpus": _ANY},
-        "tokenizer": {"vocab_size": 200, "lowercase": True},
+        "output_dir": ("str", _ANY),
+        "data": {"corpus": ("str", _ANY)},
+        "tokenizer": {"vocab_size": ("int", 200), "lowercase": ("bool", True)},
     },
     "pretrain": {
-        "output_dir": _ANY, "seed": 11,
-        "data": {"corpus": _ANY},
-        "tokenizer": {"path": None, "vocab_size": 200, "lowercase": True},
-        "model": {"num_layers": 4, "hidden_size": 128, "num_heads": 4, "ffn_size": 512,
-                  "max_positions": None, "dropout": 0.1, "vocab_size": _ANY},
+        "output_dir": ("str", _ANY), "seed": ("int", 11),
+        "data": {"corpus": ("str", _ANY)},
+        "tokenizer": {"path": ("str | None", None), "vocab_size": ("int", 200),
+                      "lowercase": ("bool", True)},
+        "model": {"num_layers": ("int", 4), "hidden_size": ("int", 128),
+                  "num_heads": ("int", 4), "ffn_size": ("int", 512),
+                  "max_positions": ("int | None", None), "dropout": ("float", 0.1),
+                  "vocab_size": ("int", _ANY)},
         "training": _training_table(
             num_train_epochs=5, per_device_train_batch_size=16, per_device_eval_batch_size=32,
             learning_rate=1e-4, warmup_steps=100, logging_steps=10, max_length=128),
-        "pretrain": {"dev_fraction": 0.1, "patience": 2, "min_delta": 1e-3},
+        "pretrain": {"dev_fraction": ("float", 0.1), "patience": ("int", 2),
+                     "min_delta": ("float", 1e-3)},
     },
     "finetune": {
-        "output_dir": _ANY, "seed": 11,
-        "checkpoint": {"path": _ANY},
-        "head": {"num_labels": None, "task": None},
+        "output_dir": ("str", _ANY), "seed": ("int", 11),
+        "checkpoint": {"path": ("str", _ANY)},
+        "head": {"num_labels": ("int | None", None), "task": ("str | None", None)},
         "training": _training_table(),
         "data": _TASK_DATA,
     },
     "evaluate": {
-        "output_dir": _ANY,
-        "checkpoint": {"path": _ANY},
-        "data": {"test": _ANY, "text_column": "text", "label_column": "label",
-                 "label_kind": "class"},
-        "eval": {"batch_size": 64, "max_length": None},
+        "output_dir": ("str", _ANY),
+        "checkpoint": {"path": ("str", _ANY)},
+        "data": {"test": ("str", _ANY), "text_column": ("str", "text"),
+                 "label_column": ("str", "label"), "label_kind": ("str", "class")},
+        "eval": {"batch_size": ("int", 64), "max_length": ("int | None", None)},
     },
     "predict": {
-        "output_dir": _ANY,
-        "checkpoint": {"path": _ANY},
-        "data": {"input": _ANY, "text_column": "text"},
-        "predict": {"batch_size": 64, "max_length": None},
+        "output_dir": ("str", _ANY),
+        "checkpoint": {"path": ("str", _ANY)},
+        "data": {"input": ("str", _ANY), "text_column": ("str", "text")},
+        "predict": {"batch_size": ("int", 64), "max_length": ("int | None", None)},
     },
     "baseline": {
-        "output_dir": _ANY, "seed": 11,
-        "baseline": {"algorithm": "naive_bayes", "alpha": 1.0, "l2": None,
-                     "learning_rate": 0.5, "epochs": 500, "min_df": 1,
-                     "checkpoint": None, "batch_size": 64, "max_length": None},
+        "output_dir": ("str", _ANY), "seed": ("int", 11),
+        "baseline": {"algorithm": ("str", "naive_bayes"), "alpha": ("float", 1.0),
+                     "l2": ("float | None", None), "learning_rate": ("float", 0.5),
+                     "epochs": ("int", 500), "min_df": ("int", 1),
+                     "checkpoint": ("str | None", None), "batch_size": ("int", 64),
+                     "max_length": ("int | None", None)},
         "data": _TASK_DATA,
     },
 }
 
 
 def _defaults(table: dict) -> dict:
-    return {key: _defaults(value) if isinstance(value, dict) else value
-            for key, value in table.items() if value is not _ANY}
+    return {key: _defaults(leaf) if isinstance(leaf, dict) else leaf[1]
+            for key, leaf in table.items() if isinstance(leaf, dict) or leaf[1] is not _ANY}
 
 
 def _merge(config: dict, override: dict, table: dict, prefix: str = "") -> dict:
     """``config`` with ``override`` merged in section by section. Refuses,
     naming the dotted key, a key ``table`` does not list, a value where it
-    has a section and a section where it has a value."""
+    has a section, a section where it has a value, and a value its
+    annotation does not admit."""
     out = dict(config)
     for key, value in override.items():
         path = f"{prefix}{key}"
@@ -121,7 +134,11 @@ def _merge(config: dict, override: dict, table: dict, prefix: str = "") -> dict:
         if section != isinstance(value, dict):
             raise ValueError(f"config key {path!r} must be "
                              f"{'a section (JSON object)' if section else 'a value, not a section'}")
-        out[key] = _merge(out[key], value, table[key], f"{path}.") if section else value
+        if section:
+            out[key] = _merge(out[key], value, table[key], f"{path}.")
+        else:
+            check_type(path, value, table[key][0])
+            out[key] = value
     return out
 
 

@@ -13,8 +13,8 @@ and read through ``reading``, so every error in what they hold names the
 file. JSON files are UTF-8, 2-space indented, key-sorted strict JSON with a
 trailing newline, and are read as strict JSON. CSV files are read through
 ``read_csv``, which checks the header and numbers rows by physical line.
-A config read from JSON is held to its dataclass's field annotations by
-``check_field_types``.
+A config dataclass is held to its field annotations by
+``check_field_types``; a CLI value, by ``check_type`` as configs merge.
 """
 
 from __future__ import annotations

@@ -99,10 +99,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.num_heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -565,28 +561,6 @@ def encoder_backward(config: ModelConfig, params: dict[str, np.ndarray], cache: 
     d_pos[ids.shape[1]:] = 0.0
     np.sum(d_x, axis=0, out=d_pos[: ids.shape[1]])
     return grads
-
-
-def self_attention(config: ModelConfig, params: dict[str, np.ndarray], layer: int,
-                   h: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """One attention sublayer on a single [T, N] sequence, dropout off.
-
-    Exposed for inspection and direct testing; the encoder uses the batched
-    internal path.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if h.ndim != 2 or mask.shape != (h.shape[0],):
-        raise ValueError(f"expected h [T, N] and mask [T], got {h.shape} and {mask.shape}")
-    if mask.sum() == 0:
-        raise ValueError("a sequence with every position masked has no attendable key")
-    if not 0 <= layer < config.num_layers:
-        raise ValueError(f"layer {layer} out of range for {config.num_layers} layers")
-    lp = _layer_params(params, layer)
-    key_bias = (1.0 - mask)[None, None, None, :] * ATTENTION_MASK_BIAS
-    out, _ = _attention_forward(lp, h[None], h[None], key_bias, config.num_heads, 0.0, None,
-                                _forward_slots(None, {}), False)
-    return out[0]
 
 
 def pool_first_token(h: np.ndarray) -> np.ndarray:

@@ -169,9 +169,6 @@ class Rng:
         """Random permutation of range(n): stable argsort of raw 64-bit keys."""
         return np.argsort(self.u64(n), kind="stable")
 
-    def shuffled(self, items: list) -> list:
-        return [items[i] for i in self.permutation(len(items))]
-
     def normal(self, size=None, scale: float = 1.0):
         """Standard normals via Box-Muller on pairs of uniforms."""
         shape = _shape(size)

@@ -12,7 +12,7 @@ import pytest
 from nanobert import cli, datagen
 from nanobert.checkpoint import load_checkpoint, save_checkpoint
 from nanobert.cli import main
-from nanobert.data import LabeledDataset, load_csv
+from nanobert.data import _FIELD_KINDS, LabeledDataset, check_type, load_csv
 from nanobert.finetune import HeadConfig, attach_head, evaluate, write_json
 from nanobert.rng import Rng
 
@@ -125,8 +125,8 @@ class TestTrainTokenizer:
         assert "unknown config key 'tokenizer.vocab'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("loaded, sets, message", [
-        ({"seed": {"x": 1}}, [], "config key 'seed' must be a value, not a section"),
-        ({}, ["seed.x=1"], "config key 'seed' must be a value, not a section"),
+        ({"output_dir": {"x": 1}}, [], "config key 'output_dir' must be a value, not a section"),
+        ({}, ["output_dir.x=1"], "config key 'output_dir' must be a value, not a section"),
         ({"tokenizer": {"lowercase": {"on": True}}}, [],
          "config key 'tokenizer.lowercase' must be a value"),
         ({"data": "corpus.txt"}, [], "config key 'data' must be a section"),
@@ -377,7 +377,7 @@ class TestPredictCommand:
             "--set", f"{key}={value}",
         ])
         assert rc == 2
-        message = f"error: batch_size must be an int, got {json.loads(value)!r}"
+        message = f"error: {key} must be int, got {json.loads(value)!r}"
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -662,7 +662,7 @@ class TestResolvedConfig:
 
 class TestEntryPoints:
     @pytest.mark.parametrize("command, offered", [("finetune", True), ("evaluate", False),
-                                                  ("predict", False)])
+                                                  ("predict", False), ("train-tokenizer", False)])
     def test_seed_flag_only_where_a_seed_is_accepted(self, command, offered, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -727,6 +727,86 @@ class TestBlasThreads:
         assert all(run == runs[0] for run in runs[1:])
 
 
+def config_leaves(table, prefix=""):
+    """(dotted key, (annotation, default)) of every value key under ``table``."""
+    for key, leaf in table.items():
+        if isinstance(leaf, dict):
+            yield from config_leaves(leaf, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", leaf
+
+
+LEAVES = [(command, key, annotation) for command, table in cli.COMMANDS.items()
+          for key, (annotation, _) in config_leaves(table)]
+# a probe value -> the annotation kinds that admit it
+PROBES = {"true": {"bool"}, "0": {"int", "float"}, "1.5": {"float"}, '"x"': {"str"},
+          "[]": set(), "{}": set()}
+
+
+def nested(key: str, value) -> dict:
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, key, annotation", LEAVES,
+                             ids=[f"{command}-{key}" for command, key, _ in LEAVES])
+    def test_every_leaf_refuses_what_its_annotation_does_not_admit(self, command, key,
+                                                                   annotation, tmp_path,
+                                                                   capsys):
+        """Through --set and through a config file alike: exit 2, an error
+        naming the dotted key, and no run directory."""
+        kinds = set(annotation.split(" | "))
+        refused = [value for value, admits in PROBES.items() if not admits & kinds]
+        assert refused
+        config_path = tmp_path / "config.json"
+        out = tmp_path / "out"
+        for value in refused:
+            config_path.write_text(json.dumps(nested(key, json.loads(value))))
+            for source in (["--set", f"{key}={value}"], ["--config", str(config_path)]):
+                assert main([command, "--output-dir", str(out), *source]) == 2, (source, value)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert (f"{key} must be " in err
+                        or f"config key {key!r} must be a value, not a section" in err), err
+                assert not out.exists()
+
+    @pytest.mark.parametrize("command, item, sets", [
+        ("train-tokenizer", "data.corpus=0", ["tokenizer.vocab_size=64"]),
+        ("train-tokenizer", "output_dir=5", ["data.corpus=corpus.txt"]),
+        ("train-tokenizer", "tokenizer.vocab_size=96.5", ["data.corpus=corpus.txt"]),
+        ("baseline", "baseline.epochs=2.5", ["baseline.algorithm=maxent",
+                                             "data.train=topics.csv", "data.test_size=30"]),
+    ])
+    def test_refused_before_any_input_is_read(self, command, item, sets, workdir, tmp_path,
+                                              monkeypatch, capsys):
+        """A file descriptor as the corpus (0 is stdin), a number as the
+        output directory, a fractional vocab size and a fractional epoch
+        count, with every other input valid: refused with nothing written."""
+        for name in ("corpus.txt", "topics.csv"):
+            shutil.copy(workdir["data"] / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--set", item]
+        for setting in sets:
+            argv += ["--set", setting]
+        if not item.startswith("output_dir="):
+            argv += ["--output-dir", "out"]
+        assert main(argv) == 2
+        key = item.partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "topics.csv"]
+
+    def test_annotations_name_known_kinds(self):
+        """A misspelt kind would surface only when its key is set; every
+        default is admitted by its own annotation."""
+        for table in cli.COMMANDS.values():
+            for key, (annotation, default) in config_leaves(table):
+                assert set(annotation.split(" | ")) <= set(_FIELD_KINDS), (key, annotation)
+                if default is not cli._ANY:
+                    check_type(key, default, annotation)
+
+
 def missing_key_args(workdir):
     """Per config command: the required key left out, and the --set flags
     that complete the rest of its config."""
@@ -757,18 +837,18 @@ class TestRunDirectory:
         assert not out.exists()
 
     @pytest.mark.parametrize("item, message", [
-        ("training.num_train_epochs=1.5", "num_train_epochs must be int, got 1.5"),
-        ("model.num_layers=true", "num_layers must be int, got True"),
+        ("training.num_train_epochs=1.5", "training.num_train_epochs must be int, got 1.5"),
+        ("model.num_layers=true", "model.num_layers must be int, got True"),
         ("seed=1.5", "seed must be int, got 1.5"),
         ("pretrain.patience=0", "patience must be >= 1, got 0"),
         ("pretrain.patience=-3", "patience must be >= 1, got -3"),
         ("pretrain.dev_fraction=-1.0", "dev_fraction must be in (0, 1), got -1.0"),
         ("pretrain.dev_fraction=0.0", "dev_fraction must be in (0, 1), got 0.0"),
         ("pretrain.min_delta=-1", "min_delta must be >= 0, got -1"),
-        ("pretrain.patience=true", "patience must be int, got True"),
-        ("pretrain.patience=1.5", "patience must be int, got 1.5"),
-        ("pretrain.min_delta=false", "min_delta must be float, got False"),
-        ("pretrain.dev_fraction=\"0.1\"", "dev_fraction must be float, got '0.1'"),
+        ("pretrain.patience=true", "pretrain.patience must be int, got True"),
+        ("pretrain.patience=1.5", "pretrain.patience must be int, got 1.5"),
+        ("pretrain.min_delta=false", "pretrain.min_delta must be float, got False"),
+        ("pretrain.dev_fraction=\"0.1\"", "pretrain.dev_fraction must be float, got '0.1'"),
         ("training.learning_rate=1e30", "training diverged at epoch 1, step "),
     ])
     def test_refused_pretrain_setting_leaves_no_directory(self, item, message, workdir,
@@ -779,8 +859,9 @@ class TestRunDirectory:
         assert not out.exists()
 
     @pytest.mark.parametrize("item, message", [
-        ("training.per_device_train_batch_size=16.0", "train_batch_size must be int, got 16.0"),
-        ("head.num_labels=true", "num_labels must be int, got True"),
+        ("training.per_device_train_batch_size=16.0",
+         "training.per_device_train_batch_size must be int, got 16.0"),
+        ("head.num_labels=true", "head.num_labels must be int or None, got True"),
         ("seed=1.5", "seed must be int, got 1.5"),
     ])
     def test_refused_finetune_setting_leaves_no_directory(self, item, message, workdir,

@@ -82,7 +82,7 @@ def regression_task(n=48):
     for _ in range(n):
         k = int(rng.integers(7))
         words = ["worry"] * k + ["calm"] * (6 - k)
-        texts.append(" ".join(rng.shuffled(words)))
+        texts.append(" ".join(words[i] for i in rng.permutation(len(words))))
         labels.append(1.0 + 8.0 * k / 6.0)
     ds = LabeledDataset(texts, labels, "real")
     cut = int(n * 0.75)

@@ -19,7 +19,6 @@ from nanobert.model import (
     init_params,
     param_shapes,
     pool_first_token,
-    self_attention,
     trim_padding,
 )
 from nanobert.pretrain import IGNORE_LABEL, MaskedBatch, mlm_loss_and_grads
@@ -27,9 +26,6 @@ from nanobert.rng import Rng
 
 
 class TestConfig:
-    def test_head_dim(self):
-        assert tiny_config(hidden_size=12, num_heads=3).head_dim == 4
-
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             tiny_config(hidden_size=10, num_heads=3)
@@ -105,6 +101,15 @@ class TestSelfAttention:
         h = np.eye(2)
         return cfg, params, h
 
+    def attend(self, cfg, params, h, mask):
+        """Layer 0's attention sublayer on the one [T, N] sequence ``h``,
+        dropout off, with the keys where ``mask`` is 0 left out."""
+        key_bias = (1.0 - mask)[None, None, None, :] * model.ATTENTION_MASK_BIAS
+        out, _ = model._attention_forward(model._layer_params(params, 0), h[None], h[None],
+                                          key_bias, cfg.num_heads, 0.0, None,
+                                          model._forward_slots(None, {}), False)
+        return out[0]
+
     def test_hand_computed_values(self):
         cfg, params, h = self.hand_case()
         # scores = h h^T / sqrt(2) = diag(s); softmax row i puts e^s / (e^s + 1)
@@ -112,19 +117,14 @@ class TestSelfAttention:
         s = 1.0 / math.sqrt(2.0)
         big = math.exp(s) / (math.exp(s) + 1.0)
         small = 1.0 / (math.exp(s) + 1.0)
-        out = self_attention(cfg, params, 0, h, np.array([1.0, 1.0]))
+        out = self.attend(cfg, params, h, np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [[big, small], [small, big]], atol=1e-12)
 
     def test_masked_key_excluded(self):
         cfg, params, h = self.hand_case()
-        out = self_attention(cfg, params, 0, h, np.array([1.0, 0.0]))
+        out = self.attend(cfg, params, h, np.array([1.0, 0.0]))
         # only key 0 is attendable, so every query returns value row 0
         np.testing.assert_allclose(out, [[1.0, 0.0], [1.0, 0.0]], atol=1e-12)
-
-    def test_all_masked_rejected(self):
-        cfg, params, h = self.hand_case()
-        with pytest.raises(ValueError, match="every position masked"):
-            self_attention(cfg, params, 0, h, np.array([0.0, 0.0]))
 
     def test_rows_sum_to_one_under_padding(self):
         cfg = tiny_config()
