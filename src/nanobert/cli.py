@@ -4,9 +4,9 @@ One JSON config per run; ``--set key=value`` overrides nested keys with
 JSON-literal values, each held to its key's annotation in ``COMMANDS`` as
 it merges. Every command writes a resolved_config.json next to
 its outputs, and ``--config <run>/resolved_config.json`` re-executes the
-run exactly. Training-section keys are TrainingConfig's fields, with the
-batch sizes under the common trainer names (per_device_train_batch_size,
-per_device_eval_batch_size).
+run exactly. A command takes only the keys its code reads: training keys
+are the TrainingConfig fields its trainer reads, with the batch sizes under
+the common trainer names (per_device_train_batch_size, per_device_eval_batch_size).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .baselines import BASELINE_KINDS, Ridge, fit_text_baseline, mean_pooled_features
+from .baselines import Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
 from .data import (check_type, load_csv, parse_json, read_csv, read_json, reading, split,
                    write_csv, write_json)
@@ -42,13 +42,14 @@ _LISTING_NAMES = {"train_batch_size": "per_device_train_batch_size",
 _FIELD_NAMES = {listing: name for name, listing in _LISTING_NAMES.items()}
 
 
-def _training_table(**defaults) -> dict:
-    """Every TrainingConfig field under its listing name, with the field's
-    annotation; TrainingConfig's own defaults apply to the ones not given here."""
+def _training_table(unread: set, **defaults) -> dict:
+    """The TrainingConfig fields but ``unread`` under their listing names, with
+    their annotations; TrainingConfig's defaults apply to the ones not given."""
     table = {}
     for f in fields(TrainingConfig):
         name = _LISTING_NAMES.get(f.name, f.name)
-        table[name] = (f.type, defaults.get(name, _ANY))
+        if f.name not in unread:
+            table[name] = (f.type, defaults.get(name, _ANY))
     return table
 
 
@@ -57,6 +58,15 @@ _TASK_DATA = {
     "text_column": ("str", "text"), "label_column": ("str", "label"),
     "label_kind": ("str", "class"), "test_size": ("int | float | None", _ANY),
     "dev_size": ("int | float | None", _ANY), "stratify": ("bool | None", None),
+}
+
+# baseline.algorithm -> the baseline.* settings it reads, as (annotation, default)
+BASELINE_SETTINGS = {
+    "naive_bayes": {"alpha": ("float", 1.0), "min_df": ("int", 1)},
+    "maxent": {"l2": ("float", 1e-3), "learning_rate": ("float", 0.5), "epochs": ("int", 500),
+               "min_df": ("int", 1)},
+    "ridge": {"l2": ("float", 1.0), "checkpoint": ("str", _ANY), "batch_size": ("int", 64),
+              "max_length": ("int | None", None)},
 }
 
 # Per command, every key it accepts as (annotation, default); _ANY: no
@@ -71,13 +81,15 @@ COMMANDS = {
     "pretrain": {
         "output_dir": ("str", _ANY), "seed": ("int", 11),
         "data": {"corpus": ("str", _ANY)},
-        "tokenizer": {"path": ("str | None", None), "vocab_size": ("int", 200),
-                      "lowercase": ("bool", True)},
+        # vocab_size and lowercase: the tokenizer file's, else train-tokenizer's defaults
+        "tokenizer": {"path": ("str | None", None), "vocab_size": ("int", _ANY),
+                      "lowercase": ("bool", _ANY)},
         "model": {"num_layers": ("int", 4), "hidden_size": ("int", 128),
                   "num_heads": ("int", 4), "ffn_size": ("int", 512),
                   "max_positions": ("int | None", None), "dropout": ("float", 0.1),
                   "vocab_size": ("int", _ANY)},
         "training": _training_table(
+            {"metric_for_best_model", "greater_is_better"},
             num_train_epochs=5, per_device_train_batch_size=16, per_device_eval_batch_size=32,
             learning_rate=1e-4, warmup_steps=100, logging_steps=10, max_length=128),
         "pretrain": {"dev_fraction": ("float", 0.1), "patience": ("int", 2),
@@ -87,7 +99,8 @@ COMMANDS = {
         "output_dir": ("str", _ANY), "seed": ("int", 11),
         "checkpoint": {"path": ("str", _ANY)},
         "head": {"num_labels": ("int | None", None), "task": ("str | None", None)},
-        "training": _training_table(),
+        "training": _training_table(
+            {"logging_steps", "mask_prob", "mask_token_ratio", "random_token_ratio"}),
         "data": _TASK_DATA,
     },
     "evaluate": {
@@ -105,11 +118,10 @@ COMMANDS = {
     },
     "baseline": {
         "output_dir": ("str", _ANY), "seed": ("int", 11),
-        "baseline": {"algorithm": ("str", "naive_bayes"), "alpha": ("float", 1.0),
-                     "l2": ("float | None", None), "learning_rate": ("float", 0.5),
-                     "epochs": ("int", 500), "min_df": ("int", 1),
-                     "checkpoint": ("str | None", None), "batch_size": ("int", 64),
-                     "max_length": ("int | None", None)},
+        # the chosen algorithm's defaults apply; a key it does not read is refused
+        "baseline": {"algorithm": ("str", "naive_bayes"),
+                     **{key: (annotation, _ANY) for settings in BASELINE_SETTINGS.values()
+                        for key, (annotation, _) in settings.items()}},
         "data": _TASK_DATA,
     },
 }
@@ -123,8 +135,8 @@ def _defaults(table: dict) -> dict:
 def _merge(config: dict, override: dict, table: dict, prefix: str = "") -> dict:
     """``config`` with ``override`` merged in section by section. Refuses,
     naming the dotted key, a key ``table`` does not list, a value where it
-    has a section, a section where it has a value, and a value its
-    annotation does not admit."""
+    has a section, a section where it has a value, a value its annotation
+    does not admit, and an empty string (only None means "absent")."""
     out = dict(config)
     for key, value in override.items():
         path = f"{prefix}{key}"
@@ -138,6 +150,8 @@ def _merge(config: dict, override: dict, table: dict, prefix: str = "") -> dict:
             out[key] = _merge(out[key], value, table[key], f"{path}.")
         else:
             check_type(path, value, table[key][0])
+            if value == "":
+                raise ValueError(f"config key {path!r} must not be empty")
             out[key] = value
     return out
 
@@ -195,7 +209,7 @@ def resolve_config(command: str, args) -> dict:
 def _require(config: dict, *keys):
     node = config
     for key in keys:
-        if not isinstance(node, dict) or node.get(key) in (None, ""):
+        if not isinstance(node, dict) or node.get(key) is None:
             raise ValueError(f"missing required config key {'.'.join(keys)!r}")
         node = node[key]
     return node
@@ -213,8 +227,10 @@ def _training_config(section: dict, seed: int) -> TrainingConfig:
     return TrainingConfig(seed=seed, **kwargs)
 
 
-def _listing_training_dict(config: TrainingConfig) -> dict:
-    return {_LISTING_NAMES.get(key, key): value for key, value in config.to_dict().items()}
+def _listing_training_dict(config: TrainingConfig, command: str) -> dict:
+    """The fields ``command``'s training table lists, under their listing names."""
+    return {name: value for key, value in config.to_dict().items()
+            if (name := _LISTING_NAMES.get(key, key)) in COMMANDS[command]["training"]}
 
 
 def _load_task_splits(config: dict, *, need_dev: bool, need_test: bool):
@@ -281,11 +297,15 @@ def cmd_pretrain(config: dict, out: str) -> Run:
         corpus = f.read()
 
     tok_cfg = config["tokenizer"]
-    if tok_cfg["path"]:
-        tokenizer = TokenizerModel.load(tok_cfg["path"])
+    if tok_cfg["path"] is None:
+        tok_cfg = {**_defaults(COMMANDS["train-tokenizer"]["tokenizer"]), **tok_cfg}
+        tokenizer = train_bpe([corpus], tok_cfg["vocab_size"], tok_cfg["lowercase"])
     else:
-        tokenizer = train_bpe([corpus], vocab_size=tok_cfg["vocab_size"],
-                              lowercase=tok_cfg["lowercase"])
+        tokenizer = TokenizerModel.load(tok_cfg["path"])
+        loaded = {"vocab_size": tokenizer.vocab_size, "lowercase": tokenizer.lowercase}
+        for key, value in loaded.items():
+            _check_written(f"tokenizer.{key}", tok_cfg.get(key, value), value)
+        tok_cfg = {**tok_cfg, **loaded}
 
     training = _training_config(config["training"], config["seed"])
     model_cfg = dict(config["model"])
@@ -317,7 +337,8 @@ def cmd_pretrain(config: dict, out: str) -> Run:
                 "best_epoch": result.best_epoch,
             },
         },
-        resolved={"model": model.to_dict(), "training": _listing_training_dict(training)})
+        resolved={"tokenizer": tok_cfg, "model": model.to_dict(),
+                  "training": _listing_training_dict(training, "pretrain")})
 
 
 def cmd_finetune(config: dict, out: str) -> Run:
@@ -351,7 +372,7 @@ def cmd_finetune(config: dict, out: str) -> Run:
     return Run(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
                f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {_headline(metrics)}",
                metrics, {"head": {"num_labels": num_labels, "task": task},
-                         "training": _listing_training_dict(training)})
+                         "training": _listing_training_dict(training, "finetune")})
 
 
 def cmd_evaluate(config: dict, out: str) -> Run:
@@ -393,51 +414,45 @@ def cmd_predict(config: dict, out: str) -> Run:
 
 
 def cmd_baseline(config: dict, out: str) -> Run:
-    base_cfg = config["baseline"]
-    algorithm = base_cfg["algorithm"]
-    kind = config["data"]["label_kind"]
-    if algorithm in BASELINE_KINDS:
-        if kind != "class":
-            raise ValueError("bag-of-words baselines require data.label_kind == \"class\"")
-    elif algorithm == "ridge":
-        if kind != "real":
-            raise ValueError("the ridge baseline requires data.label_kind == \"real\"")
-        ckpt_path = base_cfg["checkpoint"]
-        if not ckpt_path:
+    given = dict(config["baseline"])
+    algorithm = given.pop("algorithm")
+    if algorithm not in BASELINE_SETTINGS:
+        raise ValueError(f"unknown baseline algorithm {algorithm!r}; "
+                         f"choose one of {sorted(BASELINE_SETTINGS)}")
+    reads = BASELINE_SETTINGS[algorithm]
+    for key in given:
+        if key not in reads:
+            raise ValueError(f"config key 'baseline.{key}' is not read by baseline.algorithm "
+                             f"{algorithm!r}, which reads {sorted(reads)}")
+    settings = {**_defaults(reads), **given}
+    kind = "real" if algorithm == "ridge" else "class"
+    if config["data"]["label_kind"] != kind:
+        raise ValueError(f"the {algorithm} baseline requires data.label_kind == \"{kind}\"")
+    if algorithm == "ridge":
+        if "checkpoint" not in settings:
             raise ValueError("the ridge baseline needs baseline.checkpoint for features")
-        model = load_checkpoint(ckpt_path)
-    else:
-        raise ValueError(
-            f"unknown baseline algorithm {algorithm!r}; "
-            f"choose one of {sorted((*BASELINE_KINDS, 'ridge'))}"
-        )
+        model = load_checkpoint(settings["checkpoint"])
     train_set, _, test_set = _load_task_splits(config, need_dev=False, need_test=True)
 
-    l2 = base_cfg["l2"]
     if algorithm == "ridge":
-        kwargs = dict(max_length=base_cfg["max_length"], batch_size=base_cfg["batch_size"])
+        kwargs = dict(max_length=settings["max_length"], batch_size=settings["batch_size"])
         X_train = mean_pooled_features(model, train_set.texts, **kwargs)
         X_test = mean_pooled_features(model, test_set.texts, **kwargs)
-        ridge = Ridge(l2=1.0 if l2 is None else l2).fit(X_train, train_set.label_array())
-        save = partial(write_json, obj={"algorithm": "ridge", "checkpoint": ckpt_path,
+        ridge = Ridge(l2=settings["l2"]).fit(X_train, train_set.label_array())
+        save = partial(write_json, obj={"algorithm": "ridge", "checkpoint": settings["checkpoint"],
                                         **ridge.to_json_dict()})
         metrics = task_metrics("regression", test_set.label_array(), ridge.predict(X_test))
     else:
-        pipeline = fit_text_baseline(
-            algorithm, train_set,
-            min_df=base_cfg["min_df"],
-            alpha=base_cfg["alpha"],
-            l2=1e-3 if l2 is None else l2,
-            learning_rate=base_cfg["learning_rate"],
-            epochs=base_cfg["epochs"],
-        )
+        pipeline = fit_text_baseline(algorithm, train_set, **settings)
         save = pipeline.save
         metrics = task_metrics("classification", test_set.label_array(),
                                pipeline.predict(test_set.texts), train_set.label_names)
     metrics.update(algorithm=algorithm, split="test")
     model_path = os.path.join(out, "baseline_model.json")
     return Run(f"{algorithm} on {metrics['num_examples']} test examples: {_headline(metrics)} "
-               f"(model -> {model_path})", metrics, artifacts={model_path: save})
+               f"(model -> {model_path})", metrics,
+               resolved={"baseline": {"algorithm": algorithm, **settings}},
+               artifacts={model_path: save})
 
 
 def _checked_metrics(doc) -> dict:

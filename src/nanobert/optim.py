@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -32,8 +31,7 @@ class TrainingConfig:
     """Everything a training run needs beyond the model and the data.
 
     ``greater_is_better`` left as None is derived from the metric: error
-    metrics select their minimum, all others their maximum. ``fp16`` is
-    accepted for config compatibility but computation stays float64.
+    metrics select their minimum, all others their maximum.
     """
 
     num_train_epochs: int = 10
@@ -48,7 +46,6 @@ class TrainingConfig:
     greater_is_better: bool | None = None
     max_length: int = 512
     max_grad_norm: float = 1.0
-    fp16: bool = False
     mask_prob: float = 0.15
     mask_token_ratio: float = 0.8
     random_token_ratio: float = 0.1
@@ -78,12 +75,6 @@ class TrainingConfig:
             raise ValueError(f"mask_prob must be in [0, 1), got {self.mask_prob}")
         if not 0.0 <= self.mask_token_ratio + self.random_token_ratio <= 1.0:
             raise ValueError("mask_token_ratio + random_token_ratio must stay within [0, 1]")
-        if self.fp16:
-            warnings.warn(
-                "fp16 is accepted for config compatibility but ignored; "
-                "all computation runs in float64",
-                stacklevel=2,
-            )
 
     @property
     def resolved_greater_is_better(self) -> bool:

@@ -12,11 +12,12 @@ runs the finalizer on a uint64 buffer. A scalar draw takes a Python int from
 a list of the stream's next raw values, drawn ahead of the counter on that
 array path ``AHEAD_BLOCK`` values at a time, so a run of scalar draws pays
 NumPy's dispatch once per block instead of once per value. The counter
-counts consumed draws only, and an array draw first takes the listed
-values, in order, and then continues the stream after them. So the value at
-every stream position is the same whatever mix of scalar and array draws
-reaches it: ``random()`` returns exactly ``random(1)[0]``, and interleaving
-the two changes no value.
+counts consumed draws only. The listed values are the stream's raw values
+at the next positions, so an array draw computes its values from the counter
+on and drops the listed ones it covered. So the value at every stream
+position is the same whatever mix of scalar and array draws reaches it:
+``random()`` returns exactly ``random(1)[0]``, and interleaving the two
+changes no value.
 """
 
 from __future__ import annotations
@@ -96,17 +97,12 @@ class Rng:
         return ahead.pop()
 
     def u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit values: the listed ones, then the stream's."""
+        """Next ``n`` raw 64-bit values; the listed values they cover leave the list."""
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        ahead = self._ahead
-        k = min(n, len(ahead))
-        x = self._raw(self._counter + len(ahead), n - k)
+        x = self._raw(self._counter, n)
         self._counter += n
-        if k:
-            listed = ahead[-k:]
-            del ahead[-k:]
-            x = np.concatenate([np.array(listed[::-1], dtype=np.uint64), x])
+        del self._ahead[max(0, len(self._ahead) - n):]
         return x
 
     def random(self, size=None, *, at_least: float | None = None, out=None):

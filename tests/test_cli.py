@@ -1,6 +1,7 @@
 """End-to-end command-line plumbing over tiny bundled-style datasets."""
 
 import ast
+import dataclasses
 import json
 import os
 import shutil
@@ -10,11 +11,14 @@ import sys
 import pytest
 
 from nanobert import cli, datagen
+from nanobert.baselines import BASELINE_KINDS
 from nanobert.checkpoint import load_checkpoint, save_checkpoint
 from nanobert.cli import main
 from nanobert.data import _FIELD_KINDS, LabeledDataset, check_type, load_csv
 from nanobert.finetune import HeadConfig, attach_head, evaluate, write_json
+from nanobert.optim import TrainingConfig
 from nanobert.rng import Rng
+from nanobert.tokenizer import TokenizerModel
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +63,7 @@ def pretrain_argv(data, out, *sets):
 
 def finetune_config(workdir, **training_overrides):
     training = {"num_train_epochs": 2, "per_device_train_batch_size": 16,
-                "learning_rate": 1e-3, "max_length": 16, "logging_steps": 5}
+                "learning_rate": 1e-3, "max_length": 16}
     training.update(training_overrides)
     return {
         "checkpoint": {"path": str(workdir["pretrain"] / "best.ckpt")},
@@ -179,11 +183,49 @@ class TestPretrainCommand:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["training"]["per_device_train_batch_size"] == 8
         assert resolved["model"]["vocab_size"] == 96
+        assert resolved["tokenizer"] == {"path": None, "vocab_size": 96, "lowercase": True}
 
     def test_checkpoint_loads(self, workdir):
         ckpt = load_checkpoint(str(workdir["pretrain"] / "best.ckpt"))
         assert ckpt.tokenizer is not None
         assert ckpt.model_config.hidden_size == 16
+
+    @pytest.fixture
+    def tokenizer_file(self, workdir, tmp_path):
+        """A tokenizer file of other settings than pretrain's defaults."""
+        assert main(["train-tokenizer", "--output-dir", str(tmp_path / "tok"),
+                     "--set", f"data.corpus={workdir['data'] / 'corpus.txt'}",
+                     "--set", "tokenizer.vocab_size=64", "--set", "tokenizer.lowercase=false"]) == 0
+        return tmp_path / "tok" / "tokenizer.json"
+
+    def test_tokenizer_file_settings_recorded(self, workdir, tokenizer_file, tmp_path):
+        """With a tokenizer file, the run records that file's vocab size and
+        casing, not defaults it never read."""
+        config = json.loads((workdir["pretrain"] / "resolved_config.json").read_text())
+        config["tokenizer"] = {"path": str(tokenizer_file)}
+        del config["model"]["vocab_size"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", str(config_path), "--output-dir", str(out)]) == 0
+        loaded = TokenizerModel.load(str(tokenizer_file))
+        assert loaded.lowercase is False
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["tokenizer"] == {"path": str(tokenizer_file),
+                                         "vocab_size": loaded.vocab_size, "lowercase": False}
+
+    @pytest.mark.parametrize("item, key", [("tokenizer.vocab_size=96", "tokenizer.vocab_size"),
+                                           ("tokenizer.lowercase=true", "tokenizer.lowercase")])
+    def test_tokenizer_setting_beside_its_file_must_match(self, item, key, workdir,
+                                                          tokenizer_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        loaded = TokenizerModel.load(str(tokenizer_file))
+        actual = {"tokenizer.vocab_size": loaded.vocab_size, "tokenizer.lowercase": False}[key]
+        assert main(pretrain_argv(workdir["data"], out, f"tokenizer.path={tokenizer_file}",
+                                  f"tokenizer.vocab_size={loaded.vocab_size}", item)) == 2
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r} is " in err and f"this run has {actual!r}" in err
+        assert not out.exists()
 
 
 class TestFinetuneCommand:
@@ -418,6 +460,30 @@ class TestPredictCommand:
         assert f"error: {short}: line 5: no 'text' field" in capsys.readouterr().err
 
 
+def baseline_sets(workdir, algorithm):
+    """--set items of a small valid ``baseline`` run of ``algorithm``."""
+    data = workdir["data"]
+    return {
+        "naive_bayes": [f"data.train={data / 'topics.csv'}", "data.test_size=30"],
+        "maxent": ["baseline.algorithm=maxent", "baseline.epochs=50",
+                   f"data.train={data / 'topics.csv'}", "data.test_size=30"],
+        "ridge": ["baseline.algorithm=ridge",
+                  f"baseline.checkpoint={workdir['pretrain'] / 'best.ckpt'}",
+                  "baseline.max_length=16", "data.label_kind=real",
+                  "data.label_column=anxiety", f"data.train={data / 'anxiety.csv'}",
+                  "data.test_size=20"],
+    }[algorithm]
+
+
+# a valid value of every baseline setting
+BASELINE_VALUES = {"alpha": 0.5, "l2": 0.5, "learning_rate": 0.1, "epochs": 5, "min_df": 2,
+                   "checkpoint": "best.ckpt", "batch_size": 8, "max_length": 16}
+UNREAD_BASELINE_SETTINGS = [
+    (algorithm, key, value) for algorithm, reads in cli.BASELINE_SETTINGS.items()
+    for key, value in BASELINE_VALUES.items() if key not in reads
+] + [("naive_bayes", "l2", -1)]
+
+
 class TestBaselineCommand:
     def test_naive_bayes_on_split_files(self, workdir, tmp_path):
         out = tmp_path / "nb"
@@ -474,6 +540,40 @@ class TestBaselineCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["task"] == "regression"
         assert set(metrics["metrics"]) == {"mse", "rmse", "pearson_r"}
+
+    @pytest.mark.parametrize("algorithm, key, value", UNREAD_BASELINE_SETTINGS,
+                             ids=[f"{a}-{k}={v}" for a, k, v in UNREAD_BASELINE_SETTINGS])
+    def test_unread_setting_refused(self, algorithm, key, value, workdir, tmp_path, capsys):
+        """A setting the chosen algorithm does not read would be recorded as
+        if it mattered: refused, whatever its value, before any input is read."""
+        out = tmp_path / "out"
+        argv = ["baseline", "--output-dir", str(out), "--set", f"baseline.{key}={value}"]
+        for item in baseline_sets(workdir, algorithm):
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"'baseline.{key}'" in err and repr(algorithm) in err, err
+        assert not out.exists()
+
+    def test_settings_are_those_the_classifiers_take(self):
+        assert set(cli.BASELINE_SETTINGS) == {*BASELINE_KINDS, "ridge"}
+        for kind, classifier in BASELINE_KINDS.items():
+            assert set(cli.BASELINE_SETTINGS[kind]) == {"min_df", *classifier.SETTINGS}
+
+    @pytest.mark.parametrize("algorithm", sorted(cli.BASELINE_SETTINGS))
+    def test_records_and_reruns_the_settings_it_read(self, algorithm, workdir, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = ["baseline", "--output-dir", str(first)]
+        for item in baseline_sets(workdir, algorithm):
+            argv += ["--set", item]
+        assert main(argv) == 0
+        resolved = json.loads((first / "resolved_config.json").read_text())
+        assert set(resolved["baseline"]) == {"algorithm", *cli.BASELINE_SETTINGS[algorithm]}
+        assert main(["baseline", "--config", str(first / "resolved_config.json"),
+                     "--output-dir", str(again)]) == 0
+        model = "baseline_model.json"
+        assert (first / model).read_bytes() == (again / model).read_bytes()
 
     @pytest.mark.parametrize("algorithm", ["naive_bayes", "ridge"])
     def test_empty_training_set_named(self, algorithm, workdir, tmp_path, capsys):
@@ -738,6 +838,8 @@ def config_leaves(table, prefix=""):
 
 LEAVES = [(command, key, annotation) for command, table in cli.COMMANDS.items()
           for key, (annotation, _) in config_leaves(table)]
+STR_LEAVES = [(command, key) for command, key, annotation in LEAVES
+              if "str" in annotation.split(" | ")]
 # a probe value -> the annotation kinds that admit it
 PROBES = {"true": {"bool"}, "0": {"int", "float"}, "1.5": {"float"}, '"x"': {"str"},
           "[]": set(), "{}": set()}
@@ -797,14 +899,85 @@ class TestConfigTypes:
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "topics.csv"]
 
+    @pytest.mark.parametrize("command, key", STR_LEAVES,
+                             ids=[f"{command}-{key}" for command, key in STR_LEAVES])
+    def test_empty_string_refused(self, command, key, tmp_path, capsys):
+        """Only None means "absent": an empty path, column or name is
+        refused, through --set and through a config file alike."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(nested(key, "")))
+        out = tmp_path / "out"
+        for source in (["--set", f"{key}="], ["--config", str(config_path)]):
+            assert main([command, "--output-dir", str(out), *source]) == 2, source
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"config key {key!r} must not be empty" in err, err
+            assert not out.exists()
+
     def test_annotations_name_known_kinds(self):
         """A misspelt kind would surface only when its key is set; every
-        default is admitted by its own annotation."""
-        for table in cli.COMMANDS.values():
+        default is admitted by its own annotation, and a baseline setting
+        has one annotation whichever algorithm reads it."""
+        baseline_tables = [{"baseline": settings} for settings in cli.BASELINE_SETTINGS.values()]
+        for table in [*cli.COMMANDS.values(), *baseline_tables]:
             for key, (annotation, default) in config_leaves(table):
                 assert set(annotation.split(" | ")) <= set(_FIELD_KINDS), (key, annotation)
                 if default is not cli._ANY:
                     check_type(key, default, annotation)
+        listed = cli.COMMANDS["baseline"]["baseline"]
+        for settings in cli.BASELINE_SETTINGS.values():
+            for key, (annotation, _) in settings.items():
+                assert listed[key][0] == annotation, key
+
+
+TRAINING_FIELDS = {f.name for f in dataclasses.fields(TrainingConfig)}
+
+
+class ReadSpy(TrainingConfig):
+    """A TrainingConfig that adds each field read from it to ``reads``,
+    except the reads of ``__post_init__`` and ``to_dict``."""
+
+    reads = set()
+    quiet = False
+
+    def __getattribute__(self, name):
+        if name in TRAINING_FIELDS and not ReadSpy.quiet:
+            ReadSpy.reads.add(name)
+        return super().__getattribute__(name)
+
+    def _unread(self, method):
+        ReadSpy.quiet = True
+        try:
+            return method()
+        finally:
+            ReadSpy.quiet = False
+
+    def __post_init__(self):
+        self._unread(super().__post_init__)
+
+    def to_dict(self):
+        return self._unread(super().to_dict)
+
+
+class TestTrainingTables:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_table_lists_exactly_the_fields_its_trainer_reads(self, command, workdir,
+                                                              tmp_path, monkeypatch):
+        """Spied on through a run of the command: run_pretraining, or
+        finetune's train and the evaluate after it, with the command's own
+        reads of the config."""
+        monkeypatch.setattr(cli, "TrainingConfig", ReadSpy)
+        monkeypatch.setattr(ReadSpy, "reads", set())
+        out = tmp_path / "out"
+        if command == "pretrain":
+            argv = pretrain_argv(workdir["data"], out)
+        else:
+            config_path = tmp_path / "finetune.json"
+            config_path.write_text(json.dumps(finetune_config(workdir)))
+            argv = ["finetune", "--config", str(config_path), "--output-dir", str(out)]
+        assert main(argv) == 0
+        read = {cli._LISTING_NAMES.get(name, name) for name in ReadSpy.reads}
+        assert read == set(cli.COMMANDS[command]["training"])
 
 
 def missing_key_args(workdir):

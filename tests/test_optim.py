@@ -59,11 +59,6 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
 
-    def test_fp16_parses_with_warning(self):
-        with pytest.warns(UserWarning, match="float64"):
-            cfg = TrainingConfig(fp16=True)
-        assert cfg.fp16 is True
-
     def test_overrides(self):
         cfg = TrainingConfig().with_overrides(learning_rate=3e-4)
         assert cfg.learning_rate == 3e-4
