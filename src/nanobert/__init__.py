@@ -25,7 +25,6 @@ from .finetune import (
     HeadConfig,
     attach_head,
     evaluate,
-    grid_search,
     predict,
     train,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "evaluate",
     "fit_text_baseline",
     "grad_check",
-    "grid_search",
     "init_params",
     "load_checkpoint",
     "load_csv",

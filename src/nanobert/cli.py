@@ -4,8 +4,9 @@ One JSON config per run; ``--set key=value`` overrides nested keys with
 JSON-literal values, each held to its key's annotation in ``COMMANDS`` as
 it merges. Every command writes a resolved_config.json next to
 its outputs, and ``--config <run>/resolved_config.json`` re-executes the
-run exactly. A command takes only the keys its code reads: training keys
-are the TrainingConfig fields its trainer reads, with the batch sizes under
+run exactly. A command takes only the keys its code reads, and no key whose
+value another input fixes: training keys are the TrainingConfig fields its
+trainer reads but ``seed`` (the top-level ``seed``), with the batch sizes under
 the common trainer names (per_device_train_batch_size, per_device_eval_batch_size).
 """
 
@@ -89,7 +90,7 @@ COMMANDS = {
                   "max_positions": ("int | None", None), "dropout": ("float", 0.1),
                   "vocab_size": ("int", _ANY)},
         "training": _training_table(
-            {"metric_for_best_model", "greater_is_better"},
+            {"metric_for_best_model", "seed"},
             num_train_epochs=5, per_device_train_batch_size=16, per_device_eval_batch_size=32,
             learning_rate=1e-4, warmup_steps=100, logging_steps=10, max_length=128),
         "pretrain": {"dev_fraction": ("float", 0.1), "patience": ("int", 2),
@@ -98,9 +99,9 @@ COMMANDS = {
     "finetune": {
         "output_dir": ("str", _ANY), "seed": ("int", 11),
         "checkpoint": {"path": ("str", _ANY)},
-        "head": {"num_labels": ("int | None", None), "task": ("str | None", None)},
         "training": _training_table(
-            {"logging_steps", "mask_prob", "mask_token_ratio", "random_token_ratio"}),
+            {"logging_steps", "mask_prob", "mask_token_ratio", "random_token_ratio", "seed"}),
+        # the head's task and width follow from data.label_kind and the training set
         "data": _TASK_DATA,
     },
     "evaluate": {
@@ -122,7 +123,8 @@ COMMANDS = {
         "baseline": {"algorithm": ("str", "naive_bayes"),
                      **{key: (annotation, _ANY) for settings in BASELINE_SETTINGS.values()
                         for key, (annotation, _) in settings.items()}},
-        "data": _TASK_DATA,
+        # baseline.algorithm fixes the label kind
+        "data": {key: leaf for key, leaf in _TASK_DATA.items() if key != "label_kind"},
     },
 }
 
@@ -199,7 +201,9 @@ def resolve_config(command: str, args) -> dict:
         config = read_json(args.config, merge_file)
     for item in args.set or []:
         config = _merge(config, _parse_set(item), table)
-    if getattr(args, "output_dir", None):
+    if args.output_dir is not None:
+        if args.output_dir == "":
+            raise ValueError("--output-dir must not be empty")
         config["output_dir"] = args.output_dir
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
@@ -222,9 +226,8 @@ def _headline(metrics: dict) -> str:
 
 
 def _training_config(section: dict, seed: int) -> TrainingConfig:
-    kwargs = {_FIELD_NAMES.get(key, key): value for key, value in section.items()}
-    _check_written("training.seed", kwargs.pop("seed", seed), seed)
-    return TrainingConfig(seed=seed, **kwargs)
+    return TrainingConfig(seed=seed, **{_FIELD_NAMES.get(key, key): value
+                                        for key, value in section.items()})
 
 
 def _listing_training_dict(config: TrainingConfig, command: str) -> dict:
@@ -233,10 +236,10 @@ def _listing_training_dict(config: TrainingConfig, command: str) -> dict:
             if (name := _LISTING_NAMES.get(key, key)) in COMMANDS[command]["training"]}
 
 
-def _load_task_splits(config: dict, *, need_dev: bool, need_test: bool):
-    """Train/dev/test from explicit files, or carved out of the train CSV."""
+def _load_task_splits(config: dict, kind: str, *, need_dev: bool, need_test: bool):
+    """Train/dev/test with labels of ``kind`` from explicit files, or carved
+    out of the train CSV."""
     data_cfg, seed = config["data"], config["seed"]
-    kind = data_cfg["label_kind"]
     text_col = data_cfg["text_column"]
     label_col = data_cfg["label_column"]
     train_path = _require(config, "data", "train")
@@ -344,23 +347,17 @@ def cmd_pretrain(config: dict, out: str) -> Run:
 def cmd_finetune(config: dict, out: str) -> Run:
     model = load_checkpoint(_require(config, "checkpoint", "path"))
 
-    train_set, dev_set, test_set = _load_task_splits(config, need_dev=True, need_test=False)
-
-    head_cfg = config["head"]
-    task = head_cfg["task"]
-    if task is None:
-        task = "classification" if train_set.label_kind == "class" else "regression"
-    num_labels = head_cfg["num_labels"]
-    if num_labels is None:
-        num_labels = train_set.num_classes if task == "classification" else 1
-    head = HeadConfig(num_labels=num_labels, task=task)
+    train_set, dev_set, test_set = _load_task_splits(config, config["data"]["label_kind"],
+                                                     need_dev=True, need_test=False)
 
     training_section = dict(config["training"])
-    if task == "regression" and "metric_for_best_model" not in training_section:
-        training_section["metric_for_best_model"] = "mse"
+    if train_set.label_kind == "class":
+        head, names = HeadConfig(train_set.num_classes), train_set.label_names
+    else:
+        head, names = HeadConfig(1, task="regression"), None
+        training_section.setdefault("metric_for_best_model", "mse")
     training = _training_config(training_section, config["seed"])
 
-    names = train_set.label_names if task == "classification" else None
     headed = attach_head(model, head, Rng(config["seed"]).spawn("head"), label_names=names)
     result = train(training, headed, train_set, dev_set, output_dir=out)
 
@@ -371,8 +368,7 @@ def cmd_finetune(config: dict, out: str) -> Run:
     metrics["split"] = eval_split
     return Run(f"finetuned {len(result.history)} epochs, best epoch {result.best_epoch} "
                f"(dev {result.metric}={result.best_value:.4f}); {eval_split}: {_headline(metrics)}",
-               metrics, {"head": {"num_labels": num_labels, "task": task},
-                         "training": _listing_training_dict(training, "finetune")})
+               metrics, {"training": _listing_training_dict(training, "finetune")})
 
 
 def cmd_evaluate(config: dict, out: str) -> Run:
@@ -425,14 +421,12 @@ def cmd_baseline(config: dict, out: str) -> Run:
             raise ValueError(f"config key 'baseline.{key}' is not read by baseline.algorithm "
                              f"{algorithm!r}, which reads {sorted(reads)}")
     settings = {**_defaults(reads), **given}
-    kind = "real" if algorithm == "ridge" else "class"
-    if config["data"]["label_kind"] != kind:
-        raise ValueError(f"the {algorithm} baseline requires data.label_kind == \"{kind}\"")
     if algorithm == "ridge":
         if "checkpoint" not in settings:
             raise ValueError("the ridge baseline needs baseline.checkpoint for features")
         model = load_checkpoint(settings["checkpoint"])
-    train_set, _, test_set = _load_task_splits(config, need_dev=False, need_test=True)
+    train_set, _, test_set = _load_task_splits(config, "real" if algorithm == "ridge" else "class",
+                                               need_dev=False, need_test=True)
 
     if algorithm == "ridge":
         kwargs = dict(max_length=settings["max_length"], batch_size=settings["batch_size"])

@@ -11,7 +11,6 @@ one.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import logging
 import math
@@ -44,6 +43,7 @@ from .model import (
 )
 from .optim import (
     CLASSIFICATION_METRICS,
+    LOWER_IS_BETTER,
     REGRESSION_METRICS,
     AdamW,
     TrainingConfig,
@@ -272,8 +272,8 @@ def train(
     grad_views = views(grad_vector, params)
     optimizer = AdamW(params, config.learning_rate, config.weight_decay, config.warmup_steps)
     root = Rng(config.seed)
-    greater = config.resolved_greater_is_better
     metric = config.metric_for_best_model
+    greater = metric not in LOWER_IS_BETTER
 
     history: list[dict] = []
     values: list[float] = []  # dev value of the selection metric per epoch
@@ -347,48 +347,3 @@ def evaluate(model: Checkpoint, dataset: LabeledDataset, *,
     return task_metrics(head_task(model.params), dataset.label_array(), preds,
                         label_names=model.label_names or dataset.label_names)
 
-
-@dataclass
-class GridSearchResult:
-    rows: list[dict]  # overrides, best_epoch, best_value per grid point
-    best_index: int
-    best_config: TrainingConfig
-    metric: str
-
-
-def grid_search(
-    base_config: TrainingConfig,
-    grid: dict[str, list],
-    model_factory,
-    train_set: LabeledDataset,
-    dev_set: LabeledDataset,
-) -> GridSearchResult:
-    """Exhaustive sweep over the cartesian product of the grid values.
-
-    ``model_factory()`` must return a fresh headed checkpoint per point so
-    runs cannot contaminate each other. Points are compared on their best
-    dev value of the base config's selection metric; the earliest point
-    wins ties.
-    """
-    if not grid:
-        raise ValueError("grid is empty")
-    for forbidden in ("metric_for_best_model", "greater_is_better"):
-        if forbidden in grid:
-            raise ValueError(f"{forbidden} cannot vary across a grid; values would not compare")
-
-    keys = list(grid)
-    rows: list[dict] = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        config = base_config.with_overrides(**overrides)
-        result = train(config, model_factory(), train_set, dev_set)
-        rows.append({
-            "overrides": overrides,
-            "best_epoch": result.best_epoch,
-            "best_value": result.best_value,
-        })
-    values = [row["best_value"] for row in rows]
-    best_index = select_best_epoch(values, base_config.resolved_greater_is_better)
-    best_config = base_config.with_overrides(**rows[best_index]["overrides"])
-    return GridSearchResult(rows=rows, best_index=best_index,
-                            best_config=best_config, metric=base_config.metric_for_best_model)

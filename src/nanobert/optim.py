@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ ADAM_EPS = 1e-8
 class TrainingConfig:
     """Everything a training run needs beyond the model and the data.
 
-    ``greater_is_better`` left as None is derived from the metric: error
-    metrics select their minimum, all others their maximum.
+    The selection direction follows the metric: error metrics
+    (LOWER_IS_BETTER) select their minimum, all others their maximum.
     """
 
     num_train_epochs: int = 10
@@ -43,7 +43,6 @@ class TrainingConfig:
     logging_steps: int = 100
     seed: int = 11
     metric_for_best_model: str = "precision"
-    greater_is_better: bool | None = None
     max_length: int = 512
     max_grad_norm: float = 1.0
     mask_prob: float = 0.15
@@ -75,15 +74,6 @@ class TrainingConfig:
             raise ValueError(f"mask_prob must be in [0, 1), got {self.mask_prob}")
         if not 0.0 <= self.mask_token_ratio + self.random_token_ratio <= 1.0:
             raise ValueError("mask_token_ratio + random_token_ratio must stay within [0, 1]")
-
-    @property
-    def resolved_greater_is_better(self) -> bool:
-        if self.greater_is_better is not None:
-            return self.greater_is_better
-        return self.metric_for_best_model not in LOWER_IS_BETTER
-
-    def with_overrides(self, **kwargs) -> "TrainingConfig":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return asdict(self)

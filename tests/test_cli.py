@@ -242,8 +242,10 @@ class TestFinetuneCommand:
         resolved = json.loads((finetune_run / "resolved_config.json").read_text())
         assert resolved["command"] == "finetune"
         assert resolved["seed"] == 11
-        assert resolved["head"] == {"num_labels": 15, "task": "classification"}
+        assert "head" not in resolved and "seed" not in resolved["training"]
         assert resolved["training"]["metric_for_best_model"] == "precision"
+        # the head's width follows from the training set's 15 classes
+        assert load_checkpoint(str(finetune_run / "best.ckpt")).params["head.w"].shape[1] == 15
         for name in ("best.ckpt", "metrics_log.jsonl", "selection.json"):
             assert (finetune_run / name).exists()
 
@@ -287,7 +289,9 @@ class TestFinetuneCommand:
         assert rc == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["training"]["metric_for_best_model"] == "mse"
-        assert resolved["head"] == {"num_labels": 1, "task": "regression"}
+        assert "head" not in resolved
+        # real-valued labels make a one-column regression head
+        assert load_checkpoint(str(out / "best.ckpt")).params["head.w"].shape[1] == 1
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics["metrics"]) == {"mse", "rmse", "pearson_r"}
 
@@ -469,9 +473,8 @@ def baseline_sets(workdir, algorithm):
                    f"data.train={data / 'topics.csv'}", "data.test_size=30"],
         "ridge": ["baseline.algorithm=ridge",
                   f"baseline.checkpoint={workdir['pretrain'] / 'best.ckpt'}",
-                  "baseline.max_length=16", "data.label_kind=real",
-                  "data.label_column=anxiety", f"data.train={data / 'anxiety.csv'}",
-                  "data.test_size=20"],
+                  "baseline.max_length=16", "data.label_column=anxiety",
+                  f"data.train={data / 'anxiety.csv'}", "data.test_size=20"],
     }[algorithm]
 
 
@@ -516,7 +519,6 @@ class TestBaselineCommand:
         rc = main([
             "baseline", "--output-dir", str(tmp_path / "r"),
             "--set", "baseline.algorithm=ridge",
-            "--set", "data.label_kind=real",
             "--set", f"data.train={workdir['data'] / 'anxiety.csv'}",
             "--set", "data.label_column=anxiety",
             "--set", "data.test_size=20",
@@ -531,7 +533,6 @@ class TestBaselineCommand:
             "--set", "baseline.algorithm=ridge",
             "--set", f"baseline.checkpoint={workdir['pretrain'] / 'best.ckpt'}",
             "--set", "baseline.max_length=16",
-            "--set", "data.label_kind=real",
             "--set", f"data.train={workdir['data'] / 'anxiety.csv'}",
             "--set", "data.label_column=anxiety",
             "--set", "data.test_size=20",
@@ -583,7 +584,7 @@ class TestBaselineCommand:
                             "data.test_size=150"],
             "ridge": ["baseline.algorithm=ridge",
                       f"baseline.checkpoint={workdir['pretrain'] / 'best.ckpt'}",
-                      "data.label_kind=real", "data.label_column=anxiety",
+                      "data.label_column=anxiety",
                       f"data.train={workdir['data'] / 'anxiety.csv'}", "data.test_size=120"],
         }[algorithm]
         argv = ["baseline", "--output-dir", str(tmp_path / "out")]
@@ -752,12 +753,23 @@ class TestResolvedConfig:
         assert "'model.vocab_size'" in err and "97" in err and "96" in err
         assert not (tmp_path / "out").exists()
 
-    def test_training_seed_must_match_seed(self, finetune_run, tmp_path, capsys):
-        rc = main(["finetune", "--config", str(finetune_run / "resolved_config.json"),
-                   "--output-dir", str(tmp_path / "out"), "--seed", "12"])
+    @pytest.mark.parametrize("command", ["train-tokenizer", "pretrain", "finetune",
+                                         "evaluate", "predict", "baseline"])
+    def test_empty_output_dir_flag_refused(self, command, workdir, finetune_run, tmp_path,
+                                           capsys):
+        """An empty --output-dir is refused, not read as "absent": the run
+        its config names is not rewritten in place."""
+        run = first_run(command, workdir, finetune_run, tmp_path / "run")
+
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.rglob("*")
+                    if p.is_file()}
+
+        before = files()
+        rc = main([command, "--config", str(run / "resolved_config.json"), "--output-dir", ""])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "'training.seed'" in err and "11" in err and "12" in err
+        assert "error: --output-dir must not be empty" in capsys.readouterr().err
+        assert files() == before
 
 
 class TestEntryPoints:
@@ -880,14 +892,32 @@ class TestConfigTypes:
         ("train-tokenizer", "tokenizer.vocab_size=96.5", ["data.corpus=corpus.txt"]),
         ("baseline", "baseline.epochs=2.5", ["baseline.algorithm=maxent",
                                              "data.train=topics.csv", "data.test_size=30"]),
+        # keys whose value another input fixes, each set to the one value it could take
+        ("pretrain", "training.seed=11", ["data.corpus=corpus.txt", "tokenizer.vocab_size=64"]),
+        *(("finetune", item, ["checkpoint.path=pre.ckpt", "data.train=topics.csv",
+                              "data.dev_size=30"])
+          for item in ("training.seed=11", "head.num_labels=15", "head.task=classification",
+                       "training.greater_is_better=true")),
+        ("baseline", "data.label_kind=class", ["data.train=topics.csv", "data.test_size=30"]),
+        ("baseline", "data.label_kind=real", ["baseline.algorithm=ridge",
+                                              "baseline.checkpoint=pre.ckpt",
+                                              "data.train=anxiety.csv",
+                                              "data.label_column=anxiety", "data.test_size=20"]),
     ])
     def test_refused_before_any_input_is_read(self, command, item, sets, workdir, tmp_path,
                                               monkeypatch, capsys):
         """A file descriptor as the corpus (0 is stdin), a number as the
         output directory, a fractional vocab size and a fractional epoch
-        count, with every other input valid: refused with nothing written."""
-        for name in ("corpus.txt", "topics.csv"):
-            shutil.copy(workdir["data"] / name, tmp_path / name)
+        count, with every other input valid: refused with nothing written.
+        So is a key the command does not list: the run seed, the head's
+        task and width, the selection direction and a baseline's label kind
+        follow from other inputs and are unknown keys."""
+        inputs = {name: workdir["data"] / name for name in ("corpus.txt", "topics.csv",
+                                                            "anxiety.csv")}
+        for suffix in ("", ".tokenizer.json"):
+            inputs[f"pre.ckpt{suffix}"] = workdir["pretrain"] / f"best.ckpt{suffix}"
+        for name, path in inputs.items():
+            shutil.copy(path, tmp_path / name)
         monkeypatch.chdir(tmp_path)
         argv = [command, "--set", item]
         for setting in sets:
@@ -896,8 +926,14 @@ class TestConfigTypes:
             argv += ["--output-dir", "out"]
         assert main(argv) == 2
         key = item.partition("=")[0]
-        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "topics.csv"]
+        err = capsys.readouterr().err
+        if key in dict(config_leaves(cli.COMMANDS[command])):
+            assert err.startswith(f"error: {key} must be "), err
+        else:  # named as far as the command lists it: a section it lacks is named whole
+            section = key.partition(".")[0]
+            named = key if section in cli.COMMANDS[command] else section
+            assert err == f"error: unknown config key {named!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
     @pytest.mark.parametrize("command, key", STR_LEAVES,
                              ids=[f"{command}-{key}" for command, key in STR_LEAVES])
@@ -960,12 +996,14 @@ class ReadSpy(TrainingConfig):
 
 
 class TestTrainingTables:
-    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
-    def test_table_lists_exactly_the_fields_its_trainer_reads(self, command, workdir,
+    # the fields a trainer reads whose value another input fixes: the run seed
+    @pytest.mark.parametrize("command, fixed", [("pretrain", {"seed"}), ("finetune", {"seed"})],
+                             ids=["pretrain", "finetune"])
+    def test_table_lists_exactly_the_fields_its_trainer_reads(self, command, fixed, workdir,
                                                               tmp_path, monkeypatch):
         """Spied on through a run of the command: run_pretraining, or
         finetune's train and the evaluate after it, with the command's own
-        reads of the config."""
+        reads of the config. The table lists all of them but ``fixed``."""
         monkeypatch.setattr(cli, "TrainingConfig", ReadSpy)
         monkeypatch.setattr(ReadSpy, "reads", set())
         out = tmp_path / "out"
@@ -977,7 +1015,8 @@ class TestTrainingTables:
             argv = ["finetune", "--config", str(config_path), "--output-dir", str(out)]
         assert main(argv) == 0
         read = {cli._LISTING_NAMES.get(name, name) for name in ReadSpy.reads}
-        assert read == set(cli.COMMANDS[command]["training"])
+        assert read == set(cli.COMMANDS[command]["training"]) | fixed
+        assert not fixed & set(cli.COMMANDS[command]["training"])
 
 
 def missing_key_args(workdir):
@@ -1034,7 +1073,7 @@ class TestRunDirectory:
     @pytest.mark.parametrize("item, message", [
         ("training.per_device_train_batch_size=16.0",
          "training.per_device_train_batch_size must be int, got 16.0"),
-        ("head.num_labels=true", "head.num_labels must be int or None, got True"),
+        ("data.stratify=1", "data.stratify must be bool or None, got 1"),
         ("seed=1.5", "seed must be int, got 1.5"),
     ])
     def test_refused_finetune_setting_leaves_no_directory(self, item, message, workdir,

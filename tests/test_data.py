@@ -53,7 +53,6 @@ class TestFieldTypes:
         (ModelConfig, "dropout", "0.1", "dropout must be float, got '0.1'"),
         (TrainingConfig, "num_train_epochs", 1.5, "num_train_epochs must be int, got 1.5"),
         (TrainingConfig, "seed", False, "seed must be int, got False"),
-        (TrainingConfig, "greater_is_better", 1, "greater_is_better must be bool or None, got 1"),
         (TrainingConfig, "metric_for_best_model", None,
          "metric_for_best_model must be str, got None"),
         (HeadConfig, "num_labels", 2.0, "num_labels must be int, got 2.0"),
@@ -66,7 +65,6 @@ class TestFieldTypes:
     def test_ints_pass_for_floats_and_numpy_scalars_pass(self):
         assert ModelConfig(**MODEL_FIELDS, dropout=0).dropout == 0
         assert TrainingConfig(learning_rate=1, num_train_epochs=np.int64(2)).learning_rate == 1
-        assert TrainingConfig(greater_is_better=False).greater_is_better is False
         assert HeadConfig(np.int32(3)).num_labels == 3
 
 

@@ -1,8 +1,8 @@
-"""Head attachment, epoch selection, finetuning, prediction, grid search."""
+"""Head attachment, epoch selection, finetuning, prediction."""
 
-import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from nanobert.checkpoint import Checkpoint, load_checkpoint
 from nanobert.data import LabeledDataset, batch_indices
 from nanobert.finetune import (
     FinetuneResult,
-    GridSearchResult,
     HeadConfig,
     attach_head,
     evaluate,
-    grid_search,
     head_loss_and_grads,
     head_task,
     predict,
@@ -212,7 +210,7 @@ class TestTrain:
         config, model, train_set, dev_set = clf_setup()
         result = train(config, model, train_set, dev_set)
         assert 1 <= result.best_epoch < config.num_train_epochs
-        cut = train(config.with_overrides(num_train_epochs=result.best_epoch),
+        cut = train(replace(config, num_train_epochs=result.best_epoch),
                     model, train_set, dev_set)
         assert cut.best_epoch == result.best_epoch
         assert all(np.array_equal(result.checkpoint.params[k], p)
@@ -244,7 +242,7 @@ class TestTrain:
         config, model, train_set, dev_set = clf_setup()
         if task == "regression":
             model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
-            config = config.with_overrides(metric_for_best_model="rmse")
+            config = replace(config, metric_for_best_model="rmse")
             dev_set = LabeledDataset(dev_set.texts, [float(y) for y in dev_set.labels], "real")
             empty = LabeledDataset([], [], "real")
         else:
@@ -257,7 +255,7 @@ class TestTrain:
         config, model, train_set, dev_set = clf_setup()
         if task == "regression":
             model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
-            config = config.with_overrides(metric_for_best_model="rmse")
+            config = replace(config, metric_for_best_model="rmse")
             train_set = LabeledDataset(train_set.texts, [float(y) for y in train_set.labels],
                                        "real")
             empty = LabeledDataset([], [], "real")
@@ -277,7 +275,7 @@ class TestTrain:
         config, model, train_set, dev_set = clf_setup()
         if task == "regression":
             model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
-            config = config.with_overrides(metric_for_best_model="rmse")
+            config = replace(config, metric_for_best_model="rmse")
             train_set = LabeledDataset(train_set.texts, [float(y) for y in train_set.labels],
                                        "real")
             match = "regression head requires real-valued labels"
@@ -358,6 +356,26 @@ class TestTrain:
         assert result.best_value < result.history[0]["rmse"]
         assert result.best_value == min(e["rmse"] for e in result.history)
         assert {"mse", "rmse", "pearson_r"} <= set(result.history[0])
+
+    @pytest.mark.parametrize("metric", ["mse", "rmse", "pearson_r", "accuracy"])
+    def test_selection_direction_follows_the_metric(self, metric, tmp_path):
+        """An error metric selects its minimum, any other its maximum, and
+        selection.json records the direction."""
+        if metric == "accuracy":
+            config, model, train_set, dev_set = clf_setup()
+        else:
+            train_set, dev_set = regression_task()
+            base = base_model(train_set.texts + dev_set.texts)
+            model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+            config = TrainingConfig(num_train_epochs=4, train_batch_size=8, learning_rate=5e-3,
+                                    metric_for_best_model=metric, max_length=8, seed=9)
+        result = train(config, model, train_set, dev_set, output_dir=str(tmp_path))
+        greater = metric not in ("mse", "rmse")
+        values = [e[metric] for e in result.history]
+        assert len(set(values)) > 1
+        assert result.best_value == (max if greater else min)(values)
+        selection = json.loads((tmp_path / "selection.json").read_text())
+        assert selection["greater_is_better"] is greater
 
     def test_diverging_regression_raises(self, tmp_path):
         # AdamW moves every weight by about the learning rate per step, so
@@ -644,36 +662,3 @@ class TestTaskMetrics:
             write_json(str(path), {"metrics": {"mse": math.inf}})
         assert not path.exists() and not (tmp_path / "metrics.json.tmp").exists()
 
-
-class TestGridSearch:
-    def test_sweeps_product_and_picks_best(self):
-        config, model, train_set, dev_set = clf_setup(num_train_epochs=2)
-
-        result = grid_search(config, {"learning_rate": [1e-5, 5e-3]},
-                             lambda: copy.deepcopy(model), train_set, dev_set)
-        assert len(result.rows) == 2
-        assert result.rows[1]["overrides"] == {"learning_rate": 5e-3}
-        values = [r["best_value"] for r in result.rows]
-        assert result.best_index == values.index(max(values))
-        assert result.best_config.learning_rate == result.rows[result.best_index]["overrides"]["learning_rate"]
-
-    def test_product_order(self):
-        config, model, train_set, dev_set = clf_setup(num_train_epochs=1)
-        result = grid_search(
-            config,
-            {"learning_rate": [1e-4, 1e-3], "train_batch_size": [4, 8]},
-            lambda: copy.deepcopy(model), train_set, dev_set,
-        )
-        combos = [tuple(r["overrides"].values()) for r in result.rows]
-        assert combos == [(1e-4, 4), (1e-4, 8), (1e-3, 4), (1e-3, 8)]
-
-    def test_rejects_metric_in_grid(self):
-        config, model, train_set, dev_set = clf_setup()
-        with pytest.raises(ValueError, match="metric_for_best_model"):
-            grid_search(config, {"metric_for_best_model": ["accuracy", "f1"]},
-                        lambda: copy.deepcopy(model), train_set, dev_set)
-
-    def test_rejects_empty_grid(self):
-        config, model, train_set, dev_set = clf_setup()
-        with pytest.raises(ValueError, match="empty"):
-            grid_search(config, {}, lambda: copy.deepcopy(model), train_set, dev_set)

@@ -54,7 +54,7 @@ STEPS = [
     ["baseline", "--output-dir", "ridge", "--set", "baseline.algorithm=ridge",
      "--set", "baseline.checkpoint=pre/best.ckpt", "--set", "baseline.max_length=16",
      "--set", "data.train=data/anxiety.csv", "--set", "data.label_column=anxiety",
-     "--set", "data.label_kind=real", "--set", "data.test_size=0.5"],
+     "--set", "data.test_size=0.5"],
     ["report", "ft_class", "eval", "naive_bayes", "maxent", "--output", "report_class.json"],
     ["report", "ft_real", "ridge", "--output", "report_real.json"],
 ]

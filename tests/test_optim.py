@@ -28,16 +28,6 @@ class TestTrainingConfig:
     def test_defaults_valid(self):
         cfg = TrainingConfig()
         assert cfg.metric_for_best_model == "precision"
-        assert cfg.resolved_greater_is_better is True
-
-    def test_direction_derived_from_metric(self):
-        assert TrainingConfig(metric_for_best_model="mse").resolved_greater_is_better is False
-        assert TrainingConfig(metric_for_best_model="rmse").resolved_greater_is_better is False
-        assert TrainingConfig(metric_for_best_model="pearson_r").resolved_greater_is_better is True
-
-    def test_explicit_direction_wins(self):
-        cfg = TrainingConfig(metric_for_best_model="mse", greater_is_better=True)
-        assert cfg.resolved_greater_is_better is True
 
     def test_unsupported_metric_rejected(self):
         with pytest.raises(ValueError, match="unsupported metric"):
@@ -58,11 +48,6 @@ class TestTrainingConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
-
-    def test_overrides(self):
-        cfg = TrainingConfig().with_overrides(learning_rate=3e-4)
-        assert cfg.learning_rate == 3e-4
-        assert cfg.num_train_epochs == TrainingConfig().num_train_epochs
 
 
 def arena(**tensors):

@@ -3,6 +3,7 @@ pretraining loop."""
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ class TestRunPretraining:
 
     def test_zero_epochs_returns_untrained_model(self):
         corpus, tok, cfg, train = self.small_setup()
-        result = run_pretraining(train.with_overrides(num_train_epochs=0), corpus, tok, cfg)
+        result = run_pretraining(replace(train, num_train_epochs=0), corpus, tok, cfg)
         assert result.best_epoch == 0
         assert len(result.dev_losses) == 1
         assert result.loss_log == []
@@ -249,7 +250,7 @@ class TestRunPretraining:
 
     def test_initial_dev_loss_near_log_vocab(self):
         corpus, tok, cfg, train = self.small_setup()
-        result = run_pretraining(train.with_overrides(num_train_epochs=0), corpus, tok, cfg)
+        result = run_pretraining(replace(train, num_train_epochs=0), corpus, tok, cfg)
         assert abs(result.dev_losses[0] - math.log(tok.vocab_size)) < 0.1 * math.log(tok.vocab_size)
 
     def test_training_reduces_dev_loss(self):
@@ -292,7 +293,7 @@ class TestRunPretraining:
         # parameters that training went on to change
         corpus, tok, cfg, train = self.small_setup()
         out = tmp_path / "run"
-        result = run_pretraining(train.with_overrides(num_train_epochs=5, learning_rate=0.03),
+        result = run_pretraining(replace(train, num_train_epochs=5, learning_rate=0.03),
                                  corpus, tok, cfg, output_dir=str(out))
         last = len(result.dev_losses) - 1
         assert 1 <= result.best_epoch < last
@@ -315,7 +316,7 @@ class TestRunPretraining:
         # a step size of ~0 freezes the model, so dev loss never improves
         # and patience runs out after exactly `patience` epochs
         corpus, tok, cfg, train = self.small_setup()
-        stuck = train.with_overrides(num_train_epochs=10, learning_rate=1e-12)
+        stuck = replace(train, num_train_epochs=10, learning_rate=1e-12)
         result = run_pretraining(stuck, corpus, tok, cfg, patience=2)
         assert result.stopped_early
         assert len(result.dev_losses) == 3  # init + two stale epochs
@@ -337,7 +338,7 @@ class TestRunPretraining:
     def test_zero_epochs_write_no_checkpoints_directory(self, tmp_path):
         corpus, tok, cfg, train = self.small_setup()
         out = tmp_path / "run"
-        run_pretraining(train.with_overrides(num_train_epochs=0), corpus, tok, cfg,
+        run_pretraining(replace(train, num_train_epochs=0), corpus, tok, cfg,
                         output_dir=str(out))
         assert (out / "best.ckpt").exists() and not (out / "checkpoints").exists()
 
@@ -354,7 +355,7 @@ class TestRunPretraining:
         corpus, tok, cfg, train = self.small_setup()
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=r"diverged at epoch 1, step \d+: softmax") as info:
-            run_pretraining(train.with_overrides(learning_rate=1e40), corpus, tok, cfg,
+            run_pretraining(replace(train, learning_rate=1e40), corpus, tok, cfg,
                             output_dir=str(tmp_path / "run"))
         assert "NaN or Inf" in str(info.value.__cause__)
         assert not (tmp_path / "run").exists()
