@@ -1,5 +1,8 @@
 """Real-valued scoring with a one-unit head, next to a ridge baseline.
 
+A head with one column is a regressor (``HeadConfig(1)``), trained with
+mean squared error; two or more columns would make a classifier.
+
 The worry scores are a linear function of word counts plus noise, which is
 ridge regression's home turf; the encoder has to rediscover that structure
 from scratch. Selection runs on dev RMSE, where lower is better.
@@ -31,7 +34,7 @@ tok = train_bpe(train_set.texts, vocab_size=200)
 cfg = ModelConfig(num_layers=2, hidden_size=48, num_heads=2, ffn_size=96,
                   vocab_size=tok.vocab_size, max_positions=48, dropout=0.0)
 base = Checkpoint(cfg, init_params(cfg, Rng(11).spawn("init")), tokenizer=tok)
-headed = attach_head(base, HeadConfig(1, task="regression"), Rng(11).spawn("head"))
+headed = attach_head(base, HeadConfig(1), Rng(11).spawn("head"))
 tc = TrainingConfig(num_train_epochs=15, train_batch_size=16, eval_batch_size=64,
                     learning_rate=2e-3, warmup_steps=20, logging_steps=1000,
                     metric_for_best_model="rmse", max_length=48, seed=11)

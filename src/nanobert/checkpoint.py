@@ -22,12 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_format_version, parse_json, reading, replacing
+from .data import CLASSIFICATION, REGRESSION, check_format_version, parse_json, reading, replacing
 from .metrics import check_class_names
 from .model import ModelConfig, flatten, param_shapes, views
 from .tokenizer import TokenizerModel
 
 FORMAT_VERSION = 1
+
+
+def task_of_width(columns: int, name: str = "head.w's column count") -> str:
+    """The task of a head of ``columns`` output columns, decided here alone:
+    1 is a regressor, K >= 2 a classifier, and any other width is refused."""
+    if columns < 1:
+        raise ValueError(f"{name} must be 1 (a regressor) or >= 2 (a classifier), got {columns}")
+    return REGRESSION if columns == 1 else CLASSIFICATION
 
 
 @dataclass
@@ -43,11 +51,13 @@ class Checkpoint:
     def check(self) -> None:
         """The one checkpoint rule, run when a checkpoint is made and saved:
         refuse parameters other than the shapes the config and its head call
-        for, label names that do not fit the head, a tokenizer of another
-        vocab size, and a parameter holding NaN or an infinity (the first)."""
+        for, a head of a width no task has, label names that do not fit the
+        head, a tokenizer of another vocab size, and a parameter holding NaN or
+        an infinity (the first)."""
         config = self.model_config
         shapes = checked_shapes(config, {name: np.shape(p) for name, p in self.params.items()})
-        checked_label_names(self.label_names, shapes.get("head.w", (0, 0))[1])
+        head = shapes.get("head.w")
+        checked_label_names(self.label_names, None if head is None else head[1])
         if self.tokenizer is not None and self.tokenizer.vocab_size != config.vocab_size:
             raise ValueError(f"model vocab_size {config.vocab_size} does not match "
                              f"tokenizer vocab of {self.tokenizer.vocab_size}")
@@ -146,12 +156,13 @@ def checked_shapes(config: ModelConfig, shapes: dict) -> dict[str, tuple[int, ..
     return expected
 
 
-def checked_label_names(names, columns: int) -> list[str] | None:
-    """``names`` once they are None, or K distinct strings for a head of
-    K >= 2 columns (a classifier), none of them a key of the classification
-    report. A 1-column head (a regressor) and a model with no head
-    (``columns`` 0) take no names."""
-    k = columns if columns > 1 else 0
+def checked_label_names(names, columns: int | None) -> list[str] | None:
+    """``names`` once they are None, or K distinct strings for a classifier
+    head of K columns, none of them a key of the classification report. A
+    regressor and a model with no head (``columns`` None) take no names; a
+    head width ``task_of_width`` refuses is refused."""
+    classifier = columns is not None and task_of_width(columns) == CLASSIFICATION
+    k = columns if classifier else 0
     if names is None:
         return names
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)

@@ -21,14 +21,12 @@ from dataclasses import fields
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .baselines import Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import (check_type, load_csv, parse_json, read_csv, read_json, reading, split,
-                   write_csv, write_json)
-from .finetune import HeadConfig, attach_head, evaluate, predict, task_metrics, train
+from .data import (CLASSIFICATION, LABEL_KIND, REGRESSION, check_type, load_csv, parse_json,
+                   read_csv, read_json, reading, split, write_csv, write_json)
+from .finetune import HeadConfig, attach_head, evaluate, head_task, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
 from .pretrain import run_pretraining
@@ -101,14 +99,15 @@ COMMANDS = {
         "checkpoint": {"path": ("str", _ANY)},
         "training": _training_table(
             {"logging_steps", "mask_prob", "mask_token_ratio", "random_token_ratio", "seed"}),
-        # the head's task and width follow from data.label_kind and the training set
+        # the head's width, and so its task, follows from data.label_kind and the training set
         "data": _TASK_DATA,
     },
     "evaluate": {
         "output_dir": ("str", _ANY),
         "checkpoint": {"path": ("str", _ANY)},
+        # the checkpoint's head fixes the label kind
         "data": {"test": ("str", _ANY), "text_column": ("str", "text"),
-                 "label_column": ("str", "label"), "label_kind": ("str", "class")},
+                 "label_column": ("str", "label")},
         "eval": {"batch_size": ("int", 64), "max_length": ("int | None", None)},
     },
     "predict": {
@@ -351,14 +350,17 @@ def cmd_finetune(config: dict, out: str) -> Run:
                                                      need_dev=True, need_test=False)
 
     training_section = dict(config["training"])
-    if train_set.label_kind == "class":
-        head, names = HeadConfig(train_set.num_classes), train_set.label_names
+    if train_set.label_kind == LABEL_KIND[CLASSIFICATION]:
+        if train_set.num_classes < 2:
+            raise ValueError("the training set has a single class; a classifier needs 2 or more")
+        head = HeadConfig(train_set.num_classes)
     else:
-        head, names = HeadConfig(1, task="regression"), None
+        head = HeadConfig(1)
         training_section.setdefault("metric_for_best_model", "mse")
     training = _training_config(training_section, config["seed"])
 
-    headed = attach_head(model, head, Rng(config["seed"]).spawn("head"), label_names=names)
+    headed = attach_head(model, head, Rng(config["seed"]).spawn("head"),
+                         label_names=train_set.label_names)
     result = train(training, headed, train_set, dev_set, output_dir=out)
 
     eval_split = "test" if test_set is not None else "dev"
@@ -371,12 +373,21 @@ def cmd_finetune(config: dict, out: str) -> Run:
                metrics, {"training": _listing_training_dict(training, "finetune")})
 
 
+def _load_headed(config: dict):
+    """The checkpoint at ``checkpoint.path`` and its head's task, refused by path if headless."""
+    path = _require(config, "checkpoint", "path")
+    model = load_checkpoint(path)
+    if "head.w" not in model.params:
+        raise ValueError(f"{path}: the checkpoint has no task head; finetune it first")
+    return model, head_task(model.params)
+
+
 def cmd_evaluate(config: dict, out: str) -> Run:
-    model = load_checkpoint(_require(config, "checkpoint", "path"))
+    model, task = _load_headed(config)
     data_cfg = config["data"]
     test_path = _require(config, "data", "test")
     dataset = load_csv(test_path, data_cfg["text_column"], data_cfg["label_column"],
-                       label_kind=data_cfg["label_kind"])
+                       label_kind=LABEL_KIND[task])
     if len(dataset) == 0:
         raise ValueError(f"test file {test_path} has no rows")
     eval_cfg = config["eval"]
@@ -387,7 +398,7 @@ def cmd_evaluate(config: dict, out: str) -> Run:
 
 
 def cmd_predict(config: dict, out: str) -> Run:
-    model = load_checkpoint(_require(config, "checkpoint", "path"))
+    model, task = _load_headed(config)
     text_col = config["data"]["text_column"]
     input_path = _require(config, "data", "input")
 
@@ -396,12 +407,12 @@ def cmd_predict(config: dict, out: str) -> Run:
     pred_cfg = config["predict"]
     values = predict(model, texts, max_length=pred_cfg["max_length"],
                      batch_size=pred_cfg["batch_size"])
-    if values.dtype == np.int64 and model.label_names:
-        rendered = [model.label_names[int(v)] for v in values]
-    elif values.dtype == np.int64:
-        rendered = [str(int(v)) for v in values]
-    else:
+    if task == REGRESSION:
         rendered = [f"{float(v):.6f}" for v in values]
+    elif model.label_names:
+        rendered = [model.label_names[int(v)] for v in values]
+    else:
+        rendered = [str(int(v)) for v in values]
 
     pred_path = os.path.join(out, "predictions.csv")
     return Run(f"wrote {len(texts)} predictions -> {pred_path}", artifacts={
@@ -425,7 +436,8 @@ def cmd_baseline(config: dict, out: str) -> Run:
         if "checkpoint" not in settings:
             raise ValueError("the ridge baseline needs baseline.checkpoint for features")
         model = load_checkpoint(settings["checkpoint"])
-    train_set, _, test_set = _load_task_splits(config, "real" if algorithm == "ridge" else "class",
+    task = REGRESSION if algorithm == "ridge" else CLASSIFICATION
+    train_set, _, test_set = _load_task_splits(config, LABEL_KIND[task],
                                                need_dev=False, need_test=True)
 
     if algorithm == "ridge":
@@ -435,11 +447,11 @@ def cmd_baseline(config: dict, out: str) -> Run:
         ridge = Ridge(l2=settings["l2"]).fit(X_train, train_set.label_array())
         save = partial(write_json, obj={"algorithm": "ridge", "checkpoint": settings["checkpoint"],
                                         **ridge.to_json_dict()})
-        metrics = task_metrics("regression", test_set.label_array(), ridge.predict(X_test))
+        metrics = task_metrics(task, test_set.label_array(), ridge.predict(X_test))
     else:
         pipeline = fit_text_baseline(algorithm, train_set, **settings)
         save = pipeline.save
-        metrics = task_metrics("classification", test_set.label_array(),
+        metrics = task_metrics(task, test_set.label_array(),
                                pipeline.predict(test_set.texts), train_set.label_names)
     metrics.update(algorithm=algorithm, split="test")
     model_path = os.path.join(out, "baseline_model.json")

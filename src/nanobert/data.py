@@ -35,7 +35,11 @@ from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
-LABEL_KINDS = ("class", "real")
+CLASSIFICATION = "classification"
+REGRESSION = "regression"
+# the label kind each task's head reads: a classifier class labels, a regressor real ones
+LABEL_KIND = {CLASSIFICATION: "class", REGRESSION: "real"}
+LABEL_KINDS = tuple(LABEL_KIND.values())
 # batches per window that ``batch_indices`` sorts by length when given lengths
 BUCKET_BATCHES = 8
 

@@ -20,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nn
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint, task_of_width
 from .data import (
+    CLASSIFICATION,
+    LABEL_KIND,
+    REGRESSION,
     LabeledDataset,
     batch_indices,
     check_field_types,
@@ -56,32 +59,24 @@ from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
-
 
 @dataclass
 class HeadConfig:
-    """Output layer description: K columns, and how they are trained."""
+    """Output layer description: K columns, whose count is the head's task
+    (``checkpoint.task_of_width``: 1 a regressor, K >= 2 a classifier)."""
 
     num_labels: int
-    task: str = CLASSIFICATION
 
     def __post_init__(self):
         check_field_types(self)
-        if self.task not in (CLASSIFICATION, REGRESSION):
-            raise ValueError(f"task must be {CLASSIFICATION!r} or {REGRESSION!r}, got {self.task!r}")
-        if self.task == REGRESSION and self.num_labels != 1:
-            raise ValueError(f"regression uses a single output, got num_labels={self.num_labels}")
-        if self.task == CLASSIFICATION and self.num_labels < 2:
-            raise ValueError(f"classification needs >= 2 labels, got {self.num_labels}")
+        task_of_width(self.num_labels, "num_labels")
 
 
 def head_task(params: dict) -> str:
-    """Task kind implied by the head shape; K = 1 means regression."""
+    """The task of the model's head, by its width; a model with no head is refused."""
     if "head.w" not in params:
         raise ValueError("model has no task head; call attach_head first")
-    return REGRESSION if params["head.w"].shape[1] == 1 else CLASSIFICATION
+    return task_of_width(params["head.w"].shape[1])
 
 
 def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
@@ -100,25 +95,11 @@ def attach_head(model: Checkpoint, head: HeadConfig, rng: Rng,
                       copy.copy(label_names))
 
 
-def _check_head_fits(params: dict, dataset: LabeledDataset) -> None:
-    """Reject a dataset whose label kind or class count the head cannot score."""
-    if head_task(params) == REGRESSION:
-        if dataset.label_kind != "real":
-            raise ValueError("regression head requires real-valued labels")
-        return
-    if dataset.label_kind != "class":
-        raise ValueError("classification head requires class-labeled data")
-    num_labels = params["head.w"].shape[1]
-    if dataset.num_classes != num_labels:
-        raise ValueError(
-            f"model head has {num_labels} classes but the dataset has {dataset.num_classes}"
-        )
-
-
 def fit_to_head(model: Checkpoint, dataset: LabeledDataset, name: str) -> LabeledDataset:
     """The dataset with its class ids in the head's order, checked to fit it.
 
-    Refuses an empty set by ``name``. When both the dataset and the
+    Refuses an empty set by ``name``, and labels of another kind than the
+    head's task reads (``LABEL_KIND``). When both the dataset and the
     checkpoint name their classes, each row's class is mapped to the
     checkpoint's id for that name, so a dataset may list any subset of the
     classes in any order; a name the checkpoint does not know is refused
@@ -126,16 +107,26 @@ def fit_to_head(model: Checkpoint, dataset: LabeledDataset, name: str) -> Labele
     """
     if len(dataset) == 0:
         raise ValueError(f"the {name} has no examples")
-    if dataset.label_kind == "class" and model.label_names and dataset.label_names:
+    task = head_task(model.params)
+    if dataset.label_kind != LABEL_KIND[task]:
+        raise ValueError(f"{task} head requires {LABEL_KIND[task]!r} labels, "
+                         f"got {dataset.label_kind!r}")
+    if task == REGRESSION:
+        return dataset
+    unknown = []
+    if model.label_names and dataset.label_names:
         label_ids = {label: i for i, label in enumerate(model.label_names)}
         unknown = [label for label in dataset.label_names if label not in label_ids]
-        if unknown:
-            _check_head_fits(model.params, dataset)
-            raise ValueError(f"dataset label {unknown[0]!r} unknown to the checkpoint "
-                             f"(it has {model.label_names})")
-        labels = [label_ids[dataset.label_names[lab]] for lab in dataset.labels]
-        dataset = LabeledDataset(dataset.texts, labels, "class", list(model.label_names))
-    _check_head_fits(model.params, dataset)
+        if not unknown:
+            labels = [label_ids[dataset.label_names[lab]] for lab in dataset.labels]
+            dataset = LabeledDataset(dataset.texts, labels, "class", list(model.label_names))
+    num_labels = model.params["head.w"].shape[1]
+    if dataset.num_classes != num_labels:
+        raise ValueError(f"model head has {num_labels} classes but the dataset has "
+                         f"{dataset.num_classes}")
+    if unknown:
+        raise ValueError(f"dataset label {unknown[0]!r} unknown to the checkpoint "
+                         f"(it has {model.label_names})")
     return dataset
 
 

@@ -229,6 +229,9 @@ def run_pretraining(
         raise ValueError(f"min_delta must be >= 0, got {min_delta}")
     if not 0 < dev_fraction < 1:
         raise ValueError(f"dev_fraction must be in (0, 1), got {dev_fraction}")
+    if config.max_length > model_config.max_positions:
+        raise ValueError(f"training.max_length {config.max_length} exceeds "
+                         f"model.max_positions {model_config.max_positions}")
     root = Rng(config.seed)
     vector, params = flatten(init_params(model_config, root.spawn("init")))
     model = Checkpoint(model_config, params, tokenizer=tokenizer)  # refuses another vocab size

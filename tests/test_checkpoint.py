@@ -174,6 +174,10 @@ def _other_tokenizer(params, ckpt):
     ckpt.tokenizer = train_bpe(["low", "low", "lower"], vocab_size=11)
 
 
+ZERO_COLUMNS = (r"head\.w's column count must be 1 \(a regressor\) or >= 2 "
+                r"\(a classifier\), got 0")
+
+
 # an edit of a checkpoint's params dict, or of the checkpoint itself, that
 # breaks the checkpoint rule, and the rule's refusal, for make_checkpoint's
 # 12-token model without a head
@@ -186,6 +190,9 @@ BREAKS = pytest.mark.parametrize("edit, message", [
                  r"\(missing \[\], unexpected \['zz'\]\)", id="extra"),
     pytest.param(lambda params, ckpt: params.update(pos_emb=np.zeros((5, 8))),
                  r"pos_emb has shape \(5, 8\), expected \(6, 8\)", id="misshapen"),
+    pytest.param(lambda params, ckpt: params.update({"head.w": np.zeros((8, 0)),
+                                                     "head.b": np.zeros(0)}),
+                 ZERO_COLUMNS, id="zero-column-head"),
     pytest.param(_other_tokenizer, "model vocab_size 12 does not match tokenizer vocab of 11",
                  id="tokenizer"),
     pytest.param(_set_entries(np.nan, "layers.0.ffn.w1"),
@@ -258,6 +265,14 @@ class TestRejection:
         with open(path, "wb") as f:
             f.write(blob.replace(b'"num_heads": 2', b'"num_heads": 0', 1))
         with pytest.raises(ValueError, match=f"^{path}: all size fields must be positive"):
+            load_checkpoint(path)
+
+    def test_zero_column_head_named(self, tmp_path):
+        """A head no task has is refused by the file, before any command scores it."""
+        path = self.write_good(tmp_path)
+        self.rewrite_header(path, "params",
+                            lambda table: sorted([*table, ["head.b", [0]], ["head.w", [8, 0]]]))
+        with pytest.raises(ValueError, match=f"^{path}: {ZERO_COLUMNS}$"):
             load_checkpoint(path)
 
     @BAD_LABEL_NAMES

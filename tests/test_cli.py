@@ -15,7 +15,7 @@ from nanobert.baselines import BASELINE_KINDS
 from nanobert.checkpoint import load_checkpoint, save_checkpoint
 from nanobert.cli import main
 from nanobert.data import _FIELD_KINDS, LabeledDataset, check_type, load_csv
-from nanobert.finetune import HeadConfig, attach_head, evaluate, write_json
+from nanobert.finetune import HeadConfig, attach_head, evaluate, predict, write_json
 from nanobert.optim import TrainingConfig
 from nanobert.rng import Rng
 from nanobert.tokenizer import TokenizerModel
@@ -84,6 +84,14 @@ def finetune_run(workdir):
     rc = main(["finetune", "--config", str(config_path), "--output-dir", str(out)])
     assert rc == 0
     return out
+
+
+def headed_checkpoint(workdir, path, num_labels):
+    """The module's pretrained checkpoint with a fresh ``num_labels``-column
+    head and no label names, saved to ``path``."""
+    base = load_checkpoint(str(workdir["pretrain"] / "best.ckpt"))
+    save_checkpoint(attach_head(base, HeadConfig(num_labels), Rng(3)), str(path))
+    return path
 
 
 class TestTrainTokenizer:
@@ -296,6 +304,19 @@ class TestFinetuneCommand:
         assert set(metrics["metrics"]) == {"mse", "rmse", "pearson_r"}
 
 
+    def test_single_class_training_set_refused(self, workdir, tmp_path, capsys):
+        single = tmp_path / "single.csv"
+        datagen.write_csv(str(single), [f"text number {i}" for i in range(40)], ["only"] * 40)
+        out = tmp_path / "out"
+        rc = main(["finetune", "--output-dir", str(out),
+                   "--set", f"checkpoint.path={workdir['pretrain'] / 'best.ckpt'}",
+                   "--set", f"data.train={single}", "--set", "data.dev_size=10"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: the training set has a single class; "
+                                           "a classifier needs 2 or more\n")
+        assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_writes_metrics(self, workdir, finetune_run, tmp_path):
         out = tmp_path / "eval"
@@ -352,6 +373,25 @@ class TestEvaluateCommand:
         assert expected["num_examples"] == 20
         assert (out / "metrics.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
+    def test_regression_checkpoint_reads_real_labels(self, workdir, tmp_path):
+        """The head's width fixes the label kind: no key says it."""
+        ckpt = headed_checkpoint(workdir, tmp_path / "regression.ckpt", 1)
+        test_csv = workdir["data"] / "anxiety.csv"
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--output-dir", str(out), "--set", f"checkpoint.path={ckpt}",
+                   "--set", f"data.test={test_csv}", "--set", "data.label_column=anxiety",
+                   "--set", "eval.max_length=16"])
+        assert rc == 0
+        expected = evaluate(load_checkpoint(str(ckpt)),
+                            load_csv(str(test_csv), "text", "anxiety", label_kind="real"),
+                            max_length=16)
+        expected["split"] = "test"
+        write_json(str(tmp_path / "expected.json"), expected)
+        assert expected["task"] == "regression" and expected["num_examples"] == 120
+        assert (out / "metrics.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert "label_kind" not in resolved["data"]
+
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_header_only_test_file_names_the_file(self, workdir, finetune_run, tmp_path,
                                                   capsys, task):
@@ -359,11 +399,8 @@ class TestEvaluateCommand:
         ckpt = finetune_run / "best.ckpt"
         settings = []
         if task == "regression":
-            ckpt = tmp_path / "regression.ckpt"
-            base = load_checkpoint(str(workdir["pretrain"] / "best.ckpt"))
-            save_checkpoint(attach_head(base, HeadConfig(1, task="regression"), Rng(3)),
-                            str(ckpt))
-            settings = ["--set", "data.label_column=anxiety", "--set", "data.label_kind=real"]
+            ckpt = headed_checkpoint(workdir, tmp_path / "regression.ckpt", 1)
+            settings = ["--set", "data.label_column=anxiety"]
         empty.write_text("text,anxiety\n" if task == "regression" else "text,label\n")
         rc = main(["evaluate", "--output-dir", str(tmp_path / "eval"),
                    "--set", f"checkpoint.path={ckpt}", "--set", f"data.test={empty}",
@@ -387,6 +424,22 @@ class TestPredictCommand:
         assert len(lines) == 151
         names = set(datagen.TOPIC_KEYWORDS)
         assert all(line.rsplit(",", 1)[1] in names for line in lines[1:])
+
+    @pytest.mark.parametrize("num_labels", [1, 3])
+    def test_head_without_label_names_writes_its_values(self, workdir, tmp_path, num_labels):
+        """A regressor writes six-decimal reals, a classifier without label
+        names its class ids."""
+        ckpt = headed_checkpoint(workdir, tmp_path / "headed.ckpt", num_labels)
+        out = tmp_path / "pred"
+        rc = main(["predict", "--output-dir", str(out), "--set", f"checkpoint.path={ckpt}",
+                   "--set", f"data.input={workdir['data'] / 'order_test.csv'}",
+                   "--set", "predict.max_length=16"])
+        assert rc == 0
+        texts = load_csv(str(workdir["data"] / "order_test.csv"), "text", "label").texts
+        values = predict(load_checkpoint(str(ckpt)), texts, max_length=16)
+        rendered = [f"{v:.6f}" if num_labels == 1 else str(v) for v in values]
+        assert (out / "predictions.csv").read_text().splitlines() == [
+            "text,prediction", *(f"{t},{r}" for t, r in zip(texts, rendered))]
 
     def test_header_only_input_writes_header_only_predictions(self, finetune_run, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -903,6 +956,8 @@ class TestConfigTypes:
                                               "baseline.checkpoint=pre.ckpt",
                                               "data.train=anxiety.csv",
                                               "data.label_column=anxiety", "data.test_size=20"]),
+        ("evaluate", "data.label_kind=real", ["checkpoint.path=pre.ckpt", "data.test=anxiety.csv",
+                                              "data.label_column=anxiety"]),
     ])
     def test_refused_before_any_input_is_read(self, command, item, sets, workdir, tmp_path,
                                               monkeypatch, capsys):
@@ -910,8 +965,9 @@ class TestConfigTypes:
         output directory, a fractional vocab size and a fractional epoch
         count, with every other input valid: refused with nothing written.
         So is a key the command does not list: the run seed, the head's
-        task and width, the selection direction and a baseline's label kind
-        follow from other inputs and are unknown keys."""
+        task and width, the selection direction and the label kind of a
+        baseline or an evaluation follow from other inputs and are unknown
+        keys."""
         inputs = {name: workdir["data"] / name for name in ("corpus.txt", "topics.csv",
                                                             "anxiety.csv")}
         for suffix in ("", ".tokenizer.json"):
@@ -1035,6 +1091,21 @@ def missing_key_args(workdir):
 
 
 class TestRunDirectory:
+    @pytest.mark.parametrize("command, data_key", [("evaluate", "data.test"),
+                                                   ("predict", "data.input")])
+    def test_checkpoint_without_a_head_named(self, command, data_key, workdir, tmp_path,
+                                             capsys):
+        """A pretrained encoder has nothing to score with: refused by its
+        path, with what to do about it."""
+        ckpt = workdir["pretrain"] / "best.ckpt"
+        out = tmp_path / "out"
+        rc = main([command, "--output-dir", str(out), "--set", f"checkpoint.path={ckpt}",
+                   "--set", f"{data_key}={workdir['data'] / 'topics.csv'}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {ckpt}: the checkpoint has no task head; "
+                                           f"finetune it first\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-tokenizer", "pretrain", "finetune", "evaluate",
                                          "predict", "baseline"])
     def test_missing_required_key_leaves_no_directory(self, command, workdir, tmp_path, capsys):
@@ -1062,6 +1133,7 @@ class TestRunDirectory:
         ("pretrain.min_delta=false", "pretrain.min_delta must be float, got False"),
         ("pretrain.dev_fraction=\"0.1\"", "pretrain.dev_fraction must be float, got '0.1'"),
         ("training.learning_rate=1e30", "training diverged at epoch 1, step "),
+        ("model.max_positions=8", "training.max_length 32 exceeds model.max_positions 8"),
     ])
     def test_refused_pretrain_setting_leaves_no_directory(self, item, message, workdir,
                                                           tmp_path, capsys):

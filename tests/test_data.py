@@ -56,7 +56,6 @@ class TestFieldTypes:
         (TrainingConfig, "metric_for_best_model", None,
          "metric_for_best_model must be str, got None"),
         (HeadConfig, "num_labels", 2.0, "num_labels must be int, got 2.0"),
-        (HeadConfig, "task", 1, "task must be str, got 1"),
     ])
     def test_wrong_type_named(self, make, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -584,6 +583,14 @@ class TestFiles:
                    and getattr(node.func, "id", getattr(node.func, "attr", None))
                    in ("checked_shapes", "checked_label_names")}
         assert callers == {"checkpoint.py"}
+
+    def test_only_data_spells_the_task_names(self):
+        """A head's task is read off its width by ``checkpoint.task_of_width``
+        alone, so no module but the one defining the names spells one."""
+        spellers = {name for name, tree in _package_modules() for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and node.value in ("classification", "regression")}
+        assert spellers == {"data.py"}
 
     def test_only_data_imports_csv(self):
         """CSV files are read through ``read_csv`` and written through

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -38,17 +39,13 @@ from nanobert.tokenizer import train_bpe
 
 
 class TestHeadConfig:
-    def test_regression_needs_single_output(self):
-        with pytest.raises(ValueError, match="single output"):
-            HeadConfig(num_labels=3, task="regression")
-
-    def test_classification_needs_two_labels(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            HeadConfig(num_labels=1, task="classification")
-
-    def test_unknown_task(self):
-        with pytest.raises(ValueError, match="task"):
-            HeadConfig(num_labels=2, task="ranking")
+    @pytest.mark.parametrize("num_labels", [0, -1])
+    def test_width_no_task_has_refused(self, num_labels):
+        """One column is a regressor and two or more a classifier; no other
+        width is a task (``TestAttachHead.test_head_task_inference``)."""
+        message = f"num_labels must be 1 (a regressor) or >= 2 (a classifier), got {num_labels}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HeadConfig(num_labels)
 
 
 def base_model(texts, vocab_size=40, **cfg_overrides):
@@ -118,7 +115,7 @@ class TestAttachHead:
         (HeadConfig(2), ["a", "a"]),
         (HeadConfig(2), ["a", 3]),
         (HeadConfig(3), ["a", "b"]),
-        (HeadConfig(1, task="regression"), ["a"]),
+        (HeadConfig(1), ["a"]),
     ])
     def test_label_names_follow_the_checkpoint_rule(self, head, names):
         """A head takes only names its checkpoint can save and load."""
@@ -140,7 +137,7 @@ class TestAttachHead:
         with pytest.raises(ValueError, match="no task head"):
             head_task(base.params)
         clf = attach_head(base, HeadConfig(2), Rng(2))
-        reg = attach_head(base, HeadConfig(1, task="regression"), Rng(2))
+        reg = attach_head(base, HeadConfig(1), Rng(2))
         assert head_task(clf.params) == "classification"
         assert head_task(reg.params) == "regression"
 
@@ -241,7 +238,7 @@ class TestTrain:
     def test_empty_training_set_says_so(self, task):
         config, model, train_set, dev_set = clf_setup()
         if task == "regression":
-            model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
+            model = attach_head(model, HeadConfig(1), Rng(3))
             config = replace(config, metric_for_best_model="rmse")
             dev_set = LabeledDataset(dev_set.texts, [float(y) for y in dev_set.labels], "real")
             empty = LabeledDataset([], [], "real")
@@ -254,7 +251,7 @@ class TestTrain:
     def test_empty_dev_set_refused_before_the_first_step(self, task, monkeypatch):
         config, model, train_set, dev_set = clf_setup()
         if task == "regression":
-            model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
+            model = attach_head(model, HeadConfig(1), Rng(3))
             config = replace(config, metric_for_best_model="rmse")
             train_set = LabeledDataset(train_set.texts, [float(y) for y in train_set.labels],
                                        "real")
@@ -274,14 +271,14 @@ class TestTrain:
             self, task, monkeypatch):
         config, model, train_set, dev_set = clf_setup()
         if task == "regression":
-            model = attach_head(model, HeadConfig(1, task="regression"), Rng(3))
+            model = attach_head(model, HeadConfig(1), Rng(3))
             config = replace(config, metric_for_best_model="rmse")
             train_set = LabeledDataset(train_set.texts, [float(y) for y in train_set.labels],
                                        "real")
-            match = "regression head requires real-valued labels"
+            match = "regression head requires 'real' labels, got 'class'"
         else:
             dev_set = LabeledDataset(dev_set.texts, [float(y) for y in dev_set.labels], "real")
-            match = "classification head requires class-labeled data"
+            match = "classification head requires 'class' labels, got 'real'"
 
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
@@ -348,7 +345,7 @@ class TestTrain:
     def test_regression_improves_rmse(self):
         train_set, dev_set = regression_task()
         base = base_model(train_set.texts + dev_set.texts)
-        model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        model = attach_head(base, HeadConfig(1), Rng(3))
         config = TrainingConfig(num_train_epochs=15, train_batch_size=8,
                                 learning_rate=5e-3, metric_for_best_model="rmse",
                                 max_length=8, seed=9)
@@ -366,7 +363,7 @@ class TestTrain:
         else:
             train_set, dev_set = regression_task()
             base = base_model(train_set.texts + dev_set.texts)
-            model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+            model = attach_head(base, HeadConfig(1), Rng(3))
             config = TrainingConfig(num_train_epochs=4, train_batch_size=8, learning_rate=5e-3,
                                     metric_for_best_model=metric, max_length=8, seed=9)
         result = train(config, model, train_set, dev_set, output_dir=str(tmp_path))
@@ -384,7 +381,7 @@ class TestTrain:
         # step per epoch it is the dev pass that overflows
         train_set, dev_set = regression_task()
         base = base_model(train_set.texts + dev_set.texts)
-        model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        model = attach_head(base, HeadConfig(1), Rng(3))
         for learning_rate, batch_size in ((1e4, 8), (1e40, 8), (1e40, len(train_set))):
             config = TrainingConfig(num_train_epochs=20, train_batch_size=batch_size,
                                     learning_rate=learning_rate, metric_for_best_model="rmse",
@@ -400,7 +397,7 @@ class TestTrain:
         train_set, _ = regression_task()
         degenerate = train_set.subset([0])
         base = base_model(train_set.texts)
-        model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        model = attach_head(base, HeadConfig(1), Rng(3))
         config = TrainingConfig(num_train_epochs=2, train_batch_size=8,
                                 learning_rate=1e-3, metric_for_best_model="pearson_r",
                                 max_length=8, seed=9)
@@ -432,7 +429,7 @@ class TestPredictEvaluate:
     def test_predict_regression_dtype(self):
         train_set, dev_set = regression_task()
         base = base_model(train_set.texts)
-        model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        model = attach_head(base, HeadConfig(1), Rng(3))
         preds = predict(model, dev_set.texts[:5], max_length=8)
         assert preds.dtype == np.float64
         assert preds.shape == (5,)
@@ -444,7 +441,7 @@ class TestPredictEvaluate:
         assert ids.shape == masks.shape == (0, 6)
         assert ids.dtype == masks.dtype == np.int64
         clf = attach_head(base, HeadConfig(2), Rng(2))
-        reg = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        reg = attach_head(base, HeadConfig(1), Rng(3))
         for model, dtype in ((clf, np.int64), (reg, np.float64)):
             preds = predict(model, [])
             assert preds.dtype == dtype and preds.shape == (0,)
@@ -479,7 +476,7 @@ class TestPredictEvaluate:
     def test_evaluate_regression_schema(self):
         train_set, dev_set = regression_task()
         base = base_model(train_set.texts)
-        model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+        model = attach_head(base, HeadConfig(1), Rng(3))
         out = evaluate(model, dev_set, max_length=8)
         assert out["task"] == "regression"
         assert set(out["metrics"]) == {"mse", "rmse", "pearson_r"}
@@ -489,7 +486,7 @@ class TestPredictEvaluate:
         train_set, _ = classification_task()
         base = base_model(train_set.texts)
         if task == "regression":
-            model = attach_head(base, HeadConfig(1, task="regression"), Rng(3))
+            model = attach_head(base, HeadConfig(1), Rng(3))
             empty = LabeledDataset([], [], "real")
         else:
             model = attach_head(base, HeadConfig(2), Rng(2), label_names=train_set.label_names)
@@ -555,7 +552,7 @@ class TestLengthAwareBatches:
         cfg = base.model_config
         seen = []
         spy(monkeypatch, finetune, "encoder_forward", seen)
-        for head, seed in ((HeadConfig(2), 2), (HeadConfig(1, task="regression"), 3)):
+        for head, seed in ((HeadConfig(2), 2), (HeadConfig(1), 3)):
             model = attach_head(base, head, Rng(seed))
             w, b = model.params["head.w"], model.params["head.b"]
             full_logits = pool_first_token(encoder_forward(cfg, model.params, ids, masks)) @ w + b
@@ -568,7 +565,7 @@ class TestLengthAwareBatches:
             logits = np.empty_like(full_logits)
             logits[order] = np.concatenate([pool_first_token(h) for _, h in seen]) @ w + b
             np.testing.assert_allclose(logits, full_logits, rtol=0, atol=1e-12)
-            if head.task == "regression":
+            if head.num_labels == 1:
                 np.testing.assert_allclose(preds, full_logits[:, 0], rtol=0, atol=1e-12)
             else:
                 assert np.array_equal(preds, np.argmax(full_logits, axis=1))
@@ -592,11 +589,11 @@ class TestLengthAwareBatches:
         ds, base, _, _ = self.task_and_model()
         perm = Rng(9).permutation(len(ds))
         shuffled = [ds.texts[i] for i in perm]
-        for head in (HeadConfig(2), HeadConfig(1, task="regression")):
+        for head in (HeadConfig(2), HeadConfig(1)):
             model = attach_head(base, head, Rng(5))
             preds = predict(model, ds.texts, max_length=self.MAX_LENGTH, batch_size=5)
             again = predict(model, shuffled, max_length=self.MAX_LENGTH, batch_size=5)
-            if head.task == "regression":
+            if head.num_labels == 1:
                 np.testing.assert_allclose(again, preds[perm], rtol=0, atol=1e-12)
             else:
                 assert np.array_equal(again, preds[perm])

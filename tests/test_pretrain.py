@@ -11,6 +11,7 @@ import pytest
 from helpers import generic_params, tiny_config
 from nanobert.checkpoint import load_checkpoint
 from nanobert.model import init_params, param_shapes
+from nanobert import pretrain
 from nanobert.numerics import grad_check
 from nanobert.optim import TrainingConfig, select_best_epoch
 from nanobert.pretrain import (
@@ -333,6 +334,20 @@ class TestRunPretraining:
         corpus, tok, cfg, train = self.small_setup()
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_pretraining(train, corpus, tok, cfg, output_dir=str(tmp_path / "run"), **setting)
+        assert not (tmp_path / "run").exists()
+
+    def test_max_length_beyond_the_position_table_refused_before_any_work(self, tmp_path,
+                                                                          monkeypatch):
+        corpus, tok, cfg, train = self.small_setup()  # 16 positions
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was chunked")
+
+        monkeypatch.setattr(pretrain, "chunk_corpus", no_work)
+        with pytest.raises(ValueError, match="^training.max_length 17 exceeds "
+                                             "model.max_positions 16$"):
+            run_pretraining(replace(train, max_length=17), corpus, tok, cfg,
+                            output_dir=str(tmp_path / "run"))
         assert not (tmp_path / "run").exists()
 
     def test_zero_epochs_write_no_checkpoints_directory(self, tmp_path):
