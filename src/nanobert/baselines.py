@@ -223,12 +223,11 @@ class Ridge(_Fitted):
 def mean_pooled_features(model: Checkpoint, texts, *, max_length: int | None = None,
                          batch_size: int = 64) -> np.ndarray:
     """Encoder hidden states averaged over real (non-pad) positions."""
-    ids, masks = model.encode_texts(texts, max_length)
+    ids, lengths = model.encode_texts(texts, max_length)
     out = np.empty((len(ids), model.model_config.hidden_size))  # zero texts give [0, N]
-    for sel, batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
-        h = encoder_forward(model.model_config, model.params, batch_ids, batch_masks)
-        weights = batch_masks.astype(np.float64)
-        out[sel] = (h * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1, keepdims=True)
+    for sel, batch_ids, batch_mask in scoring_batches(ids, lengths, batch_size):
+        h = encoder_forward(model.model_config, model.params, batch_ids, batch_mask)
+        out[sel] = (h * batch_mask[:, :, None]).sum(axis=1) / lengths[sel, None]
     nn.ensure_finite_rows(out, "features")
     return out
 

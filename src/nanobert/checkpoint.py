@@ -66,18 +66,22 @@ class Checkpoint:
                 raise ValueError(f"parameter {name} holds a non-finite value")
 
     def encode_texts(self, texts, max_length: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Padded int64 ids and attention masks, [len(texts), L], for raw texts.
-
-        L is ``max_length``, defaulting to and capped at the position table.
-        """
+        """Padded int64 ids, [len(texts), L], for raw texts, and each row's real
+        length ([CLS] body [SEP]). L is ``max_length``, defaulting to and
+        capped at the position table."""
         if self.tokenizer is None:
             raise ValueError("model carries no tokenizer; cannot encode text")
         limit = self.model_config.max_positions
         max_length = limit if max_length is None else min(max_length, limit)
-        encodings = [self.tokenizer.encode(text, max_length) for text in texts]
-        shape = (len(encodings), max_length)  # [0, L] for no texts
-        return (np.asarray([e.ids for e in encodings], dtype=np.int64).reshape(shape),
-                np.asarray([e.attention_mask for e in encodings], dtype=np.int64).reshape(shape))
+        if max_length < 2:  # before the [n, L] array is made, and for no texts too
+            raise ValueError(f"max_length must be >= 2 to fit [CLS] and [SEP], got {max_length}")
+        ids = np.empty((len(texts), max_length), dtype=np.int64)  # [0, L] for no texts
+        lengths = np.empty(len(texts), dtype=np.int64)
+        for row, text in enumerate(texts):
+            encoding = self.tokenizer.encode(text, max_length)
+            ids[row] = encoding.ids
+            lengths[row] = sum(encoding.attention_mask)
+        return ids, lengths
 
 
 def _tokenizer_sibling(path: str) -> str:

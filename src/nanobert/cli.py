@@ -24,8 +24,8 @@ from typing import NamedTuple
 from . import __version__
 from .baselines import Ridge, fit_text_baseline, mean_pooled_features
 from .checkpoint import load_checkpoint
-from .data import (CLASSIFICATION, LABEL_KIND, REGRESSION, check_type, load_csv, parse_json,
-                   read_csv, read_json, reading, split, write_csv, write_json)
+from .data import (CLASSIFICATION, LABEL_KIND, LABEL_KINDS, REGRESSION, check_type, load_csv,
+                   parse_json, read_csv, read_json, reading, split, write_csv, write_json)
 from .finetune import HeadConfig, attach_head, evaluate, head_task, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
@@ -295,6 +295,7 @@ def cmd_train_tokenizer(config: dict, out: str) -> Run:
 
 
 def cmd_pretrain(config: dict, out: str) -> Run:
+    training = _training_config(config["training"], config["seed"])
     with reading(_require(config, "data", "corpus")) as f:
         corpus = f.read()
 
@@ -309,7 +310,6 @@ def cmd_pretrain(config: dict, out: str) -> Run:
             _check_written(f"tokenizer.{key}", tok_cfg.get(key, value), value)
         tok_cfg = {**tok_cfg, **loaded}
 
-    training = _training_config(config["training"], config["seed"])
     model_cfg = dict(config["model"])
     _check_written("model.vocab_size", model_cfg.pop("vocab_size", tokenizer.vocab_size),
                    tokenizer.vocab_size)
@@ -344,20 +344,23 @@ def cmd_pretrain(config: dict, out: str) -> Run:
 
 
 def cmd_finetune(config: dict, out: str) -> Run:
-    model = load_checkpoint(_require(config, "checkpoint", "path"))
-
-    train_set, dev_set, test_set = _load_task_splits(config, config["data"]["label_kind"],
-                                                     need_dev=True, need_test=False)
-
+    kind = config["data"]["label_kind"]
+    if kind not in LABEL_KINDS:
+        raise ValueError(f"data.label_kind must be one of {LABEL_KINDS}, got {kind!r}")
     training_section = dict(config["training"])
-    if train_set.label_kind == LABEL_KIND[CLASSIFICATION]:
+    if kind == LABEL_KIND[REGRESSION]:
+        training_section.setdefault("metric_for_best_model", "mse")
+    training = _training_config(training_section, config["seed"])
+
+    model = load_checkpoint(_require(config, "checkpoint", "path"))
+    train_set, dev_set, test_set = _load_task_splits(config, kind, need_dev=True,
+                                                     need_test=False)
+    if kind == LABEL_KIND[CLASSIFICATION]:
         if train_set.num_classes < 2:
             raise ValueError("the training set has a single class; a classifier needs 2 or more")
         head = HeadConfig(train_set.num_classes)
     else:
         head = HeadConfig(1)
-        training_section.setdefault("metric_for_best_model", "mse")
-    training = _training_config(training_section, config["seed"])
 
     headed = attach_head(model, head, Rng(config["seed"]).spawn("head"),
                          label_names=train_set.label_names)

@@ -35,13 +35,13 @@ from .data import (
 from .metrics import classification_report, pearson_r, report_to_json_dict, rmse
 from .model import (
     INIT_SCALE,
+    cut_batch,
     encoder_backward,
     encoder_forward,
     encoder_forward_with_cache,
     flatten,
     pool_first_token,
     scoring_batches,
-    trim_padding,
     views,
 )
 from .optim import (
@@ -135,13 +135,12 @@ def _cls_positions(rows: int) -> np.ndarray:
     return np.zeros((rows, 1), dtype=np.int64)
 
 
-def _predictions(cfg, params, ids, masks, batch_size: int) -> np.ndarray:
+def _predictions(cfg, params, ids, lengths, batch_size: int) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1), scored batch by batch."""
     task = head_task(params)
     logits = np.empty((len(ids), params["head.b"].size))  # zero texts give [0, K]
-    for sel, batch_ids, batch_masks in scoring_batches(ids, masks, batch_size):
-        h = encoder_forward(cfg, params, batch_ids, batch_masks,
-                            positions=_cls_positions(sel.size))
+    for sel, batch_ids, batch_mask in scoring_batches(ids, lengths, batch_size):
+        h = encoder_forward(cfg, params, batch_ids, batch_mask, positions=_cls_positions(sel.size))
         logits[sel] = pool_first_token(h) @ params["head.w"] + params["head.b"]
     nn.ensure_finite_rows(logits, "logits")  # argmax would read NaN as class 0
     if task == CLASSIFICATION:
@@ -172,11 +171,11 @@ def head_loss_and_grads(params: dict, h: np.ndarray, labels: np.ndarray,
 
 
 def _train_step(cfg, params: dict, grads: dict, workspace: dict, ids: np.ndarray,
-                masks: np.ndarray, labels: np.ndarray, dropout_rng: Rng) -> float:
+                lengths: np.ndarray, labels: np.ndarray, dropout_rng: Rng) -> float:
     """One step's loss, with every gradient written into ``grads``. The
     activations live in ``workspace``; the step's other arrays go when it
     returns."""
-    h, cache = encoder_forward_with_cache(cfg, params, *trim_padding(ids, masks),
+    h, cache = encoder_forward_with_cache(cfg, params, *cut_batch(ids, lengths),
                                           dropout_rng=dropout_rng, cache=workspace,
                                           positions=_cls_positions(len(ids)))
     loss, d_h, _ = head_loss_and_grads(params, h, labels, grads)
@@ -252,9 +251,8 @@ def train(
     train_set = fit_to_head(model, train_set, "training set")
     dev_set = fit_to_head(model, dev_set, "dev set")
 
-    train_ids, train_masks = model.encode_texts(train_set.texts, config.max_length)
-    dev_ids, dev_masks = model.encode_texts(dev_set.texts, config.max_length)
-    train_lengths = np.count_nonzero(train_masks, axis=1)  # batches bucket rows by length
+    train_ids, train_lengths = model.encode_texts(train_set.texts, config.max_length)
+    dev_ids, dev_lengths = model.encode_texts(dev_set.texts, config.max_length)
     y_train = train_set.label_array()
     y_dev = dev_set.label_array()
 
@@ -279,7 +277,7 @@ def train(
         for step, sel in enumerate(blocks):
             with naming_step(epoch, step + 1):
                 loss = _train_step(cfg, params, grad_views, workspace,
-                                   train_ids[sel], train_masks[sel], y_train[sel],
+                                   train_ids[sel], train_lengths[sel], y_train[sel],
                                    root.spawn("dropout", epoch, step))
                 check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
                 optimizer.step(vector, grad_vector)
@@ -289,7 +287,7 @@ def train(
 
         entry = {"epoch": epoch, "train_loss": loss_sum / seen}
         with naming_step(epoch, step + 1):  # scores the parameters the last step left
-            dev_preds = _predictions(cfg, params, dev_ids, dev_masks, config.eval_batch_size)
+            dev_preds = _predictions(cfg, params, dev_ids, dev_lengths, config.eval_batch_size)
         entry.update(task_metrics(task, y_dev, dev_preds)["metrics"])
         history.append(entry)
         values.append(float(entry[metric]))
@@ -326,8 +324,8 @@ def train(
 def predict(model: Checkpoint, texts, *, max_length: int | None = None,
             batch_size: int = 64) -> np.ndarray:
     """Class ids (K >= 2) or real values (K = 1) for raw texts."""
-    ids, masks = model.encode_texts(texts, max_length)
-    return _predictions(model.model_config, model.params, ids, masks, batch_size)
+    ids, lengths = model.encode_texts(texts, max_length)
+    return _predictions(model.model_config, model.params, ids, lengths, batch_size)
 
 
 def evaluate(model: Checkpoint, dataset: LabeledDataset, *,

@@ -29,12 +29,12 @@ of a training loop's gradient vector; there is no tape.
 
 Padding is excluded from attention with a large negative additive bias on
 pad keys (kept finite so backward never sees NaN), which makes outputs at
-non-pad positions bit-identical under any change to pad-position ids.
-Finetuning and scoring cut each batch to its longest real row with
-``trim_padding`` before the forward pass, so pad-position outputs past that
-width are never computed. Batches are made of rows of similar length, so
-little padding is left to cut around: finetuning draws its training batches
-from length-sorted windows of each epoch's shuffle
+non-pad positions bit-identical under any change to pad-position ids. A
+row's mask is a prefix of ones, so encoded texts carry ids and lengths
+only; finetuning and scoring cut each batch to its longest row and build
+its mask (``cut_batch``), so pad-position outputs past that width are
+never computed. Batches hold rows of similar length: finetuning draws its
+training batches from length-sorted windows of each epoch's shuffle
 (``data.batch_indices(lengths=)``), and ``scoring_batches`` takes the rows
 in order of length and hands back their input positions. BLAS blocking and
 summation order depend on T and on a row's batch, so outputs differ from a
@@ -413,23 +413,22 @@ def _layer_params(params: dict, i: int) -> dict:
     return {s: params[f"layers.{i}.{s}"] for s in LAYER_SUFFIXES}
 
 
-def trim_padding(ids: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The batch cut to its longest real row: trailing columns that are
-    padding in every row are dropped; interior pad columns stay."""
-    real = masks.any(axis=0)
-    width = real.size - int(np.argmax(real[::-1]))  # full width when no column is real
-    return ids[:, :width], masks[:, :width]
+def cut_batch(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch cut to its longest row, and its [b, w] attention mask: the
+    first ``lengths[i]`` positions of row i are real, the rest padding."""
+    width = int(lengths.max())
+    return ids[:, :width], np.arange(width) < lengths[:, None]
 
 
-def scoring_batches(ids: np.ndarray, masks: np.ndarray, batch_size: int):
+def scoring_batches(ids: np.ndarray, lengths: np.ndarray, batch_size: int):
     """Batches of at most ``batch_size`` rows taken in order of real length
-    (a stable sort), each cut by ``trim_padding``: yields the rows' input
-    positions with the cut ids and masks, so a caller writes each batch's
+    (a stable sort), each cut by ``cut_batch``: yields the rows' input
+    positions with the cut ids and mask, so a caller writes each batch's
     outputs back into input order."""
-    order = np.argsort(np.count_nonzero(masks, axis=1), kind="stable")
+    order = np.argsort(lengths, kind="stable")
     for block in batch_indices(len(order), batch_size):
         sel = order[block]
-        yield (sel, *trim_padding(ids[sel], masks[sel]))
+        yield (sel, *cut_batch(ids[sel], lengths[sel]))
 
 
 def _checked_positions(positions, shape: tuple[int, int]) -> np.ndarray:

@@ -380,3 +380,28 @@ def test_construction_refuses_what_load_refuses(edit, message):
     edit(params, ckpt)
     with pytest.raises(ValueError, match=f"^{message}$"):
         Checkpoint(ckpt.model_config, params, ckpt.tokenizer, ckpt.label_names)
+
+
+class TestEncodeTexts:
+    MODEL = make_checkpoint(with_tokenizer=True)  # max_positions 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(st.sampled_from("lowerLOW !é"), max_size=12), max_size=5),
+           max_length=st.none() | st.integers(2, 8))
+    def test_rows_are_the_tokenizer_encodings(self, texts, max_length):
+        # empty texts and texts truncated at the width included
+        ids, lengths = self.MODEL.encode_texts(texts, max_length)
+        width = 6 if max_length is None else min(max_length, 6)
+        assert ids.shape == (len(texts), width) and lengths.shape == (len(texts),)
+        assert ids.dtype == lengths.dtype == np.int64
+        for row, length, text in zip(ids, lengths, texts):
+            encoding = self.MODEL.tokenizer.encode(text, width)
+            assert row.tolist() == encoding.ids
+            assert length == sum(encoding.attention_mask)
+
+    @pytest.mark.parametrize("texts", [[], ["low"]])
+    @pytest.mark.parametrize("max_length", [1, 0, -1])
+    def test_width_below_two_refused(self, texts, max_length):
+        with pytest.raises(ValueError, match=f"^max_length must be >= 2 to fit \\[CLS\\] and "
+                                             f"\\[SEP\\], got {max_length}$"):
+            self.MODEL.encode_texts(texts, max_length)

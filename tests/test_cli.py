@@ -1158,6 +1158,29 @@ class TestRunDirectory:
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, item, message", [
+        ("finetune", "data.label_kind=\"ordinal\"",
+         "data.label_kind must be one of ('class', 'real'), got 'ordinal'"),
+        ("finetune", "training.learning_rate=-1", "learning_rate must be positive, got -1"),
+        ("finetune", "training.max_length=1", "max_length must be >= 2, got 1"),
+        ("pretrain", "training.learning_rate=-1", "learning_rate must be positive, got -1"),
+        ("pretrain", "training.max_length=1", "max_length must be >= 2, got 1"),
+    ])
+    def test_bad_setting_refused_before_any_input_is_read(self, command, item, message,
+                                                          tmp_path, capsys):
+        """Every input named is missing, so reading any of them would fail
+        with the missing file instead of the setting."""
+        inputs = {"finetune": ["checkpoint.path=missing.ckpt", "data.train=missing.csv",
+                               "data.dev_size=10"],
+                  "pretrain": ["data.corpus=missing.txt"]}[command]
+        out = tmp_path / "out"
+        argv = [command, "--output-dir", str(out), "--set", item]
+        for setting in inputs:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["finetune", "baseline"])
     def test_class_name_equal_to_a_report_key_refused(self, command, workdir, tmp_path,
                                                       capsys):

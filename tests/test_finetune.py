@@ -4,11 +4,12 @@ import json
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import tiny_config
+from helpers import tiny_config, traced_peak_mb
 from nanobert import finetune
 from nanobert.checkpoint import Checkpoint, load_checkpoint
 from nanobert.data import LabeledDataset, batch_indices
@@ -437,9 +438,9 @@ class TestPredictEvaluate:
     def test_no_texts_give_empty_predictions(self):
         train_set, _ = classification_task()
         base = base_model(train_set.texts)
-        ids, masks = base.encode_texts([], max_length=6)
-        assert ids.shape == masks.shape == (0, 6)
-        assert ids.dtype == masks.dtype == np.int64
+        ids, lengths = base.encode_texts([], max_length=6)
+        assert ids.shape == (0, 6) and lengths.shape == (0,)
+        assert ids.dtype == lengths.dtype == np.int64
         clf = attach_head(base, HeadConfig(2), Rng(2))
         reg = attach_head(base, HeadConfig(1), Rng(3))
         for model, dtype in ((clf, np.int64), (reg, np.float64)):
@@ -543,12 +544,16 @@ class TestLengthAwareBatches:
     def task_and_model(self, dropout=0.0):
         ds = varied_lengths_task()
         base = base_model(ds.texts, max_positions=self.MAX_LENGTH, dropout=dropout)
-        ids, masks = base.encode_texts(ds.texts, self.MAX_LENGTH)
-        assert masks.sum(axis=1).max() < self.MAX_LENGTH  # every batch can be cut
-        return ds, base, ids, masks
+        ids, lengths = base.encode_texts(ds.texts, self.MAX_LENGTH)
+        assert lengths.max() < self.MAX_LENGTH  # every batch can be cut
+        return ds, base, ids, lengths
+
+    def full_width_masks(self, base, texts):
+        return np.array([base.tokenizer.encode(t, self.MAX_LENGTH).attention_mask for t in texts])
 
     def test_scores_match_the_full_width_forward(self, monkeypatch):
-        ds, base, ids, masks = self.task_and_model()
+        ds, base, ids, lengths = self.task_and_model()
+        masks = self.full_width_masks(base, ds.texts)
         cfg = base.model_config
         seen = []
         spy(monkeypatch, finetune, "encoder_forward", seen)
@@ -559,9 +564,9 @@ class TestLengthAwareBatches:
             seen.clear()
             preds = predict(model, ds.texts, max_length=self.MAX_LENGTH, batch_size=5)
             # rows are scored in order of length, each batch at its longest row
-            order = np.argsort(masks.sum(axis=1), kind="stable")
+            order = np.argsort(lengths, kind="stable")
             assert [args[2].shape[1] for args, _ in seen] == [
-                int(masks[order[i : i + 5]].sum(axis=1).max()) for i in range(0, len(ds), 5)]
+                int(lengths[order[i : i + 5]].max()) for i in range(0, len(ds), 5)]
             logits = np.empty_like(full_logits)
             logits[order] = np.concatenate([pool_first_token(h) for _, h in seen]) @ w + b
             np.testing.assert_allclose(logits, full_logits, rtol=0, atol=1e-12)
@@ -571,7 +576,7 @@ class TestLengthAwareBatches:
                 assert np.array_equal(preds, np.argmax(full_logits, axis=1))
 
     def test_training_step_runs_at_the_longest_row(self, monkeypatch):
-        ds, base, _, masks = self.task_and_model(dropout=0.1)
+        ds, base, _, lengths = self.task_and_model(dropout=0.1)
         model = attach_head(base, HeadConfig(2), Rng(2))
         config = TrainingConfig(num_train_epochs=2, train_batch_size=5, eval_batch_size=64,
                                 max_length=self.MAX_LENGTH, seed=7)
@@ -579,10 +584,10 @@ class TestLengthAwareBatches:
         spy(monkeypatch, finetune, "encoder_forward_with_cache", seen)
         train(config, model, ds, ds)
         widths = [args[2].shape[1] for args, _ in seen]
-        expected = [int(masks[sel].sum(axis=1).max())
+        expected = [int(lengths[sel].max())
                     for epoch in (1, 2)
                     for sel in batch_indices(len(ds), 5, Rng(7).spawn("batch", epoch),
-                                             lengths=masks.sum(axis=1))]
+                                             lengths=lengths)]
         assert widths == expected
 
     def test_shuffled_input_gives_shuffled_predictions(self):
@@ -599,7 +604,8 @@ class TestLengthAwareBatches:
                 assert np.array_equal(again, preds[perm])
 
     def test_training_step_gradients_match_the_full_width_step(self, monkeypatch):
-        ds, base, ids, masks = self.task_and_model()
+        ds, base, ids, _ = self.task_and_model()
+        masks = self.full_width_masks(base, ds.texts)
         model = attach_head(base, HeadConfig(2), Rng(2))
         config = TrainingConfig(num_train_epochs=1, train_batch_size=len(ds),
                                 max_length=self.MAX_LENGTH, seed=7)
@@ -625,6 +631,33 @@ class TestLengthAwareBatches:
         assert not before[0]["mlm_bias"].any()  # finetuning never trains the MLM head
         for name, grad in expected.items():
             np.testing.assert_allclose(before[0][name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestScoringMemory:
+    """Encoded texts are one int64 id row and one length each, and scoring
+    builds one batch's mask at a time, so at max_length 128 a text costs
+    about 1 KB at the peak of encoding and of ``predict``."""
+
+    MAX_LENGTH = 128
+
+    @pytest.fixture(scope="class")
+    def model_and_texts(self):
+        words = ["cat", "dog", "mat", "red", "blue", "sky", "sat", "on", "the"]
+        rng = Rng(45)
+        # one to 79 words; the longest run past max_length and are truncated
+        texts = [" ".join(words[int(rng.integers(9))] for _ in range(1 + i % 79))
+                 for i in range(4000)]
+        base = base_model(texts[:200], max_positions=self.MAX_LENGTH)
+        return attach_head(base, HeadConfig(2), Rng(2)), texts
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_peak_per_text_below_2_kb(self, model_and_texts, n):
+        model, texts = model_and_texts
+        texts = texts[:n]
+        assert max(model.encode_texts(texts, self.MAX_LENGTH)[1]) == self.MAX_LENGTH
+        for fn in (model.encode_texts, partial(predict, model)):
+            kb = traced_peak_mb(partial(fn, max_length=self.MAX_LENGTH), texts) * 1024 / n
+            assert kb < 2.0, (fn, kb)
 
 
 class TestTaskMetrics:

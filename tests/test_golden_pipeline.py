@@ -2,8 +2,8 @@
 file against a checked-in manifest of sha256 digests.
 
 The digests pin every output byte of datagen, train-tokenizer, pretrain
-(with dropout), a classification and a regression finetune, evaluate,
-predict, the three baselines and report. Like the other goldens they hold
+(with dropout), a classification and a regression finetune, evaluate and
+predict on each of the two, the three baselines and report. Like the other goldens they hold
 for the environment the manifest records (CPU architecture, NumPy
 major.minor, BLAS and its thread count); another may give other bytes. A
 change that means to move output bytes re-records the manifest with
@@ -46,6 +46,11 @@ STEPS = [
      "--set", "data.test=data/order_test.csv", "--set", "eval.max_length=16"],
     ["predict", "--output-dir", "pred", "--set", "checkpoint.path=ft_class/best.ckpt",
      "--set", "data.input=data/order_test.csv", "--set", "predict.max_length=16"],
+    ["evaluate", "--output-dir", "eval_real", "--set", "checkpoint.path=ft_real/best.ckpt",
+     "--set", "data.test=data/anxiety.csv", "--set", "data.label_column=anxiety",
+     "--set", "eval.max_length=16"],
+    ["predict", "--output-dir", "pred_real", "--set", "checkpoint.path=ft_real/best.ckpt",
+     "--set", "data.input=data/anxiety.csv", "--set", "predict.max_length=16"],
     ["baseline", "--output-dir", "naive_bayes", "--set", "data.train=data/order_train.csv",
      "--set", "data.test=data/order_test.csv"],
     ["baseline", "--output-dir", "maxent", "--set", "baseline.algorithm=maxent",

@@ -11,6 +11,7 @@ from nanobert import model
 from nanobert import numerics as nn
 from nanobert.finetune import _train_step, head_loss_and_grads
 from nanobert.model import (
+    cut_batch,
     embed,
     encoder_backward,
     encoder_forward,
@@ -19,7 +20,6 @@ from nanobert.model import (
     init_params,
     param_shapes,
     pool_first_token,
-    trim_padding,
 )
 from nanobert.pretrain import IGNORE_LABEL, MaskedBatch, mlm_loss_and_grads
 from nanobert.rng import Rng
@@ -270,20 +270,12 @@ class TestEncoderForward:
         np.testing.assert_array_equal(pool_first_token(h), h[:, 0, :])
 
 
-class TestTrimPadding:
-    def test_drops_columns_padded_in_every_row(self):
+class TestCutBatch:
+    def test_drops_columns_past_the_longest_row(self):
         ids = np.arange(10).reshape(2, 5)
-        mask = np.array([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]])
-        t_ids, t_mask = trim_padding(ids, mask)
+        t_ids, t_mask = cut_batch(ids, np.array([2, 3]))
         assert np.array_equal(t_ids, ids[:, :3])
-        assert np.array_equal(t_mask, mask[:, :3])
-
-    def test_keeps_interior_pad_column(self):
-        ids = np.arange(8).reshape(2, 4)
-        mask = np.array([[1, 0, 1, 0], [1, 0, 0, 0]])
-        t_ids, t_mask = trim_padding(ids, mask)
-        assert np.array_equal(t_mask, [[1, 0, 1], [1, 0, 0]])
-        assert np.array_equal(t_ids, ids[:, :3])
+        assert np.array_equal(t_mask, [[1, 1, 0], [1, 1, 1]])
 
     def test_batch_reaching_the_last_column_is_untouched(self):
         cfg = tiny_config(num_layers=2)
@@ -291,16 +283,18 @@ class TestTrimPadding:
         ids = Rng(41).integers(cfg.vocab_size, (3, 6))
         mask = np.ones((3, 6))
         mask[0, 2:] = 0.0
-        mask[1, 3] = 0.0  # interior pad; row 2 is real to the end
-        t_ids, t_mask = trim_padding(ids, mask)
-        assert t_ids.shape == ids.shape and t_mask.shape == mask.shape
-        assert np.shares_memory(t_ids, ids) and np.shares_memory(t_mask, mask)
+        mask[1, 4:] = 0.0  # row 2 is real to the end
+        t_ids, t_mask = cut_batch(ids, np.array([2, 4, 6]))
+        assert t_ids.shape == ids.shape and np.shares_memory(t_ids, ids)
+        assert np.array_equal(t_mask, mask)
         assert np.array_equal(encoder_forward(cfg, params, t_ids, t_mask),
                               encoder_forward(cfg, params, ids, mask))
 
-    def test_all_pad_batch_keeps_its_width_for_the_encoder_to_refuse(self):
-        ids = np.zeros((2, 4), dtype=np.int64)
-        assert trim_padding(ids, np.zeros((2, 4)))[0].shape == (2, 4)
+    def test_empty_rows_are_left_for_the_encoder_to_refuse(self):
+        cfg = tiny_config()
+        t_ids, t_mask = cut_batch(np.zeros((2, 4), dtype=np.int64), np.array([0, 0]))
+        with pytest.raises(ValueError, match="every position masked"):
+            encoder_forward(cfg, init_params(cfg, Rng(42)), t_ids, t_mask)
 
 
 def scalar_loss_closure(cfg, params, name, ids, mask, readout, dropout_seed=None):
@@ -507,13 +501,13 @@ class TestTrainingWorkspace:
         params = generic_params(cfg, Rng(66), num_labels=3)
         _, grads = flatten(params)
         ids = Rng(67).integers(cfg.vocab_size, (16, 64))
-        masks = np.ones((16, 64))
-        masks[3, 40:] = 0.0
+        lengths = np.full(16, 64)
+        lengths[3] = 40
         labels = Rng(68).integers(3, 16)
         workspace = {}
-        _train_step(cfg, params, grads, workspace, ids, masks, labels, Rng(69))
+        _train_step(cfg, params, grads, workspace, ids, lengths, labels, Rng(69))
         slot_mb = workspace["buffers"]["layers.0"]["u"].nbytes / 2**20
-        assert traced_peak_mb(_train_step, cfg, params, grads, workspace, ids, masks, labels,
+        assert traced_peak_mb(_train_step, cfg, params, grads, workspace, ids, lengths, labels,
                               Rng(70)) < slot_mb
 
     @pytest.mark.parametrize("head, digest", [
