@@ -2,12 +2,14 @@
 
 One JSON config per run; ``--set key=value`` overrides nested keys with
 JSON-literal values, each held to its key's annotation in ``COMMANDS`` as
-it merges. Every command writes a resolved_config.json next to
-its outputs, and ``--config <run>/resolved_config.json`` re-executes the
-run exactly. A command takes only the keys its code reads, and no key whose
-value another input fixes: training keys are the TrainingConfig fields its
-trainer reads but ``seed`` (the top-level ``seed``), with the batch sizes under
-the common trainer names (per_device_train_batch_size, per_device_eval_batch_size).
+it merges, and a required key left out is refused. Every command writes a
+resolved_config.json next to its outputs, and ``--config
+<run>/resolved_config.json`` re-executes the run exactly. A command takes
+only the keys its code reads, and no key whose value another input fixes:
+training keys are the TrainingConfig fields its trainer reads but ``seed``
+(the top-level ``seed``), with the batch sizes under the common trainer names
+(per_device_train_batch_size, per_device_eval_batch_size); BERT's fixed mask
+split, clip norm and early-stopping tolerance are constants, not keys.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -29,11 +31,12 @@ from .data import (CLASSIFICATION, LABEL_KIND, LABEL_KINDS, REGRESSION, check_ty
 from .finetune import HeadConfig, attach_head, evaluate, head_task, predict, task_metrics, train
 from .model import ModelConfig
 from .optim import LOWER_IS_BETTER, TrainingConfig, select_best_epoch
-from .pretrain import run_pretraining
+from .pretrain import check_settings, run_pretraining
 from .rng import Rng
 from .tokenizer import TokenizerModel, train_bpe
 
 _ANY = object()  # an allowed key with no default
+_REQUIRED = object()  # a key every run of the command must give
 
 # TrainingConfig field -> the trainer-convention name configs use for it
 _LISTING_NAMES = {"train_batch_size": "per_device_train_batch_size",
@@ -53,7 +56,7 @@ def _training_table(unread: set, **defaults) -> dict:
 
 
 _TASK_DATA = {
-    "train": ("str", _ANY), "dev": ("str | None", _ANY), "test": ("str | None", _ANY),
+    "train": ("str", _REQUIRED), "dev": ("str | None", _ANY), "test": ("str | None", _ANY),
     "text_column": ("str", "text"), "label_column": ("str", "label"),
     "label_kind": ("str", "class"), "test_size": ("int | float | None", _ANY),
     "dev_size": ("int | float | None", _ANY), "stratify": ("bool | None", None),
@@ -69,17 +72,17 @@ BASELINE_SETTINGS = {
 }
 
 # Per command, every key it accepts as (annotation, default); _ANY: no
-# default. A None default is kept in the config, so resolved_config.json
-# records it.
+# default, _REQUIRED: no default and refused if absent. A None default is
+# kept in the config, so resolved_config.json records it.
 COMMANDS = {
     "train-tokenizer": {
-        "output_dir": ("str", _ANY),
-        "data": {"corpus": ("str", _ANY)},
+        "output_dir": ("str", _REQUIRED),
+        "data": {"corpus": ("str", _REQUIRED)},
         "tokenizer": {"vocab_size": ("int", 200), "lowercase": ("bool", True)},
     },
     "pretrain": {
-        "output_dir": ("str", _ANY), "seed": ("int", 11),
-        "data": {"corpus": ("str", _ANY)},
+        "output_dir": ("str", _REQUIRED), "seed": ("int", 11),
+        "data": {"corpus": ("str", _REQUIRED)},
         # vocab_size and lowercase: the tokenizer file's, else train-tokenizer's defaults
         "tokenizer": {"path": ("str | None", None), "vocab_size": ("int", _ANY),
                       "lowercase": ("bool", _ANY)},
@@ -91,33 +94,31 @@ COMMANDS = {
             {"metric_for_best_model", "seed"},
             num_train_epochs=5, per_device_train_batch_size=16, per_device_eval_batch_size=32,
             learning_rate=1e-4, warmup_steps=100, logging_steps=10, max_length=128),
-        "pretrain": {"dev_fraction": ("float", 0.1), "patience": ("int", 2),
-                     "min_delta": ("float", 1e-3)},
+        "pretrain": {"dev_fraction": ("float", 0.1), "patience": ("int", 2)},
     },
     "finetune": {
-        "output_dir": ("str", _ANY), "seed": ("int", 11),
-        "checkpoint": {"path": ("str", _ANY)},
-        "training": _training_table(
-            {"logging_steps", "mask_prob", "mask_token_ratio", "random_token_ratio", "seed"}),
+        "output_dir": ("str", _REQUIRED), "seed": ("int", 11),
+        "checkpoint": {"path": ("str", _REQUIRED)},
+        "training": _training_table({"logging_steps", "mask_prob", "seed"}),
         # the head's width, and so its task, follows from data.label_kind and the training set
         "data": _TASK_DATA,
     },
     "evaluate": {
-        "output_dir": ("str", _ANY),
-        "checkpoint": {"path": ("str", _ANY)},
+        "output_dir": ("str", _REQUIRED),
+        "checkpoint": {"path": ("str", _REQUIRED)},
         # the checkpoint's head fixes the label kind
-        "data": {"test": ("str", _ANY), "text_column": ("str", "text"),
+        "data": {"test": ("str", _REQUIRED), "text_column": ("str", "text"),
                  "label_column": ("str", "label")},
         "eval": {"batch_size": ("int", 64), "max_length": ("int | None", None)},
     },
     "predict": {
-        "output_dir": ("str", _ANY),
-        "checkpoint": {"path": ("str", _ANY)},
-        "data": {"input": ("str", _ANY), "text_column": ("str", "text")},
+        "output_dir": ("str", _REQUIRED),
+        "checkpoint": {"path": ("str", _REQUIRED)},
+        "data": {"input": ("str", _REQUIRED), "text_column": ("str", "text")},
         "predict": {"batch_size": ("int", 64), "max_length": ("int | None", None)},
     },
     "baseline": {
-        "output_dir": ("str", _ANY), "seed": ("int", 11),
+        "output_dir": ("str", _REQUIRED), "seed": ("int", 11),
         # the chosen algorithm's defaults apply; a key it does not read is refused
         "baseline": {"algorithm": ("str", "naive_bayes"),
                      **{key: (annotation, _ANY) for settings in BASELINE_SETTINGS.values()
@@ -130,7 +131,17 @@ COMMANDS = {
 
 def _defaults(table: dict) -> dict:
     return {key: _defaults(leaf) if isinstance(leaf, dict) else leaf[1]
-            for key, leaf in table.items() if isinstance(leaf, dict) or leaf[1] is not _ANY}
+            for key, leaf in table.items()
+            if isinstance(leaf, dict) or leaf[1] not in (_ANY, _REQUIRED)}
+
+
+def _check_required(config: dict, table: dict, prefix: str = "") -> None:
+    """Refuse, naming the dotted key, the first _REQUIRED key ``config`` lacks."""
+    for key, leaf in table.items():
+        if isinstance(leaf, dict):
+            _check_required(config[key], leaf, f"{prefix}{key}.")
+        elif leaf[1] is _REQUIRED and config.get(key) is None:
+            raise ValueError(f"missing required config key {prefix + key!r}")
 
 
 def _merge(config: dict, override: dict, table: dict, prefix: str = "") -> dict:
@@ -206,16 +217,8 @@ def resolve_config(command: str, args) -> dict:
         config["output_dir"] = args.output_dir
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
+    _check_required(config, table)
     return config
-
-
-def _require(config: dict, *keys):
-    node = config
-    for key in keys:
-        if not isinstance(node, dict) or node.get(key) is None:
-            raise ValueError(f"missing required config key {'.'.join(keys)!r}")
-        node = node[key]
-    return node
 
 
 def _headline(metrics: dict) -> str:
@@ -241,8 +244,7 @@ def _load_task_splits(config: dict, kind: str, *, need_dev: bool, need_test: boo
     data_cfg, seed = config["data"], config["seed"]
     text_col = data_cfg["text_column"]
     label_col = data_cfg["label_column"]
-    train_path = _require(config, "data", "train")
-    train_set = load_csv(train_path, text_col, label_col, label_kind=kind)
+    train_set = load_csv(data_cfg["train"], text_col, label_col, label_kind=kind)
     names = train_set.label_names
 
     dev_set = test_set = None
@@ -285,10 +287,9 @@ class Run(NamedTuple):
 
 
 def cmd_train_tokenizer(config: dict, out: str) -> Run:
-    with reading(_require(config, "data", "corpus")) as f:
+    with reading(config["data"]["corpus"]) as f:
         corpus = f.read()
-    tokenizer = train_bpe([corpus], vocab_size=_require(config, "tokenizer", "vocab_size"),
-                          lowercase=config["tokenizer"]["lowercase"])
+    tokenizer = train_bpe([corpus], **config["tokenizer"])
     path = os.path.join(out, "tokenizer.json")
     return Run(f"trained tokenizer with {tokenizer.vocab_size} tokens -> {path}",
                artifacts={path: tokenizer.save})
@@ -296,12 +297,21 @@ def cmd_train_tokenizer(config: dict, out: str) -> Run:
 
 def cmd_pretrain(config: dict, out: str) -> Run:
     training = _training_config(config["training"], config["seed"])
-    with reading(_require(config, "data", "corpus")) as f:
-        corpus = f.read()
-
     tok_cfg = config["tokenizer"]
     if tok_cfg["path"] is None:
         tok_cfg = {**_defaults(COMMANDS["train-tokenizer"]["tokenizer"]), **tok_cfg}
+    # every setting is checked before any input is read; until the tokenizer is made, the
+    # vocab size asked for stands in for its own (1 when only the tokenizer file knows it)
+    model_cfg = {"vocab_size": tok_cfg.get("vocab_size", 1), **config["model"]}
+    if model_cfg["max_positions"] is None:
+        model_cfg["max_positions"] = training.max_length
+    model = ModelConfig(**model_cfg)
+    pre = config["pretrain"]
+    check_settings(training, model, pre["dev_fraction"], pre["patience"])
+
+    with reading(config["data"]["corpus"]) as f:
+        corpus = f.read()
+    if tok_cfg["path"] is None:
         tokenizer = train_bpe([corpus], tok_cfg["vocab_size"], tok_cfg["lowercase"])
     else:
         tokenizer = TokenizerModel.load(tok_cfg["path"])
@@ -309,20 +319,12 @@ def cmd_pretrain(config: dict, out: str) -> Run:
         for key, value in loaded.items():
             _check_written(f"tokenizer.{key}", tok_cfg.get(key, value), value)
         tok_cfg = {**tok_cfg, **loaded}
-
-    model_cfg = dict(config["model"])
-    _check_written("model.vocab_size", model_cfg.pop("vocab_size", tokenizer.vocab_size),
+    _check_written("model.vocab_size", config["model"].get("vocab_size", tokenizer.vocab_size),
                    tokenizer.vocab_size)
-    if model_cfg["max_positions"] is None:
-        model_cfg["max_positions"] = training.max_length
-    model = ModelConfig(vocab_size=tokenizer.vocab_size, **model_cfg)
+    model = replace(model, vocab_size=tokenizer.vocab_size)
 
-    pre = config["pretrain"]
-    result = run_pretraining(
-        training, corpus, tokenizer, model, output_dir=out,
-        dev_fraction=pre["dev_fraction"], patience=pre["patience"],
-        min_delta=pre["min_delta"],
-    )
+    result = run_pretraining(training, corpus, tokenizer, model, output_dir=out,
+                             dev_fraction=pre["dev_fraction"], patience=pre["patience"])
 
     tail = " (stopped early)" if result.stopped_early else ""
     return Run(
@@ -352,7 +354,7 @@ def cmd_finetune(config: dict, out: str) -> Run:
         training_section.setdefault("metric_for_best_model", "mse")
     training = _training_config(training_section, config["seed"])
 
-    model = load_checkpoint(_require(config, "checkpoint", "path"))
+    model = load_checkpoint(config["checkpoint"]["path"])
     train_set, dev_set, test_set = _load_task_splits(config, kind, need_dev=True,
                                                      need_test=False)
     if kind == LABEL_KIND[CLASSIFICATION]:
@@ -378,7 +380,7 @@ def cmd_finetune(config: dict, out: str) -> Run:
 
 def _load_headed(config: dict):
     """The checkpoint at ``checkpoint.path`` and its head's task, refused by path if headless."""
-    path = _require(config, "checkpoint", "path")
+    path = config["checkpoint"]["path"]
     model = load_checkpoint(path)
     if "head.w" not in model.params:
         raise ValueError(f"{path}: the checkpoint has no task head; finetune it first")
@@ -388,7 +390,7 @@ def _load_headed(config: dict):
 def cmd_evaluate(config: dict, out: str) -> Run:
     model, task = _load_headed(config)
     data_cfg = config["data"]
-    test_path = _require(config, "data", "test")
+    test_path = data_cfg["test"]
     dataset = load_csv(test_path, data_cfg["text_column"], data_cfg["label_column"],
                        label_kind=LABEL_KIND[task])
     if len(dataset) == 0:
@@ -403,9 +405,8 @@ def cmd_evaluate(config: dict, out: str) -> Run:
 def cmd_predict(config: dict, out: str) -> Run:
     model, task = _load_headed(config)
     text_col = config["data"]["text_column"]
-    input_path = _require(config, "data", "input")
-
-    texts = read_csv(input_path, [text_col], lambda rows: [row[text_col] for _, row in rows])
+    texts = read_csv(config["data"]["input"], [text_col],
+                     lambda rows: [row[text_col] for _, row in rows])
 
     pred_cfg = config["predict"]
     values = predict(model, texts, max_length=pred_cfg["max_length"],
@@ -576,7 +577,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         config = resolve_config(args.command, args)
-        out = _require(config, "output_dir")
+        out = config["output_dir"]
         run = args.func(config, out)
         os.makedirs(out, exist_ok=True)
         for path, save in run.artifacts.items():

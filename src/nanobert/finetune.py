@@ -47,6 +47,7 @@ from .model import (
 from .optim import (
     CLASSIFICATION_METRICS,
     LOWER_IS_BETTER,
+    MAX_GRAD_NORM,
     REGRESSION_METRICS,
     AdamW,
     TrainingConfig,
@@ -219,7 +220,7 @@ def task_metrics(task: str, labels: np.ndarray, preds: np.ndarray,
 class FinetuneResult:
     checkpoint: Checkpoint
     history: list[dict]  # one entry per epoch: train_loss plus dev metrics
-    best_epoch: int  # 0 means no epoch beat the initial parameters
+    best_epoch: int  # 0 only when no epoch ran; if every dev value is NaN, the final epoch
     metric: str
     best_value: float
 
@@ -279,7 +280,7 @@ def train(
                 loss = _train_step(cfg, params, grad_views, workspace,
                                    train_ids[sel], train_lengths[sel], y_train[sel],
                                    root.spawn("dropout", epoch, step))
-                check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
+                check_step_finite(loss, clip_global_norm(grad_vector, MAX_GRAD_NORM))
                 optimizer.step(vector, grad_vector)
             loss_sum += loss * len(sel)
             seen += len(sel)

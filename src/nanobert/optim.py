@@ -24,6 +24,7 @@ LOWER_IS_BETTER = ("mse", "rmse")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+MAX_GRAD_NORM = 1.0  # the global L2 norm both trainers clip each step's gradient to
 
 
 @dataclass
@@ -44,10 +45,7 @@ class TrainingConfig:
     seed: int = 11
     metric_for_best_model: str = "precision"
     max_length: int = 512
-    max_grad_norm: float = 1.0
     mask_prob: float = 0.15
-    mask_token_ratio: float = 0.8
-    random_token_ratio: float = 0.1
 
     def __post_init__(self):
         check_field_types(self)
@@ -68,12 +66,8 @@ class TrainingConfig:
             )
         if self.max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {self.max_length}")
-        if self.max_grad_norm <= 0:
-            raise ValueError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ValueError(f"mask_prob must be in [0, 1), got {self.mask_prob}")
-        if not 0.0 <= self.mask_token_ratio + self.random_token_ratio <= 1.0:
-            raise ValueError("mask_token_ratio + random_token_ratio must stay within [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)

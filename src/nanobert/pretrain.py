@@ -31,6 +31,7 @@ from .model import (
     views,
 )
 from .optim import (
+    MAX_GRAD_NORM,
     AdamW,
     TrainingConfig,
     check_step_finite,
@@ -42,6 +43,11 @@ from .rng import Rng
 from .tokenizer import MASK_ID, NUM_SPECIALS, TokenizerModel, frame
 
 IGNORE_LABEL = -1
+# BERT's replacement split of the selected positions: [MASK], a random id, the rest unchanged
+MASK_TOKEN_RATIO = 0.8
+RANDOM_TOKEN_RATIO = 0.1
+# early stopping: a dev loss counts as progress only if it beats the best by more than this
+MIN_DELTA = 1e-3
 
 
 @dataclass
@@ -57,16 +63,8 @@ class MaskedBatch:
         return int(np.sum(self.labels != IGNORE_LABEL))
 
 
-def mask_tokens(
-    ids: np.ndarray,
-    attention_mask: np.ndarray,
-    mask_prob: float,
-    rng: Rng,
-    *,
-    vocab_size: int,
-    mask_token_ratio: float = 0.8,
-    random_token_ratio: float = 0.1,
-) -> MaskedBatch:
+def mask_tokens(ids: np.ndarray, attention_mask: np.ndarray, mask_prob: float, rng: Rng, *,
+                vocab_size: int) -> MaskedBatch:
     """BERT-style corruption: select eligible positions with prob mask_prob,
     then replace 80% with [MASK], 10% with a random id, 10% unchanged.
 
@@ -90,10 +88,8 @@ def mask_tokens(
 
     labels = np.where(selected, ids, IGNORE_LABEL)
     input_ids = ids.copy()
-    use_mask = selected & (r_replace < mask_token_ratio)
-    use_random = selected & (r_replace >= mask_token_ratio) & (
-        r_replace < mask_token_ratio + random_token_ratio
-    )
+    use_mask = selected & (r_replace < MASK_TOKEN_RATIO)
+    use_random = selected & ~use_mask & (r_replace < MASK_TOKEN_RATIO + RANDOM_TOKEN_RATIO)
     input_ids[use_mask] = MASK_ID
     input_ids[use_random] = random_ids[use_random]
     return MaskedBatch(input_ids=input_ids, labels=labels, attention_mask=attention_mask)
@@ -205,33 +201,29 @@ def _dev_loss(config: ModelConfig, params: dict, dev_batches: list[MaskedBatch])
     return total / count
 
 
-def run_pretraining(
-    config: TrainingConfig,
-    corpus: str,
-    tokenizer: TokenizerModel,
-    model_config: ModelConfig,
-    output_dir: str | None = None,
-    dev_fraction: float = 0.1,
-    patience: int = 2,
-    min_delta: float = 1e-3,
-) -> PretrainResult:
-    """Pretrain from random init, keeping the epoch with the best dev loss.
-
-    Stops early when dev loss has not improved on its best by more than
-    ``min_delta`` for ``patience`` consecutive epochs.
-    """
+def check_settings(config: TrainingConfig, model_config: ModelConfig, dev_fraction: float,
+                   patience: int) -> None:
+    """Refuse the settings ``run_pretraining`` cannot run with, before it reads anything."""
     check_type("dev_fraction", dev_fraction, "float")
     check_type("patience", patience, "int")
-    check_type("min_delta", min_delta, "float")
     if patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
-    if min_delta < 0:
-        raise ValueError(f"min_delta must be >= 0, got {min_delta}")
     if not 0 < dev_fraction < 1:
         raise ValueError(f"dev_fraction must be in (0, 1), got {dev_fraction}")
     if config.max_length > model_config.max_positions:
         raise ValueError(f"training.max_length {config.max_length} exceeds "
                          f"model.max_positions {model_config.max_positions}")
+
+
+def run_pretraining(config: TrainingConfig, corpus: str, tokenizer: TokenizerModel,
+                    model_config: ModelConfig, output_dir: str | None = None,
+                    dev_fraction: float = 0.1, patience: int = 2) -> PretrainResult:
+    """Pretrain from random init, keeping the epoch with the best dev loss.
+
+    Stops early when dev loss has not improved on its best by more than
+    MIN_DELTA for ``patience`` consecutive epochs.
+    """
+    check_settings(config, model_config, dev_fraction, patience)
     root = Rng(config.seed)
     vector, params = flatten(init_params(model_config, root.spawn("init")))
     model = Checkpoint(model_config, params, tokenizer=tokenizer)  # refuses another vocab size
@@ -243,14 +235,11 @@ def run_pretraining(
     perm = root.spawn("devsplit").permutation(n_chunks)
     dev_idx, train_idx = perm[:dev_n], perm[dev_n:]
 
-    mask_kwargs = dict(
-        vocab_size=tokenizer.vocab_size,
-        mask_token_ratio=config.mask_token_ratio,
-        random_token_ratio=config.random_token_ratio,
-    )
+    vocab_size = tokenizer.vocab_size
     dev_rng = root.spawn("devmask")
     dev_batches = [
-        mask_tokens(ids[dev_idx[b]], masks[dev_idx[b]], config.mask_prob, dev_rng, **mask_kwargs)
+        mask_tokens(ids[dev_idx[b]], masks[dev_idx[b]], config.mask_prob, dev_rng,
+                    vocab_size=vocab_size)
         for b in batch_indices(dev_n, config.eval_batch_size)
     ]
 
@@ -275,7 +264,7 @@ def run_pretraining(
             sel = train_idx[block]
             batch = mask_tokens(
                 ids[sel], masks[sel], config.mask_prob,
-                root.spawn("mask", epoch, step_in_epoch), **mask_kwargs
+                root.spawn("mask", epoch, step_in_epoch), vocab_size=vocab_size
             )
             global_step += 1
             with naming_step(epoch, step_in_epoch + 1):
@@ -285,7 +274,7 @@ def run_pretraining(
                 if result is None:
                     continue  # nothing was masked; no signal, no update
                 loss = result[0]
-                check_step_finite(loss, clip_global_norm(grad_vector, config.max_grad_norm))
+                check_step_finite(loss, clip_global_norm(grad_vector, MAX_GRAD_NORM))
                 optimizer.step(vector, grad_vector)
             if global_step % config.logging_steps == 0:
                 loss_log.append({"step": global_step, "epoch": epoch, "loss": loss})
@@ -301,7 +290,7 @@ def run_pretraining(
             ckpt_dir = os.path.join(output_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
             save_checkpoint(model, os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"))
-        if dev < stop_ref - min_delta:
+        if dev < stop_ref - MIN_DELTA:
             stop_ref = dev
             stale = 0
         else:

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from nanobert.finetune import HeadConfig, attach_head, evaluate, predict, write_
 from nanobert.optim import TrainingConfig
 from nanobert.rng import Rng
 from nanobert.tokenizer import TokenizerModel
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -958,6 +961,12 @@ class TestConfigTypes:
                                               "data.label_column=anxiety", "data.test_size=20"]),
         ("evaluate", "data.label_kind=real", ["checkpoint.path=pre.ckpt", "data.test=anxiety.csv",
                                               "data.label_column=anxiety"]),
+        # values BERT's recipe fixes, now constants, each set to the value it had
+        *(("pretrain", item, ["data.corpus=corpus.txt", "tokenizer.vocab_size=64"])
+          for item in ("training.max_grad_norm=1.0", "training.mask_token_ratio=0.8",
+                       "training.random_token_ratio=0.1", "pretrain.min_delta=0.001")),
+        ("finetune", "training.max_grad_norm=1.0", ["checkpoint.path=pre.ckpt",
+                                                    "data.train=topics.csv", "data.dev_size=30"]),
     ])
     def test_refused_before_any_input_is_read(self, command, item, sets, workdir, tmp_path,
                                               monkeypatch, capsys):
@@ -966,8 +975,9 @@ class TestConfigTypes:
         count, with every other input valid: refused with nothing written.
         So is a key the command does not list: the run seed, the head's
         task and width, the selection direction and the label kind of a
-        baseline or an evaluation follow from other inputs and are unknown
-        keys."""
+        baseline or an evaluation follow from other inputs, and the mask
+        split, the clip norm and the early-stopping tolerance are constants:
+        all are unknown keys."""
         inputs = {name: workdir["data"] / name for name in ("corpus.txt", "topics.csv",
                                                             "anxiety.csv")}
         for suffix in ("", ".tokenizer.json"):
@@ -1014,7 +1024,7 @@ class TestConfigTypes:
         for table in [*cli.COMMANDS.values(), *baseline_tables]:
             for key, (annotation, default) in config_leaves(table):
                 assert set(annotation.split(" | ")) <= set(_FIELD_KINDS), (key, annotation)
-                if default is not cli._ANY:
+                if default not in (cli._ANY, cli._REQUIRED):
                     check_type(key, default, annotation)
         listed = cli.COMMANDS["baseline"]["baseline"]
         for settings in cli.BASELINE_SETTINGS.values():
@@ -1074,6 +1084,16 @@ class TestTrainingTables:
         assert read == set(cli.COMMANDS[command]["training"]) | fixed
         assert not fixed & set(cli.COMMANDS[command]["training"])
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_readme_lists_the_training_keys(self, command):
+        """The README's list of a trainer's training keys is the table's, in
+        its order, so a key added or removed cannot leave it stale."""
+        with open(README, encoding="utf-8") as f:
+            text = f.read()
+        start = text.index(f"- `{command}`'s `training` keys are ")
+        item = text[start:text.index("\n- ", start)]
+        assert re.findall(r"`([^`]+)`", item)[2:] == list(cli.COMMANDS[command]["training"])
+
 
 def missing_key_args(workdir):
     """Per config command: the required key left out, and the --set flags
@@ -1127,10 +1147,8 @@ class TestRunDirectory:
         ("pretrain.patience=-3", "patience must be >= 1, got -3"),
         ("pretrain.dev_fraction=-1.0", "dev_fraction must be in (0, 1), got -1.0"),
         ("pretrain.dev_fraction=0.0", "dev_fraction must be in (0, 1), got 0.0"),
-        ("pretrain.min_delta=-1", "min_delta must be >= 0, got -1"),
         ("pretrain.patience=true", "pretrain.patience must be int, got True"),
         ("pretrain.patience=1.5", "pretrain.patience must be int, got 1.5"),
-        ("pretrain.min_delta=false", "pretrain.min_delta must be float, got False"),
         ("pretrain.dev_fraction=\"0.1\"", "pretrain.dev_fraction must be float, got '0.1'"),
         ("training.learning_rate=1e30", "training diverged at epoch 1, step "),
         ("model.max_positions=8", "training.max_length 32 exceeds model.max_positions 8"),
@@ -1177,6 +1195,34 @@ class TestRunDirectory:
         argv = [command, "--output-dir", str(out), "--set", item]
         for setting in inputs:
             argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, items, message", [
+        ("pretrain", ["model.num_heads=3", "model.hidden_size=16"],
+         "hidden_size 16 not divisible by num_heads 3"),
+        ("pretrain", ["model.max_positions=8"], "training.max_length 128 exceeds "
+                                                "model.max_positions 8"),
+        ("pretrain", ["pretrain.patience=0"], "patience must be >= 1, got 0"),
+        ("pretrain", ["pretrain.dev_fraction=1.0"], "dev_fraction must be in (0, 1), got 1.0"),
+        ("pretrain", ["tokenizer.path=missing.json", "pretrain.patience=0"],
+         "patience must be >= 1, got 0"),
+        ("finetune", ["data.dev_size=10"], "missing required config key 'data.train'"),
+        ("evaluate", [], "missing required config key 'data.test'"),
+        ("predict", [], "missing required config key 'data.input'"),
+    ], ids=["num_heads", "max_positions", "patience", "dev_fraction", "tokenizer_path",
+            "data.train", "data.test", "data.input"])
+    def test_missing_or_out_of_range_setting_refused_before_any_input_is_read(
+            self, command, items, message, tmp_path, capsys):
+        """The corpus or checkpoint named is missing, so reading it before
+        checking every setting would report the missing file instead."""
+        missing = ("data.corpus=missing.txt" if command == "pretrain"
+                   else "checkpoint.path=missing.ckpt")
+        out = tmp_path / "out"
+        argv = [command, "--output-dir", str(out)]
+        for item in [missing, *items]:
+            argv += ["--set", item]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

@@ -365,8 +365,9 @@ def _save_checkpoint(path):
 
 
 def _resolve_pretrain_config(path):
+    """``nanobert pretrain --config path --output-dir run``'s config."""
     return cli.resolve_config("pretrain", argparse.Namespace(config=path, set=None,
-                                                             output_dir=None, seed=None))
+                                                             output_dir="run", seed=None))
 
 
 def _number_paths(node, path=()):

@@ -325,7 +325,6 @@ class TestRunPretraining:
     @pytest.mark.parametrize("setting, message", [
         ({"patience": 0}, "patience must be >= 1, got 0"),
         ({"patience": -3}, "patience must be >= 1, got -3"),
-        ({"min_delta": -1}, "min_delta must be >= 0, got -1"),
         ({"dev_fraction": -1.0}, r"dev_fraction must be in \(0, 1\), got -1.0"),
         ({"dev_fraction": 0.0}, r"dev_fraction must be in \(0, 1\), got 0.0"),
         ({"dev_fraction": 1.0}, r"dev_fraction must be in \(0, 1\), got 1.0"),
